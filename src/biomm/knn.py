@@ -43,16 +43,6 @@ class KnnResult(NamedTuple):
     mean_distance: float  # mean distance of the winning class's neighbors
 
 
-def euclidean(x, y) -> float:
-    """Euclidean distance sqrt(sum (x_j - y_j)^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionError(f"length mismatch ({x.shape} vs {y.shape})")
-    diff = x - y
-    return float(np.sqrt((diff * diff).sum()))
-
-
 def classify(m: KnnModel, q) -> KnnResult:
     """Majority vote among the k nearest gallery points."""
     q = np.asarray(q, dtype=np.float64)

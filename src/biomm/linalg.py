@@ -1,8 +1,13 @@
-"""Dense real matrix/vector arithmetic and the two eigensolvers.
+"""Input checks and the symmetric and generalized eigensolvers.
 
 Matrices are 2-D float64 numpy arrays; where a matrix holds samples,
 each column is one sample vector. Vectors are 1-D float64 arrays.
 Every function is pure and returns freshly allocated arrays.
+
+The factorizations are numpy's LAPACK routines (`eigh`, `cholesky`,
+`solve`); this module adds the contracts the rest of the package relies
+on: input validation, descending eigenvalue order, a deterministic sign
+for every eigenvector, and biomm error types in place of LinAlgError.
 """
 
 from __future__ import annotations
@@ -11,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    DomainError,
-    FactorizationError,
-    SingularityError,
-)
+from .errors import DimensionError, DomainError, FactorizationError, SingularityError
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-12   # times ||A||_F
 SYMMETRY_RTOL = 1e-10
 SPD_COND_LIMIT = 1e12
 
@@ -55,41 +52,6 @@ def as_matrix(a, name="matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def add(a, b) -> np.ndarray:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ ({a.shape} vs {b.shape})")
-    return a + b
-
-
-def scale(a, c: float) -> np.ndarray:
-    if not np.isfinite(c):
-        raise DomainError("scale factor must be finite")
-    return np.asarray(a, dtype=np.float64) * c
-
-
-def dot(x, y) -> float:
-    x, y = as_vector(x, "x"), as_vector(y, "y")
-    if x.shape != y.shape:
-        raise DimensionError(f"dot: lengths differ ({x.size} vs {y.size})")
-    return float(x @ y)
-
-
-def norm(x) -> float:
-    return float(np.sqrt(dot(x, x)))
-
-
 def _check_square(a, name) -> np.ndarray:
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
@@ -114,108 +76,22 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(a) -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix (LAPACK via np.linalg.eigh).
 
     Returns eigenvalues sorted descending with matching orthonormal
-    eigenvector columns. Raises ConvergenceError if the off-diagonal mass
-    has not dropped below 1e-12 * ||A||_F after 100 sweeps.
+    eigenvector columns, each oriented by _fix_signs.
     """
-    a = _check_symmetric(a, "a")
-    n = a.shape[0]
-    d = a.copy()
-    v = np.eye(n)
-
-    fro = float(np.sqrt((a * a).sum()))
-    if fro == 0.0:
-        return EigenPairs(np.zeros(n), v)
-    threshold = JACOBI_OFF_TOL * fro
-
-    def off_mass(m):
-        strict = m.copy()
-        np.fill_diagonal(strict, 0.0)
-        return float(np.sqrt((strict * strict).sum()))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_mass(d) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                if abs(apq) <= 1e-20 * fro:
-                    continue
-                tau = (d[q, q] - d[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # D <- J^T D J and V <- V J with the rotation in plane (p, q)
-                dp, dq = d[:, p].copy(), d[:, q].copy()
-                d[:, p] = c * dp - s * dq
-                d[:, q] = s * dp + c * dq
-                dp, dq = d[p, :].copy(), d[q, :].copy()
-                d[p, :] = c * dp - s * dq
-                d[q, :] = s * dp + c * dq
-                d[p, q] = d[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        converged = off_mass(d) <= threshold
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps (n={n})"
-        )
-
-    values = np.diag(d).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    vectors = vectors / np.sqrt((vectors * vectors).sum(axis=0))
-    return EigenPairs(values, _fix_signs(vectors))
+    values, vectors = np.linalg.eigh(_check_symmetric(a, "a"))
+    return EigenPairs(values[::-1].copy(), _fix_signs(vectors[:, ::-1]))
 
 
 def cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix."""
     a = _check_square(a, "a")
-    n = a.shape[0]
-    l = np.zeros_like(a)
-    for j in range(n):
-        diag = a[j, j] - l[j, :j] @ l[j, :j]
-        if not np.isfinite(diag) or diag <= 0.0:
-            raise FactorizationError(f"matrix is not positive definite (pivot {j})")
-        l[j, j] = np.sqrt(diag)
-        if j + 1 < n:
-            l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]) / l[j, j]
-    return l
-
-
-def _forward_sub(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # solves L x = b for lower-triangular L; b may be a vector or matrix
-    n = l.shape[0]
-    x = np.zeros_like(b, dtype=np.float64)
-    for i in range(n):
-        x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
-    return x
-
-
-def _back_sub(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # solves U x = b for upper-triangular U
-    n = u.shape[0]
-    x = np.zeros_like(b, dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - u[i, i + 1:] @ x[i + 1:]) / u[i, i]
-    return x
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky."""
-    a = _check_symmetric(a, "a")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"solve_spd: b has {b.shape[0]} rows, expected {a.shape[0]}")
-    l = cholesky(a)
-    return _back_sub(l.T, _forward_sub(l, b))
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError("matrix is not positive definite") from exc
 
 
 def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
@@ -247,10 +123,8 @@ def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
         )
 
     # B = L^-1 s_b L^-T, symmetrized against round-off
-    y = _forward_sub(l, s_b)
-    b = _forward_sub(l, y.T).T
-    b = 0.5 * (b + b.T)
-    pairs = sym_eig(b)
-    vectors = _back_sub(l.T, pairs.vectors)
+    b = np.linalg.solve(l, np.linalg.solve(l, s_b).T).T
+    pairs = sym_eig(0.5 * (b + b.T))
+    vectors = np.linalg.solve(l.T, pairs.vectors)
     vectors = vectors / np.sqrt((vectors * vectors).sum(axis=0))
     return EigenPairs(pairs.values, _fix_signs(vectors))

@@ -1,8 +1,11 @@
 """Mel-frequency cepstral coefficient extraction.
 
-Chain per frame: Hamming window -> radix-2 FFT -> power spectrum ->
-triangular mel filterbank -> natural log -> cosine transform, dropping
-the zeroth coefficient (it carries frame energy, not speaker identity).
+Chain per frame: Hamming window -> FFT (numpy's pocketfft) -> power
+spectrum -> triangular mel filterbank -> natural log -> cosine transform,
+dropping the zeroth coefficient (it carries frame energy, not speaker
+identity). Each step is a public function that takes a matrix of frame
+columns, and `extract` is their composition.
+
 An utterance is summarized by the per-coefficient mean and standard
 deviation across frames, giving a fixed-length vector for LDA/SVM.
 """
@@ -87,16 +90,10 @@ class MfccFeatures:
     summary: np.ndarray
 
 
-def hamming(n: int, length: int) -> float:
-    """Hamming window sample 0.54 - 0.46*cos(2*pi*n/(N-1))."""
+def hamming_window(length: int) -> np.ndarray:
+    """Hamming window 0.54 - 0.46*cos(2*pi*n/(N-1)) for n = 0..N-1."""
     if length < 2:
         raise DomainError("window length must be >= 2")
-    if not 0 <= n <= length - 1:
-        raise IndexError(f"window index {n} outside [0, {length - 1}]")
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
-
-
-def hamming_window(length: int) -> np.ndarray:
     n = np.arange(length)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
@@ -113,60 +110,27 @@ def frame_and_window(audio: AudioRecord, cfg: MfccConfig) -> np.ndarray:
         raise TooShortError(
             f"audio has {n} samples, need at least one {params.frame_len}-sample frame"
         )
-    n_frames = (n - params.frame_len) // params.hop + 1
-    window = hamming_window(params.frame_len)
-    out = np.zeros((params.fft_size, n_frames))
-    for i in range(n_frames):
-        start = i * params.hop
-        out[: params.frame_len, i] = (
-            audio.samples[start : start + params.frame_len] * window
-        )
+    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, params.frame_len)
+    frames = windows[:: params.hop] * hamming_window(params.frame_len)
+    out = np.zeros((params.fft_size, frames.shape[0]))
+    out[: params.frame_len] = frames.T
     return out
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def dft(frames) -> np.ndarray:
+    """Discrete Fourier transform of a frame, or of every column of a matrix.
 
-
-def _fft_columns(frames: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 FFT applied to every column of a complex matrix."""
-    n = frames.shape[0]
-    x = frames[_bit_reverse_indices(n), :].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)[:, None]
-        x = x.reshape(n // size, size, -1)
-        even = x[:, :half, :].copy()
-        odd = x[:, half:, :] * twiddle
-        x[:, :half, :] = even + odd
-        x[:, half:, :] = even - odd
-        x = x.reshape(n, -1)
-        size *= 2
-    return x
-
-
-def dft(frame) -> np.ndarray:
-    """Discrete Fourier transform of a power-of-two-length frame.
-
-    Computed with an iterative radix-2 FFT; semantics are the plain DFT
-    X_k = sum_n x_n exp(-2j*pi*k*n/N).
+    The transform length (the frame length, or the row count of a matrix)
+    must be a power of two. Semantics are the plain DFT
+    X_k = sum_n x_n exp(-2j*pi*k*n/N), computed by numpy's FFT.
     """
-    x = np.asarray(frame)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionError("frame must be a non-empty 1-D array")
-    n = x.size
+    x = np.asarray(frames)
+    if x.ndim not in (1, 2) or x.size < 1:
+        raise DimensionError("frames must be a non-empty 1-D or 2-D array")
+    n = x.shape[0]
     if n & (n - 1) != 0:
         raise DimensionError(f"frame length {n} is not a power of two")
-    if n == 1:
-        return x.astype(np.complex128)
-    return _fft_columns(x[:, None])[:, 0]
+    return np.fft.fft(x, axis=0)
 
 
 def filter_weights(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
@@ -228,14 +192,10 @@ def dct_cepstra(log_energies, num_ceps: int) -> np.ndarray:
 def extract(audio: AudioRecord, cfg: MfccConfig | None = None) -> MfccFeatures:
     """Run the full MFCC chain on one utterance."""
     cfg = cfg or MfccConfig()
-    params = cfg.resolve(audio.sample_rate)
     frames = frame_and_window(audio, cfg)
-    spectrum = _fft_columns(frames)
-    n_bins = params.fft_size // 2 + 1
-    power = np.abs(spectrum[:n_bins, :]) ** 2
-    weights = filter_weights(cfg, audio.sample_rate)
-    energies = np.maximum(weights @ power, ENERGY_FLOOR)
-    log_e = np.log(energies)
-    cepstra = _dct_matrix(cfg.num_ceps, cfg.num_filters) @ log_e
+    n_bins = frames.shape[0] // 2 + 1
+    power = np.abs(dft(frames)[:n_bins]) ** 2
+    log_e = np.log(mel_filterbank(power, cfg, audio.sample_rate))
+    cepstra = dct_cepstra(log_e, cfg.num_ceps)
     summary = np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])
     return MfccFeatures(cepstra, summary)

@@ -95,24 +95,19 @@ def fit_pca(ds: LabeledDataset, retained: int | None = None) -> Subspace:
 
     m = mean_vector(ds)
     x = center(ds, m)
-    if p < d:
-        # Gram trick: nonzero spectrum of X X^T equals that of X^T X
-        pairs = linalg.sym_eig(x.T @ x)
-        rank = usable_rank(pairs.values)
-        if rank == 0:
-            raise RankError("degenerate dataset: all samples identical (rank 0)")
-        if retained > rank:
-            raise RankError(f"retained {retained} exceeds usable rank {rank}")
+    # Gram trick when p < d: the nonzero spectrum of X X^T equals that of X^T X
+    gram = p < d
+    pairs = linalg.sym_eig(x.T @ x if gram else x @ x.T)
+    rank = usable_rank(pairs.values)
+    if rank == 0:
+        raise RankError("degenerate dataset: all samples identical (rank 0)")
+    if retained > rank:
+        raise RankError(f"retained {retained} exceeds usable rank {rank}")
+    if gram:
         lifted = x @ pairs.vectors[:, :retained]
         basis = lifted / np.sqrt((lifted * lifted).sum(axis=0))
         basis = linalg._fix_signs(basis)
     else:
-        pairs = linalg.sym_eig(x @ x.T)
-        rank = usable_rank(pairs.values)
-        if rank == 0:
-            raise RankError("degenerate dataset: all samples identical (rank 0)")
-        if retained > rank:
-            raise RankError(f"retained {retained} exceeds usable rank {rank}")
         basis = pairs.vectors[:, :retained].copy()
     return Subspace(KIND_PCA, m, basis)
 

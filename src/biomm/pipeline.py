@@ -11,8 +11,10 @@ calibrated from the enrollment data and stored in the model file.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _optional(cast):
+    return lambda token: None if token == "-" else cast(token)
+
+
 def _emit_matrix(lines: list, name: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(matrix)
     lines.append(f"{name} {matrix.shape[0]} {matrix.shape[1]}")
@@ -391,36 +397,43 @@ def _emit_subspace(lines: list, section: str, s: pca_mod.Subspace) -> None:
     _emit_matrix(lines, "BASIS", s.basis)
 
 
+# The CONFIG section in file order: (attribute path in PipelineConfig,
+# parser). The file key is the last segment of the path.
+_CONFIG_FIELDS = (
+    ("mfcc.frame_ms", float),
+    ("mfcc.shift_ms", float),
+    ("mfcc.fft_size", _optional(int)),
+    ("mfcc.num_filters", int),
+    ("mfcc.num_ceps", int),
+    ("mfcc.fmin_hz", float),
+    ("mfcc.fmax_hz", _optional(float)),
+    ("pca_retained", _optional(int)),
+    ("lda_retained", _optional(int)),
+    ("reg", _optional(float)),
+    ("knn_k", int),
+    ("svm_kernel", str),
+    ("svm_gamma", float),
+    ("svm_c", float),
+    ("svm_tol", float),
+    ("w_face", float),
+)
+
+
+def _fmt_field(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return _fmt(value)
+
+
 def save_model(m: SystemModel, path) -> None:
-    cfg = m.config
     lines = [MAGIC, "SECTION CONFIG"]
-    mf = cfg.mfcc
-    for key, value in (
-        ("frame_ms", mf.frame_ms),
-        ("shift_ms", mf.shift_ms),
-        ("fft_size", mf.fft_size),
-        ("num_filters", mf.num_filters),
-        ("num_ceps", mf.num_ceps),
-        ("fmin_hz", mf.fmin_hz),
-        ("fmax_hz", mf.fmax_hz),
-        ("pca_retained", cfg.pca_retained),
-        ("lda_retained", cfg.lda_retained),
-        ("reg", cfg.reg),
-        ("knn_k", cfg.knn_k),
-        ("svm_kernel", cfg.svm_kernel),
-        ("svm_gamma", cfg.svm_gamma),
-        ("svm_c", cfg.svm_c),
-        ("svm_tol", cfg.svm_tol),
-        ("w_face", cfg.w_face),
-    ):
-        if value is None:
-            lines.append(f"{key} -")
-        elif isinstance(value, (int, np.integer)) or key in ("knn_k",):
-            lines.append(f"{key} {int(value)}")
-        elif isinstance(value, str):
-            lines.append(f"{key} {value}")
-        else:
-            lines.append(f"{key} {_fmt(value)}")
+    for attr, _ in _CONFIG_FIELDS:
+        value = attrgetter(attr)(m.config)
+        lines.append(f"{attr.rpartition('.')[2]} {_fmt_field(value)}")
 
     _emit_subspace(lines, "FACE_PCA", m.face_pca)
     _emit_subspace(lines, "FACE_LDA", m.face_lda)
@@ -504,53 +517,43 @@ def _read_subspace(reader: _Reader, section: str) -> pca_mod.Subspace:
     return pca_mod.Subspace(kind, mean, basis)
 
 
-def _opt(token: str, cast):
-    return None if token == "-" else cast(token)
+def _read_config(reader: _Reader) -> PipelineConfig:
+    reader.expect_section("CONFIG")
+    top, mfcc = {}, {}
+    for attr, parse in _CONFIG_FIELDS:
+        owner, _, key = attr.rpartition(".")
+        try:
+            (token,) = reader.keyword(key)
+            (mfcc if owner else top)[key] = parse(token)
+        except ValueError as exc:
+            raise FormatError(f"bad value for config key {key}") from exc
+    return PipelineConfig(mfcc=mfcc_mod.MfccConfig(**mfcc), **top)
 
 
 def load_model(path) -> SystemModel:
-    """Parse a model file; the CRC is verified before any section parsing."""
-    raw = Path(path).read_text(encoding="utf-8")
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[-1].startswith("CRC32 "):
-        raise FormatError("missing CRC32 trailer (file truncated?)")
-    stated = lines[-1][len("CRC32 "):].strip()
-    body = "\n".join(lines[:-1]) + "\n"
-    actual = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    if stated != f"{actual:08x}":
-        raise FormatError(f"checksum mismatch: stated {stated}, computed {actual:08x}")
+    """Parse a model file; the CRC is verified before any section parsing.
 
-    reader = _Reader(lines[:-1])
+    The file must end in exactly "CRC32 <8 lowercase hex digits>\n", and
+    the checksum covers the raw bytes before that line.
+    """
+    raw = Path(path).read_bytes()
+    cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+    trailer = re.fullmatch(rb"CRC32 ([0-9a-f]{8})\n", raw[cut:])
+    if trailer is None:
+        raise FormatError("missing or malformed CRC32 trailer (file truncated?)")
+    stated = trailer[1].decode("ascii")
+    actual = f"{zlib.crc32(raw[:cut]) & 0xFFFFFFFF:08x}"
+    if stated != actual:
+        raise FormatError(f"checksum mismatch: stated {stated}, computed {actual}")
+    try:
+        lines = raw[:cut].decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        raise FormatError("model file is not UTF-8 text") from exc
+
+    reader = _Reader(lines)
     if reader.next() != MAGIC:
         raise FormatError(f"bad magic line (expected {MAGIC!r})")
-
-    reader.expect_section("CONFIG")
-    kv = {}
-    for _ in range(16):
-        key, value = reader.next().split(" ", 1)
-        kv[key] = value
-    config = PipelineConfig(
-        pca_retained=_opt(kv["pca_retained"], int),
-        lda_retained=_opt(kv["lda_retained"], int),
-        reg=_opt(kv["reg"], float),
-        knn_k=int(kv["knn_k"]),
-        mfcc=mfcc_mod.MfccConfig(
-            frame_ms=float(kv["frame_ms"]),
-            shift_ms=float(kv["shift_ms"]),
-            fft_size=_opt(kv["fft_size"], int),
-            num_filters=int(kv["num_filters"]),
-            num_ceps=int(kv["num_ceps"]),
-            fmin_hz=float(kv["fmin_hz"]),
-            fmax_hz=_opt(kv["fmax_hz"], float),
-        ),
-        svm_kernel=kv["svm_kernel"],
-        svm_gamma=float(kv["svm_gamma"]),
-        svm_c=float(kv["svm_c"]),
-        svm_tol=float(kv["svm_tol"]),
-        w_face=float(kv["w_face"]),
-    )
+    config = _read_config(reader)
 
     face_pca = _read_subspace(reader, "FACE_PCA")
     face_lda = _read_subspace(reader, "FACE_LDA")

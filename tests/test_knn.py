@@ -28,34 +28,6 @@ def brute_classify(points, labels, k, q):
     return int(tied[0])
 
 
-class TestEuclidean:
-    def test_three_four_five(self):
-        assert knn.euclidean([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_self_distance_zero(self):
-        x = np.array([1.0, -2.0, 3.5])
-        assert knn.euclidean(x, x) == 0.0
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.RandomState(0)
-        for _ in range(200):
-            n = rng.randint(1, 10)
-            x, y = rng.standard_normal(n), rng.standard_normal(n)
-            acc = 0.0
-            for j in range(n):
-                acc += (x[j] - y[j]) ** 2
-            assert abs(knn.euclidean(x, y) - acc ** 0.5) <= 1e-12
-
-    def test_symmetry(self):
-        rng = np.random.RandomState(1)
-        x, y = rng.standard_normal(5), rng.standard_normal(5)
-        assert knn.euclidean(x, y) == knn.euclidean(y, x)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            knn.euclidean([1.0], [1.0, 2.0])
-
-
 class TestClassify:
     def test_exact_gallery_hit(self):
         points = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])

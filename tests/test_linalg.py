@@ -3,7 +3,6 @@ import pytest
 
 from biomm import linalg
 from biomm.errors import (
-    ConvergenceError,
     DimensionError,
     DomainError,
     FactorizationError,
@@ -36,51 +35,13 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 class TestPlumbing:
-    def test_transpose_involution(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(linalg.transpose(linalg.transpose(a)), a)
-
-    def test_dot(self):
-        assert linalg.dot([3.0, 4.0], [3.0, 4.0]) == 25.0
-
-    def test_dot_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_matmul_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_norm(self):
-        assert linalg.norm([3.0, 4.0]) == 5.0
-
-    def test_add_scale(self):
-        np.testing.assert_array_equal(
-            linalg.add([1.0, 2.0], [3.0, 4.0]), [4.0, 6.0]
-        )
-        np.testing.assert_array_equal(linalg.scale([1.0, 2.0], 2.0), [2.0, 4.0])
-
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             linalg.as_vector([1.0, np.nan])
 
-    def test_solve_spd_diagonal(self):
-        x = linalg.solve_spd(np.diag([4.0, 9.0]), np.array([8.0, 27.0]))
-        np.testing.assert_allclose(x, [2.0, 3.0], rtol=1e-12)
-
-    def test_solve_spd_residual(self):
-        rng = np.random.RandomState(0)
-        for _ in range(20):
-            n = rng.randint(2, 9)
-            g = rng.standard_normal((n, n))
-            a = g @ g.T + n * np.eye(n)
-            b = rng.standard_normal(n)
-            x = linalg.solve_spd(a, b)
-            assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-    def test_solve_spd_rejects_indefinite(self):
+    def test_cholesky_rejects_indefinite(self):
         with pytest.raises(FactorizationError):
-            linalg.solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+            linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_cholesky_reconstructs(self):
         rng = np.random.RandomState(1)

@@ -27,22 +27,16 @@ def test_naive_oracle_self_check():
 
 class TestHamming:
     def test_endpoints(self):
-        assert abs(mfcc.hamming(0, 100) - 0.08) < 1e-12
-        assert abs(mfcc.hamming(99, 100) - 0.08) < 1e-12
+        window = mfcc.hamming_window(100)
+        assert abs(window[0] - 0.08) < 1e-12
+        assert abs(window[99] - 0.08) < 1e-12
 
     def test_midpoint_odd(self):
-        assert abs(mfcc.hamming(50, 101) - 1.0) < 1e-12
+        assert abs(mfcc.hamming_window(101)[50] - 1.0) < 1e-12
 
     def test_symmetry(self):
-        n = 64
-        for i in range(n):
-            assert abs(mfcc.hamming(i, n) - mfcc.hamming(n - 1 - i, n)) < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            mfcc.hamming(100, 100)
-        with pytest.raises(IndexError):
-            mfcc.hamming(-1, 100)
+        window = mfcc.hamming_window(64)
+        assert np.abs(window - window[::-1]).max() < 1e-12
 
 
 class TestFraming:
@@ -60,6 +54,18 @@ class TestFraming:
             frames[: params.frame_len, 0], mfcc.hamming_window(params.frame_len)
         )
         np.testing.assert_array_equal(frames[params.frame_len :, 0], 0.0)
+
+    def test_matches_loop_oracle(self):
+        samples = np.random.RandomState(7).uniform(-0.5, 0.5, 1000)
+        cfg = mfcc.MfccConfig()
+        params = cfg.resolve(8000)
+        frames = mfcc.frame_and_window(AudioRecord(8000, samples), cfg)
+        window = mfcc.hamming_window(params.frame_len)
+        for i in range(frames.shape[1]):
+            start = i * params.hop
+            expected = np.zeros(params.fft_size)
+            expected[: params.frame_len] = samples[start : start + params.frame_len] * window
+            np.testing.assert_array_equal(frames[:, i], expected)
 
     def test_zero_audio_zero_frames(self):
         audio = AudioRecord(8000, np.zeros(1000))
@@ -118,6 +124,13 @@ class TestDft:
             time_energy = (x * x).sum()
             freq_energy = (np.abs(spec) ** 2).sum() / size
             assert abs(time_energy - freq_energy) <= 1e-9 * time_energy
+
+    def test_matrix_transforms_each_column(self):
+        rng = np.random.RandomState(5)
+        x = rng.standard_normal((128, 6))
+        expected = np.column_stack([naive_dft(x[:, j]) for j in range(6)])
+        rel = np.abs(mfcc.dft(x) - expected).max() / np.abs(expected).max()
+        assert rel <= 1e-9
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionError):
@@ -191,7 +204,7 @@ class TestExtract:
         expected_filter = int(np.argmin(np.abs(centers - 1000.0)))
 
         frames = mfcc.frame_and_window(audio, cfg)
-        spectrum = mfcc._fft_columns(frames)
+        spectrum = mfcc.dft(frames)
         power = np.abs(spectrum[: params.fft_size // 2 + 1, :]) ** 2
         weights = mfcc.filter_weights(cfg, fs)
         energies = weights @ power

@@ -1,0 +1,171 @@
+"""End-to-end tests of the fused system on a small seeded synthetic gallery."""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+from biomm import mfcc, pipeline, synth
+from biomm.errors import FormatError
+
+NUM_CLIENTS = 5
+
+
+@pytest.fixture(scope="module")
+def world():
+    gallery, prototypes, profiles, rng = synth.make_enrollment_data(
+        num_clients=NUM_CLIENTS, seed=3
+    )
+    names = list(gallery)
+
+    def probe(c):
+        return synth.render_face(prototypes[c], rng), synth.synth_utterance(profiles[c], rng)
+
+    unknown_faces = synth.make_face_prototypes(3, rng)
+    unknown_voices = synth.make_voice_profiles(3, rng)
+    return SimpleNamespace(
+        gallery=gallery,
+        names=names,
+        model=pipeline.enroll_and_fit(gallery),
+        genuine=[(names[c], *probe(c)) for c in range(NUM_CLIENTS) for _ in range(2)],
+        unknown=[
+            (synth.render_face(f, rng), synth.synth_utterance(v, rng))
+            for f, v in zip(unknown_faces, unknown_voices)
+        ],
+        # face of client c with the voice of client c+1
+        mixed=[
+            (probe(c)[0], probe((c + 1) % NUM_CLIENTS)[1]) for c in range(NUM_CLIENTS)
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def model_file(world, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "system.biomm"
+    pipeline.save_model(world.model, path)
+    return path
+
+
+def damaged(tmp_path, data: bytes):
+    path = tmp_path / "damaged.biomm"
+    path.write_bytes(data)
+    return path
+
+
+class TestServing:
+    def test_identify_genuine(self, world):
+        for name, face, voice in world.genuine:
+            d = pipeline.identify(world.model, face, voice)
+            assert d.accepted and d.client_id == name
+            assert d.mode == pipeline.MODE_IDENTIFY
+
+    def test_verify_genuine_and_impostor(self, world):
+        for name, face, voice in world.genuine:
+            assert pipeline.verify(world.model, face, voice, name).accepted
+            other = world.names[(world.names.index(name) + 1) % NUM_CLIENTS]
+            d = pipeline.verify(world.model, face, voice, other)
+            assert not d.accepted and d.client_id is None
+
+    def test_unknown_probes_rejected(self, world):
+        for face, voice in world.unknown:
+            d = pipeline.identify(world.model, face, voice)
+            assert not d.accepted and d.client_id is None
+
+
+class TestSingleModality:
+    def test_w_face_one_is_face_only(self, world):
+        model = pipeline.enroll_and_fit(world.gallery, pipeline.PipelineConfig(w_face=1.0))
+        for face, voice in world.mixed:
+            d = pipeline.identify(model, face, voice)
+            assert d.face_id != d.voice_id
+            assert d.client_id == d.face_id
+            assert d.fused_score == d.face_score
+
+    def test_w_face_zero_is_voice_only(self, world):
+        model = pipeline.enroll_and_fit(world.gallery, pipeline.PipelineConfig(w_face=0.0))
+        for face, voice in world.mixed:
+            d = pipeline.identify(model, face, voice)
+            assert d.face_id != d.voice_id
+            assert d.client_id == d.voice_id
+            assert d.fused_score == d.voice_score
+
+
+class TestModelFile:
+    def test_reload_gives_equal_decisions(self, world, model_file):
+        loaded = pipeline.load_model(model_file)
+        for name, face, voice in world.genuine + [(world.names[0], *p) for p in world.unknown]:
+            assert pipeline.identify(loaded, face, voice) == pipeline.identify(
+                world.model, face, voice
+            )
+            assert pipeline.verify(loaded, face, voice, name) == pipeline.verify(
+                world.model, face, voice, name
+            )
+
+    def test_save_load_save_is_byte_identical(self, model_file, tmp_path):
+        again = tmp_path / "again.biomm"
+        pipeline.save_model(pipeline.load_model(model_file), again)
+        assert again.read_bytes() == model_file.read_bytes()
+
+    def test_config_round_trip_every_field(self, world, tmp_path):
+        config = pipeline.PipelineConfig(
+            pca_retained=7,
+            lda_retained=3,
+            reg=2.5e-4,
+            knn_k=3,
+            mfcc=mfcc.MfccConfig(
+                frame_ms=20.0,
+                shift_ms=12.5,
+                fft_size=512,
+                num_filters=24,
+                num_ceps=10,
+                fmin_hz=60.0,
+                fmax_hz=3600.0,
+            ),
+            svm_kernel="linear",
+            svm_gamma=0.75,
+            svm_c=3.0,
+            svm_tol=5e-4,
+            w_face=0.3,
+        )
+        for field in ("pca_retained", "lda_retained", "reg", "knn_k", "mfcc",
+                      "svm_kernel", "svm_gamma", "svm_c", "svm_tol", "w_face"):
+            assert getattr(config, field) != getattr(pipeline.PipelineConfig(), field)
+        path = tmp_path / "config.biomm"
+        pipeline.save_model(replace(world.model, config=config), path)
+        assert pipeline.load_model(path).config == config
+
+    def test_flipped_byte(self, model_file, tmp_path):
+        data = bytearray(model_file.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        with pytest.raises(FormatError):
+            pipeline.load_model(damaged(tmp_path, bytes(data)))
+
+    def test_truncated(self, model_file, tmp_path):
+        data = model_file.read_bytes()
+        for cut in (len(data) // 2, len(data) - 1, len(data) - 5):
+            with pytest.raises(FormatError):
+                pipeline.load_model(damaged(tmp_path, data[:cut]))
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\x0b", b" \n", b"\t\n", b"\n\n", b""],
+        ids=["final-newline-flipped", "space-before-newline", "tab-before-newline",
+             "extra-newline", "no-newline"],
+    )
+    def test_trailer_must_be_exact(self, model_file, tmp_path, tail):
+        data = model_file.read_bytes()
+        assert data.endswith(b"\n")
+        with pytest.raises(FormatError):
+            pipeline.load_model(damaged(tmp_path, data[:-1] + tail))
+
+    def test_carriage_return_for_newline_rejected(self, model_file, tmp_path):
+        data = model_file.read_bytes()
+        pos = data.index(b"\n", len(data) // 2)
+        with pytest.raises(FormatError):
+            pipeline.load_model(damaged(tmp_path, data[:pos] + b"\r" + data[pos + 1:]))
+
+    def test_invalid_utf8_is_format_error(self, model_file, tmp_path):
+        data = bytearray(model_file.read_bytes())
+        data[len(data) // 2] = 0xFF
+        with pytest.raises(FormatError):
+            pipeline.load_model(damaged(tmp_path, bytes(data)))
