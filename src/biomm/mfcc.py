@@ -6,6 +6,10 @@ dropping the zeroth coefficient (it carries frame energy, not speaker
 identity). Each step is a public function that takes a matrix of frame
 columns, and `extract` is their composition.
 
+The filterbank weights and the cosine-transform matrix depend only on the
+configuration and the sample rate, so each is built once per distinct
+(config, sample rate) and then shared, read-only, by every utterance.
+
 An utterance is summarized by the per-coefficient mean and standard
 deviation across frames, giving a fixed-length vector for LDA/SVM.
 """
@@ -13,6 +17,7 @@ deviation across frames, giving a fixed-length vector for LDA/SVM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +26,7 @@ from .errors import DimensionError, DomainError, ResolutionError, TooShortError
 from .ingest import AudioRecord
 
 ENERGY_FLOOR = 1e-10
+TABLE_CACHE_SIZE = 16  # distinct configurations whose tables stay built
 
 
 def mel(f):
@@ -133,12 +139,14 @@ def dft(frames) -> np.ndarray:
     return np.fft.fft(x, axis=0)
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def filter_weights(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
-    """Triangular mel filterbank weights, one filter per row.
+    """Triangular mel filterbank weights, one filter per row (read-only).
 
     Filter centers are equally spaced on the mel scale between fmin and
     fmax; filter i rises from center i-1 to peak 1 at center i and falls
-    to center i+1 (fmin/fmax act as the outermost edges).
+    to center i+1 (fmin/fmax act as the outermost edges). Built once per
+    (cfg, sample_rate); every later call returns the same array.
     """
     params = cfg.resolve(sample_rate)
     n_bins = params.fft_size // 2 + 1
@@ -154,6 +162,7 @@ def filter_weights(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
             raise ResolutionError(
                 f"filter {i} covers no FFT bin; lower num_filters or raise fft_size"
             )
+    weights.flags.writeable = False
     return weights
 
 
@@ -170,10 +179,13 @@ def mel_filterbank(power_spectrum, cfg: MfccConfig, sample_rate: int) -> np.ndar
     return np.maximum(weights @ spectrum, ENERGY_FLOOR)
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _dct_matrix(num_ceps: int, num_filters: int) -> np.ndarray:
     n = np.arange(1, num_ceps + 1)[:, None]
     k = np.arange(1, num_filters + 1)[None, :]
-    return np.cos(n * (k - 0.5) * np.pi / num_filters)
+    table = np.cos(n * (k - 0.5) * np.pi / num_filters)
+    table.flags.writeable = False
+    return table
 
 
 def dct_cepstra(log_energies, num_ceps: int) -> np.ndarray:

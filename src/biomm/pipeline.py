@@ -24,7 +24,16 @@ from . import lda as lda_mod
 from . import mfcc as mfcc_mod
 from . import pca as pca_mod
 from . import svm as svm_mod
-from .errors import ClassError, DatasetError, EnrollmentError, FormatError, IdentityError
+from .errors import (
+    BiommError,
+    ClassError,
+    DatasetError,
+    DimensionError,
+    DomainError,
+    EnrollmentError,
+    FormatError,
+    IdentityError,
+)
 from .ingest import AudioRecord, ImageRecord, LabeledDataset, image_to_vector
 
 MAGIC = "BIOMM 1"
@@ -90,6 +99,10 @@ class Decision:
 
 @dataclass(frozen=True)
 class SystemModel:
+    """A fitted or loaded system. Its parts must fit together: one template
+    per voice class, gallery labels among those classes, and each stage's
+    output dimension equal to the next stage's input dimension."""
+
     face_pca: pca_mod.Subspace
     face_lda: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
@@ -98,6 +111,22 @@ class SystemModel:
     templates: tuple
     thresholds: Thresholds
     config: PipelineConfig
+
+    def __post_init__(self):
+        classes = self.voice_svm.num_classes
+        if len(self.templates) != classes:
+            raise DimensionError(f"{len(self.templates)} templates for {classes} classes")
+        labels = self.face_gallery.labels
+        if labels.min() < 0 or labels.max() >= classes:
+            raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
+        for link, produced, consumed in (
+            ("face PCA -> face LDA", self.face_pca.retained, self.face_lda.ambient_dim),
+            ("face LDA -> gallery", self.face_lda.retained, self.face_gallery.points.shape[0]),
+            ("voice LDA -> SVM", self.voice_lda.retained,
+             self.voice_svm.packed.support_vectors.shape[0]),
+        ):
+            if produced != consumed:
+                raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
 
     @property
     def class_names(self) -> tuple:
@@ -343,16 +372,10 @@ def verify(
     face_score = _distance_score(knn_mod.classify(client_model, q_face).mean_distance)
 
     q_voice = _voice_probe(m, voice_recording)
-    wins = 0
-    involved = 0
-    for (i, j), machine in zip(m.voice_svm.class_pairs, m.voice_svm.machines):
-        if cid not in (i, j):
-            continue
-        involved += 1
-        _, sign = svm_mod.predict_binary(machine, q_voice)
-        if (sign > 0 and i == cid) or (sign < 0 and j == cid):
-            wins += 1
-    voice_score = wins / involved
+    # a class can win only the C-1 machines it takes part in, so its vote
+    # count is the number of those that vote for it
+    _, votes = svm_mod.predict_multiclass(m.voice_svm, q_voice)
+    voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)
 
     w = m.config.w_face
     fused = w * face_score + (1.0 - w) * voice_score
@@ -496,23 +519,54 @@ class _Reader:
             raise FormatError(f"expected {name} in section {self.section}")
         return parts[1:]
 
+    def parse(self, casts, tokens, what: str) -> list:
+        try:
+            return [cast(token) for cast, token in zip(casts, tokens)]
+        except ValueError as exc:
+            raise FormatError(f"bad {what} value in section {self.section}") from exc
+
+    def fields(self, name: str, *casts) -> list:
+        """The values after keyword `name`: exactly one per cast."""
+        tokens = self.keyword(name)
+        if len(tokens) != len(casts):
+            raise FormatError(
+                f"{name} in section {self.section} needs {len(casts)} values, "
+                f"found {len(tokens)}"
+            )
+        return self.parse(casts, tokens, name)
+
+    def ints(self, name: str) -> np.ndarray:
+        tokens = self.keyword(name)
+        return np.array(self.parse([int] * len(tokens), tokens, name), dtype=np.int64)
+
     def matrix(self, name: str) -> np.ndarray:
-        rows, cols = (int(v) for v in self.keyword(name))
-        data = np.empty((rows, cols))
-        for r in range(rows):
-            values = self.next().split()
-            if len(values) != cols:
-                raise FormatError(
-                    f"matrix {name} row {r} has {len(values)} values, expected {cols}"
-                )
-            data[r] = [float(v) for v in values]
-        return data
+        rows, cols = self.fields(name, int, int)
+        if rows < 0 or cols < 0:
+            raise FormatError(f"matrix {name} has negative shape {rows} x {cols}")
+        data = []
+        try:
+            for r in range(rows):
+                values = self.next().split()
+                if len(values) != cols:
+                    raise FormatError(
+                        f"matrix {name} row {r} has {len(values)} values, expected {cols}"
+                    )
+                data.append([float(v) for v in values])
+        except ValueError as exc:
+            raise FormatError(f"bad {name} value in section {self.section}") from exc
+        return np.array(data, dtype=np.float64).reshape(rows, cols)
+
+    def vector(self, name: str) -> np.ndarray:
+        matrix = self.matrix(name)
+        if matrix.shape[0] != 1:
+            raise FormatError(f"{name} must be a single row, found {matrix.shape[0]}")
+        return matrix[0]
 
 
 def _read_subspace(reader: _Reader, section: str) -> pca_mod.Subspace:
     reader.expect_section(section)
-    kind = reader.keyword("KIND")[0]
-    mean = reader.matrix("MEAN")[0]
+    (kind,) = reader.fields("KIND", str)
+    mean = reader.vector("MEAN")
     basis = reader.matrix("BASIS")
     return pca_mod.Subspace(kind, mean, basis)
 
@@ -522,11 +576,7 @@ def _read_config(reader: _Reader) -> PipelineConfig:
     top, mfcc = {}, {}
     for attr, parse in _CONFIG_FIELDS:
         owner, _, key = attr.rpartition(".")
-        try:
-            (token,) = reader.keyword(key)
-            (mfcc if owner else top)[key] = parse(token)
-        except ValueError as exc:
-            raise FormatError(f"bad value for config key {key}") from exc
+        (mfcc if owner else top)[key] = reader.fields(key, parse)[0]
     return PipelineConfig(mfcc=mfcc_mod.MfccConfig(**mfcc), **top)
 
 
@@ -534,7 +584,9 @@ def load_model(path) -> SystemModel:
     """Parse a model file; the CRC is verified before any section parsing.
 
     The file must end in exactly "CRC32 <8 lowercase hex digits>\n", and
-    the checksum covers the raw bytes before that line.
+    the checksum covers the raw bytes before that line. Any defect of the
+    file, including a body that passes the CRC but does not describe a
+    valid model, raises FormatError.
     """
     raw = Path(path).read_bytes()
     cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
@@ -549,8 +601,15 @@ def load_model(path) -> SystemModel:
         lines = raw[:cut].decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise FormatError("model file is not UTF-8 text") from exc
+    try:
+        return _read_model(_Reader(lines))
+    except FormatError:
+        raise
+    except BiommError as exc:  # a model invariant checked when a part is built
+        raise FormatError(f"model file describes an invalid model: {exc}") from exc
 
-    reader = _Reader(lines)
+
+def _read_model(reader: _Reader) -> SystemModel:
     if reader.next() != MAGIC:
         raise FormatError(f"bad magic line (expected {MAGIC!r})")
     config = _read_config(reader)
@@ -559,45 +618,43 @@ def load_model(path) -> SystemModel:
     face_lda = _read_subspace(reader, "FACE_LDA")
 
     reader.expect_section("GALLERY")
-    k = int(reader.keyword("K")[0])
+    (k,) = reader.fields("K", int)
     points = reader.matrix("POINTS")
-    labels = np.array([int(v) for v in reader.keyword("LABELS")], dtype=np.int64)
+    labels = reader.ints("LABELS")
     face_gallery = knn_mod.KnnModel(points, labels, k=k)
 
     voice_lda = _read_subspace(reader, "VOICE_LDA")
 
     reader.expect_section("VOICE_SVM")
-    num_classes = int(reader.keyword("CLASSES")[0])
-    num_pairs = int(reader.keyword("PAIRS")[0])
+    (num_classes,) = reader.fields("CLASSES", int)
+    (num_pairs,) = reader.fields("PAIRS", int)
     if num_pairs != num_classes * (num_classes - 1) // 2:
         raise FormatError(
             f"expected {num_classes * (num_classes - 1) // 2} pairwise machines, "
             f"found {num_pairs}"
         )
+    kernel = config.kernel()
     pairs = []
     machines = []
     for _ in range(num_pairs):
-        i, j = (int(v) for v in reader.keyword("PAIR"))
-        bias = float(reader.keyword("BIAS")[0])
-        coefs = reader.matrix("COEFS")[0]
+        pairs.append(tuple(reader.fields("PAIR", int, int)))
+        (bias,) = reader.fields("BIAS", float)
+        coefs = reader.vector("COEFS")
         svs = reader.matrix("SVS")
-        pairs.append((i, j))
-        machines.append(
-            svm_mod.BinarySvm(svs, coefs, bias, config.kernel(), config.svm_c)
-        )
+        machines.append(svm_mod.BinarySvm(svs, coefs, bias, kernel, config.svm_c))
     voice_svm = svm_mod.SvmModel(num_classes, tuple(pairs), tuple(machines))
 
     reader.expect_section("TEMPLATES")
-    count = int(reader.keyword("COUNT")[0])
+    (count,) = reader.fields("COUNT", int)
     templates = []
     for _ in range(count):
-        name, voice_class = reader.keyword("TEMPLATE")
-        coords = reader.matrix("FACE_COORDS")[0]
-        templates.append(BiometricTemplate(name, coords, int(voice_class)))
+        name, voice_class = reader.fields("TEMPLATE", str, int)
+        coords = reader.vector("FACE_COORDS")
+        templates.append(BiometricTemplate(name, coords, voice_class))
 
     reader.expect_section("THRESHOLDS")
-    tau_dist = float(reader.keyword("TAU_DIST")[0])
-    tau_fused = float(reader.keyword("TAU_FUSED")[0])
+    (tau_dist,) = reader.fields("TAU_DIST", float)
+    (tau_fused,) = reader.fields("TAU_FUSED", float)
 
     return SystemModel(
         face_pca=face_pca,

@@ -6,11 +6,20 @@ with the analytic clipped update; the partner multiplier is picked by the
 largest |E_1 - E_2|, the standard proxy for the largest objective step.
 Multiclass problems train one machine per unordered class pair and
 predict by majority vote.
+
+A one-vs-one model is packed once, when it is built (libsvm-style; Chang &
+Lin, "LIBSVM", ACM TIST 2(3), 2011): machines of C classes share training
+points, so their support vectors are stored once, as the columns of one
+deduplicated matrix, and each machine keeps only the column indices and
+dual coefficients of its own support vectors, plus its bias. A probe then
+costs one kernel row against the deduplicated matrix and one segmented sum
+that gives every machine's decision value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,17 +88,90 @@ class BinarySvm:
     kernel: KernelSpec
     c: float
 
+    def __post_init__(self):
+        if np.ndim(self.support_vectors) != 2 or np.shape(self.dual_coefs) != (
+            np.shape(self.support_vectors)[1],
+        ):
+            raise DimensionError(
+                "support vectors must be a d x n matrix with one dual coefficient per column"
+            )
+
+
+class PackedMachines(NamedTuple):
+    """The machines of an SvmModel in one layout; entry e belongs to machine[e]."""
+
+    support_vectors: np.ndarray  # d x n, every distinct support vector once
+    sv_index: np.ndarray         # per entry: its column in support_vectors
+    machine: np.ndarray          # per entry: its machine, in SvmModel.machines order
+    dual_coefs: np.ndarray       # per entry: a_i * y_i
+    biases: np.ndarray           # per machine
+    positive: np.ndarray         # per machine: the class a score >= 0 votes for
+    negative: np.ndarray         # per machine: the class a score < 0 votes for
+    kernel: KernelSpec
+
 
 @dataclass(frozen=True)
 class SvmModel:
     """One-vs-one multiclass model: one BinarySvm per unordered class pair.
 
-    For pair (i, j) with i < j the machine's positive class is i.
+    For pair (i, j) with i < j the machine's positive class is i. The pairs
+    may come in any order, but each of the C(C-1)/2 pairs exactly once, and
+    all machines share one kernel and one dimension. `packed` is derived
+    from the machines when the model is built.
     """
 
     num_classes: int
     class_pairs: tuple
     machines: tuple
+    packed: PackedMachines = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "packed", _pack(self))
+
+
+def _pack(m: SvmModel) -> PackedMachines:
+    n = m.num_classes
+    if n < 2:
+        raise ClassError("a one-vs-one model needs at least two classes")
+    every_pair = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = [tuple(int(v) for v in pair) for pair in m.class_pairs]
+    if sorted(pairs) != every_pair or len(m.machines) != len(pairs):
+        raise DomainError(
+            f"need one machine for each pair (i, j), i < j, of classes 0..{n - 1}"
+        )
+    kernels = {machine.kernel for machine in m.machines}
+    if len(kernels) != 1:
+        raise DomainError("all machines must share one kernel")
+    if len({machine.support_vectors.shape[0] for machine in m.machines}) != 1:
+        raise DimensionError("all machines must have support vectors of one dimension")
+
+    # one row per support vector of every machine; equal rows share one slot,
+    # numbered in order of first appearance
+    rows = np.ascontiguousarray(np.concatenate(
+        [machine.support_vectors for machine in m.machines], axis=1, dtype=np.float64
+    ).T)
+    slots = {}
+    sv_index = np.array(
+        [slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp
+    )
+    distinct = np.frombuffer(b"".join(slots), dtype=np.float64)
+    counts = [machine.support_vectors.shape[1] for machine in m.machines]
+    positive, negative = np.array(pairs, dtype=np.intp).T
+    packed = PackedMachines(
+        support_vectors=np.ascontiguousarray(distinct.reshape(len(slots), rows.shape[1]).T),
+        sv_index=sv_index,
+        machine=np.repeat(np.arange(len(counts)), counts),
+        dual_coefs=np.concatenate(
+            [machine.dual_coefs for machine in m.machines], dtype=np.float64
+        ),
+        biases=np.array([machine.bias for machine in m.machines], dtype=np.float64),
+        positive=positive,
+        negative=negative,
+        kernel=kernels.pop(),
+    )
+    for array in packed[:-1]:
+        array.flags.writeable = False
+    return packed
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float):
@@ -285,19 +367,35 @@ def train_multiclass(
     return SvmModel(ds.num_classes, tuple(pairs), tuple(machines))
 
 
+def decision_values(m: SvmModel, x) -> np.ndarray:
+    """Every machine's decision value at x, in m.machines order.
+
+    One kernel row against the deduplicated support vectors, then one
+    segmented sum of dual coefficient times kernel value per machine.
+    """
+    p = m.packed
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (p.support_vectors.shape[0],):
+        raise DimensionError(
+            f"input dimension {x.shape} != support vector dimension "
+            f"{p.support_vectors.shape[0]}"
+        )
+    row = kernel_matrix(p.kernel, p.support_vectors, x[:, None])[:, 0]
+    sums = np.bincount(p.machine, weights=p.dual_coefs * row[p.sv_index], minlength=p.biases.size)
+    return sums + p.biases
+
+
 def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
     """Majority vote across pairwise machines.
 
-    Vote ties break by the larger sum of |score| over the machines the
-    tied class won, then by the smaller class id.
+    A machine's score of exactly 0 votes for its positive class. Vote ties
+    break by the larger sum of |score| over the machines the tied class
+    won, then by the smaller class id.
     """
-    votes = np.zeros(m.num_classes, dtype=np.int64)
-    strengths = np.zeros(m.num_classes)
-    for (i, j), machine in zip(m.class_pairs, m.machines):
-        score, sign = predict_binary(machine, x)
-        winner = i if sign > 0 else j
-        votes[winner] += 1
-        strengths[winner] += abs(score)
+    scores = decision_values(m, x)
+    winners = np.where(scores >= 0, m.packed.positive, m.packed.negative)
+    votes = np.bincount(winners, minlength=m.num_classes)
+    strengths = np.bincount(winners, weights=np.abs(scores), minlength=m.num_classes)
     top = votes.max()
     tied = np.flatnonzero(votes == top)
     if tied.size == 1:

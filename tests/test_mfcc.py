@@ -165,9 +165,43 @@ class TestFilterbank:
         assert np.all((weights[:, interior] > 0.0).any(axis=0))
 
     def test_resolution_error(self):
+        # a failed build is not cached: every call raises again
         cfg = mfcc.MfccConfig(num_filters=200, num_ceps=12, fft_size=256)
-        with pytest.raises(ResolutionError):
-            mfcc.filter_weights(cfg, 8000)
+        for _ in range(3):
+            with pytest.raises(ResolutionError):
+                mfcc.filter_weights(cfg, 8000)
+
+
+class TestTableCache:
+    def test_tables_are_shared_and_read_only(self):
+        cfg = mfcc.MfccConfig()
+        weights = mfcc.filter_weights(cfg, 8000)
+        assert mfcc.filter_weights(mfcc.MfccConfig(), 8000) is weights
+        dct = mfcc._dct_matrix(cfg.num_ceps, cfg.num_filters)
+        for table in (weights, dct):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                table *= 2.0
+        np.testing.assert_array_equal(weights, mfcc.filter_weights.__wrapped__(cfg, 8000))
+
+    def test_distinct_configs_and_rates_get_their_own_tables(self):
+        base_cfg = mfcc.MfccConfig()
+        variants = [
+            (base_cfg, 8000),
+            (base_cfg, 16000),
+            (mfcc.MfccConfig(num_filters=24), 8000),
+            (mfcc.MfccConfig(fmax_hz=3000.0), 8000),
+            (mfcc.MfccConfig(fft_size=512), 8000),
+        ]
+        tables = [mfcc.filter_weights(cfg, rate) for cfg, rate in variants]
+        for (cfg, rate), table in zip(variants, tables):
+            np.testing.assert_array_equal(table, mfcc.filter_weights.__wrapped__(cfg, rate))
+        for a in range(len(tables)):
+            for b in range(a + 1, len(tables)):
+                assert tables[a].shape != tables[b].shape or not np.array_equal(
+                    tables[a], tables[b]
+                )
 
 
 class TestDctCepstra:
@@ -234,3 +268,19 @@ class TestExtract:
         assert feats.summary.shape == (2 * n,)
         np.testing.assert_allclose(feats.summary[:n], feats.frames.mean(axis=1))
         np.testing.assert_allclose(feats.summary[n:], feats.frames.std(axis=1))
+
+    def test_matches_uncached_composition(self):
+        rng = np.random.RandomState(7)
+        audio = AudioRecord(8000, rng.uniform(-0.8, 0.8, 6000))
+        cfg = mfcc.MfccConfig(num_filters=22, num_ceps=11)
+        frames = mfcc.frame_and_window(audio, cfg)
+        power = np.abs(mfcc.dft(frames)[: frames.shape[0] // 2 + 1]) ** 2
+        weights = mfcc.filter_weights.__wrapped__(cfg, audio.sample_rate)
+        log_e = np.log(np.maximum(weights @ power, mfcc.ENERGY_FLOOR))
+        cepstra = mfcc._dct_matrix.__wrapped__(cfg.num_ceps, cfg.num_filters) @ log_e
+        for _ in range(2):  # the first call may build the tables, the second reuses them
+            feats = mfcc.extract(audio, cfg)
+            np.testing.assert_array_equal(feats.frames, cepstra)
+            np.testing.assert_array_equal(
+                feats.summary, np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])
+            )

@@ -1,12 +1,13 @@
 """End-to-end tests of the fused system on a small seeded synthetic gallery."""
 
+import zlib
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from biomm import mfcc, pipeline, synth
-from biomm.errors import FormatError
+from biomm.errors import DimensionError, FormatError
 
 NUM_CLIENTS = 5
 
@@ -169,3 +170,90 @@ class TestModelFile:
         data[len(data) // 2] = 0xFF
         with pytest.raises(FormatError):
             pipeline.load_model(damaged(tmp_path, bytes(data)))
+
+
+def _line_index(lines, prefix, nth=0):
+    return [n for n, line in enumerate(lines) if line.startswith(prefix)][nth]
+
+
+def _set_line(prefix, text, nth=0):
+    def edit(lines):
+        lines[_line_index(lines, prefix, nth)] = text
+    return edit
+
+
+def _drop_sv_row(lines):
+    """The second machine's support vectors lose their last coordinate row."""
+    i = _line_index(lines, "SVS ", 1)
+    _, rows, cols = lines[i].split()
+    lines[i] = f"SVS {int(rows) - 1} {cols}"
+    del lines[i + int(rows)]
+
+
+def _drop_coef(lines):
+    """The first machine lists one dual coefficient fewer than it has SVs."""
+    i = _line_index(lines, "COEFS ", 0)
+    lines[i] = f"COEFS 1 {int(lines[i].split()[2]) - 1}"
+    lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
+
+
+def _drop_last_template(lines):
+    i = _line_index(lines, "COUNT ")
+    lines[i] = f"COUNT {int(lines[i].split()[1]) - 1}"
+    j = _line_index(lines, "TEMPLATE ", -1)
+    del lines[j:_line_index(lines, "SECTION THRESHOLDS")]
+
+
+def rewritten(model_file, tmp_path, edit):
+    """A copy of the model file whose body lines went through edit(lines),
+    with its CRC recomputed so that only the body is malformed."""
+    data = model_file.read_bytes()
+    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
+    lines = data[:cut].decode("utf-8").split("\n")[:-1]
+    edit(lines)
+    body = ("\n".join(lines) + "\n").encode("utf-8")
+    return damaged(tmp_path, body + b"CRC32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+
+
+MALFORMED_BODIES = {
+    "points-rows-not-int": _set_line("POINTS ", "POINTS x2 20"),
+    "points-negative-rows": _set_line("POINTS ", "POINTS -4 20"),
+    "points-missing-cols": _set_line("POINTS ", "POINTS 4"),
+    "k-beyond-gallery": _set_line("K ", "K 9992"),
+    "k-missing": _set_line("K ", "K"),
+    "kind-missing": _set_line("KIND ", "KIND"),
+    "kind-unknown": _set_line("KIND ", "KIND ica"),
+    "labels-too-few": _set_line("LABELS ", "LABELS 0 1"),
+    "label-not-int": _set_line("LABELS ", "LABELS " + " ".join(["0.5"] * 20)),
+    "classes-not-int": _set_line("CLASSES ", "CLASSES 5x"),
+    "template-missing-class": _set_line("TEMPLATE ", "TEMPLATE client0"),
+    "fewer-templates-than-classes": _drop_last_template,
+    "label-beyond-classes": _set_line("LABELS ", "LABELS " + " ".join(["0"] * 19 + ["5"])),
+    "tau-not-float": _set_line("TAU_DIST ", "TAU_DIST abc"),
+    "svs-rows-differ": _drop_sv_row,
+    "coefs-shorter-than-svs": _drop_coef,
+    "pair-out-of-range": _set_line("PAIR ", "PAIR 3 5", nth=9),
+    "pair-repeated": _set_line("PAIR ", "PAIR 0 1", nth=1),
+    "pair-reversed": _set_line("PAIR ", "PAIR 1 0", nth=0),
+}
+
+
+class TestMalformedBody:
+    """A body that passes the CRC but breaks the format raises only FormatError."""
+
+    def test_rewrite_without_edit_still_loads(self, world, model_file, tmp_path):
+        loaded = pipeline.load_model(rewritten(model_file, tmp_path, lambda lines: None))
+        name, face, voice = world.genuine[0]
+        assert pipeline.identify(loaded, face, voice) == pipeline.identify(world.model, face, voice)
+
+    def test_chain_dimensions_must_agree(self, world):
+        # the voice SVM works in the voice LDA space, not in the face PCA space
+        with pytest.raises(DimensionError):
+            replace(world.model, voice_lda=world.model.face_pca)
+        with pytest.raises(DimensionError):
+            replace(world.model, face_lda=world.model.voice_lda)
+
+    @pytest.mark.parametrize("edit", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+    def test_raises_format_error(self, model_file, tmp_path, edit):
+        with pytest.raises(FormatError):
+            pipeline.load_model(rewritten(model_file, tmp_path, edit))

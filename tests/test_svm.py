@@ -352,3 +352,150 @@ class TestCrossValidate:
         ds = gaussian_clusters(rng, classes=2, per_class=3)
         with pytest.raises(FoldError):
             svm.cross_validate(ds, LINEAR, c=1.0, folds=7, seed=0)
+
+
+def reference_vote(model, x):
+    """The per-machine vote loop that the packed path replaces."""
+    votes = np.zeros(model.num_classes, dtype=np.int64)
+    strengths = np.zeros(model.num_classes)
+    for (i, j), machine in zip(model.class_pairs, model.machines):
+        score, sign = svm.predict_binary(machine, x)
+        winner = i if sign > 0 else j
+        votes[winner] += 1
+        strengths[winner] += abs(score)
+    tied = np.flatnonzero(votes == votes.max())
+    return int(tied[np.argmax(strengths[tied])]), votes, tied.size > 1
+
+
+def random_shared_model(rng, classes, kernel, dim=3, pool=8):
+    """Hand-built machines whose support vectors come from one small pool,
+    in shuffled pair order; one machine scores exactly 0 everywhere."""
+    points = rng.standard_normal((dim, pool))
+    pairs = [(i, j) for i in range(classes) for j in range(i + 1, classes)]
+    machines = []
+    for n, _ in enumerate(pairs):
+        cols = rng.choice(pool, size=rng.randint(1, pool + 1), replace=False)
+        coefs = rng.standard_normal(cols.size)
+        bias = rng.standard_normal() * 0.5
+        if n == 0:
+            coefs, bias = np.zeros(cols.size), 0.0
+        machines.append(svm.BinarySvm(points[:, cols], coefs, bias, kernel, 10.0))
+    order = rng.permutation(len(pairs))
+    return svm.SvmModel(
+        classes, tuple(pairs[k] for k in order), tuple(machines[k] for k in order)
+    )
+
+
+def rebuilt(model):
+    """The same model assembled again from copies of its machines, as load_model does."""
+    return svm.SvmModel(
+        model.num_classes,
+        tuple(model.class_pairs),
+        tuple(
+            svm.BinarySvm(m.support_vectors.copy(), m.dual_coefs.copy(), m.bias, m.kernel, m.c)
+            for m in model.machines
+        ),
+    )
+
+
+class TestPackedDecisions:
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF2], ids=["linear", "rbf"])
+    def test_trained_model_matches_per_machine_oracle(self, kernel):
+        rng = np.random.RandomState(17)
+        ds = gaussian_clusters(rng, classes=5, per_class=6, gap=2.0, spread=1.0)
+        model = svm.train_multiclass(ds, kernel, c=10.0)
+        total = sum(m.support_vectors.shape[1] for m in model.machines)
+        distinct = model.packed.support_vectors.shape[1]
+        assert distinct <= ds.num_samples < total  # machines share support vectors
+        again = rebuilt(model)
+        queries = [ds.features[:, i] for i in range(ds.num_samples)]
+        queries += [rng.standard_normal(ds.dim) * 3.0 for _ in range(20)]
+        for q in queries:
+            values = svm.decision_values(model, q)
+            oracle = [svm.predict_binary(m, q)[0] for m in model.machines]
+            np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(svm.decision_values(again, q), values)
+            label, votes = svm.predict_multiclass(model, q)
+            ref_label, ref_votes, _ = reference_vote(model, q)
+            assert label == ref_label
+            assert votes.tolist() == ref_votes.tolist()
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF2], ids=["linear", "rbf"])
+    def test_hand_built_models_match_vote_loop_and_tie_breaks(self, kernel):
+        rng = np.random.RandomState(18)
+        ties = 0
+        for trial in range(40):
+            model = random_shared_model(rng, classes=4 + trial % 3, kernel=kernel)
+            assert model.packed.support_vectors.shape[1] <= 8
+            for _ in range(5):
+                q = rng.standard_normal(3)
+                values = svm.decision_values(model, q)
+                oracle = [svm.predict_binary(m, q)[0] for m in model.machines]
+                np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(svm.decision_values(rebuilt(model), q), values)
+                label, votes = svm.predict_multiclass(model, q)
+                ref_label, ref_votes, tied = reference_vote(model, q)
+                assert label == ref_label
+                assert votes.tolist() == ref_votes.tolist()
+                ties += tied
+        assert ties >= 10  # the tie-break was exercised, not only clear majorities
+
+    def test_machine_without_support_vectors_scores_its_bias(self):
+        empty = svm.BinarySvm(np.zeros((2, 0)), np.zeros(0), -0.25, RBF2, 1.0)
+        other = svm.BinarySvm(np.ones((2, 1)), np.array([2.0]), 0.5, RBF2, 1.0)
+        for machines in ((empty, empty, empty), (empty, other, empty)):
+            model = svm.SvmModel(3, ((0, 1), (0, 2), (1, 2)), machines)
+            q = np.array([0.3, -0.2])
+            np.testing.assert_allclose(
+                svm.decision_values(model, q),
+                [svm.predict_binary(m, q)[0] for m in machines], rtol=1e-12, atol=1e-12,
+            )
+
+    def test_packed_arrays_are_read_only(self):
+        model = random_shared_model(np.random.RandomState(19), 4, RBF2)
+        for name, value in model.packed._asdict().items():
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[...] = 0
+
+    def test_query_dimension_checked(self):
+        model = random_shared_model(np.random.RandomState(20), 4, RBF2)
+        with pytest.raises(DimensionError):
+            svm.decision_values(model, np.zeros(4))
+
+
+class TestModelInvariants:
+    @staticmethod
+    def machine(dim=2, n=2, kernel=RBF2):
+        return svm.BinarySvm(np.ones((dim, n)), np.ones(n), 0.0, kernel, 1.0)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((0, 1), (0, 2), (1, 3)), ((0, 1), (0, 1), (1, 2)), ((0, 1), (0, 2), (2, 1))],
+        ids=["out-of-range", "repeated", "reversed"],
+    )
+    def test_pairs_must_cover_every_ordered_pair_once(self, pairs):
+        with pytest.raises(DomainError):
+            svm.SvmModel(3, pairs, tuple(self.machine() for _ in pairs))
+
+    def test_one_machine_per_pair(self):
+        with pytest.raises(DomainError):
+            svm.SvmModel(2, ((0, 1),), (self.machine(), self.machine()))
+
+    def test_at_least_two_classes(self):
+        with pytest.raises(ClassError):
+            svm.SvmModel(1, (), ())
+
+    def test_machines_share_dimension(self):
+        with pytest.raises(DimensionError):
+            svm.SvmModel(3, ((0, 1), (0, 2), (1, 2)),
+                         (self.machine(), self.machine(dim=3), self.machine()))
+
+    def test_machines_share_kernel(self):
+        with pytest.raises(DomainError):
+            svm.SvmModel(3, ((0, 1), (0, 2), (1, 2)),
+                         (self.machine(), self.machine(kernel=LINEAR), self.machine()))
+
+    def test_one_coefficient_per_support_vector(self):
+        with pytest.raises(DimensionError):
+            svm.BinarySvm(np.ones((2, 3)), np.ones(2), 0.0, RBF2, 1.0)
