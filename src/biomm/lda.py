@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import ClassError, DatasetError, DomainError, RankError
 from .ingest import LabeledDataset
-from .pca import KIND_LDA, Subspace, project
+from .pca import KIND_LDA, Subspace
 
 LDA_RANK_RTOL = 1e-8
 DEFAULT_REG_SCALE = 1e-6
@@ -117,7 +117,3 @@ def _informative_rank(values: np.ndarray) -> int:
     if lam_max <= 1e-10:
         return 0
     return int(np.count_nonzero(values > LDA_RANK_RTOL * lam_max))
-
-
-# The projection contract is identical to PCA's; reuse its implementation.
-lda_project = project

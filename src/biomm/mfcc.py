@@ -27,6 +27,10 @@ from .ingest import AudioRecord
 
 ENERGY_FLOOR = 1e-10
 TABLE_CACHE_SIZE = 16  # distinct configurations whose tables stay built
+# extract transforms this many frames at a time: the complex spectra of a
+# whole utterance (0.8 MB at 1 s and 8 kHz) can exceed glibc's heap trim
+# threshold, and then every call faults in fresh pages.
+FFT_BLOCK_FRAMES = 32
 
 
 def mel(f):
@@ -206,7 +210,10 @@ def extract(audio: AudioRecord, cfg: MfccConfig | None = None) -> MfccFeatures:
     cfg = cfg or MfccConfig()
     frames = frame_and_window(audio, cfg)
     n_bins = frames.shape[0] // 2 + 1
-    power = np.abs(dft(frames)[:n_bins]) ** 2
+    power = np.empty((n_bins, frames.shape[1]))
+    for start in range(0, frames.shape[1], FFT_BLOCK_FRAMES):
+        block = slice(start, start + FFT_BLOCK_FRAMES)
+        power[:, block] = np.abs(dft(frames[:, block])[:n_bins]) ** 2
     log_e = np.log(mel_filterbank(power, cfg, audio.sample_rate))
     cepstra = dct_cepstra(log_e, cfg.num_ceps)
     summary = np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])

@@ -7,13 +7,18 @@ Face chain: pixels -> PCA -> LDA -> KNN gallery. Voice chain: MFCC summary
 combination. A probe is rejected as unknown when its face distance exceeds
 tau_dist AND its fused score falls below tau_fused; both thresholds are
 calibrated from the enrollment data and stored in the model file.
+
+The model file (magic "BIOMM 2", CRC32-checked text) stores the config,
+both face subspaces and the gallery, the voice LDA, the packed one-vs-one
+SVM with each support vector once, the client names and the thresholds;
+see the format comment further down.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -36,7 +41,7 @@ from .errors import (
 )
 from .ingest import AudioRecord, ImageRecord, LabeledDataset, image_to_vector
 
-MAGIC = "BIOMM 1"
+MAGIC = "BIOMM 2"
 DIST_HEADROOM = 6.0
 
 MODE_IDENTIFY = "identification"
@@ -66,15 +71,6 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class BiometricTemplate:
-    """Per-client stored reference: LDA-space gallery mean + SVM class id."""
-
-    client_id: str
-    face_coords: np.ndarray
-    voice_class_id: int
-
-
-@dataclass(frozen=True)
 class Thresholds:
     tau_dist: float
     tau_fused: float
@@ -97,25 +93,36 @@ class Decision:
         return self.verdict == VERDICT_ACCEPT
 
 
+def _valid_client_id(client_id: str) -> bool:
+    return bool(client_id) and not any(ch.isspace() for ch in client_id)
+
+
 @dataclass(frozen=True)
 class SystemModel:
-    """A fitted or loaded system. Its parts must fit together: one template
-    per voice class, gallery labels among those classes, and each stage's
-    output dimension equal to the next stage's input dimension."""
+    """A fitted or loaded system. Its parts must fit together: one distinct
+    client name per voice class (class c is class_names[c]), gallery labels
+    among those classes, and each stage's output dimension equal to the next
+    stage's input dimension."""
 
     face_pca: pca_mod.Subspace
     face_lda: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
     voice_lda: pca_mod.Subspace
     voice_svm: svm_mod.SvmModel
-    templates: tuple
+    class_names: tuple
     thresholds: Thresholds
     config: PipelineConfig
 
     def __post_init__(self):
         classes = self.voice_svm.num_classes
-        if len(self.templates) != classes:
-            raise DimensionError(f"{len(self.templates)} templates for {classes} classes")
+        if len(self.class_names) != classes:
+            raise DimensionError(f"{len(self.class_names)} client names for {classes} classes")
+        if len(set(self.class_names)) != classes or not all(
+            map(_valid_client_id, self.class_names)
+        ):
+            raise DomainError(
+                "client names must be distinct, non-empty and without whitespace"
+            )
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
@@ -123,25 +130,14 @@ class SystemModel:
             ("face PCA -> face LDA", self.face_pca.retained, self.face_lda.ambient_dim),
             ("face LDA -> gallery", self.face_lda.retained, self.face_gallery.points.shape[0]),
             ("voice LDA -> SVM", self.voice_lda.retained,
-             self.voice_svm.packed.support_vectors.shape[0]),
+             self.voice_svm.support_vectors.shape[0]),
         ):
             if produced != consumed:
                 raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
 
     @property
-    def class_names(self) -> tuple:
-        return tuple(t.client_id for t in self.templates)
-
-    @property
     def num_classes(self) -> int:
-        return len(self.templates)
-
-    def with_thresholds(self, tau_dist=None, tau_fused=None) -> "SystemModel":
-        t = Thresholds(
-            self.thresholds.tau_dist if tau_dist is None else float(tau_dist),
-            self.thresholds.tau_fused if tau_fused is None else float(tau_fused),
-        )
-        return replace(self, thresholds=t)
+        return len(self.class_names)
 
 
 class Enrollment:
@@ -151,7 +147,7 @@ class Enrollment:
         self._clients: dict[str, tuple[list, list]] = {}
 
     def add(self, client_id: str, face_images, voice_recordings) -> "Enrollment":
-        if not client_id or any(ch.isspace() for ch in client_id):
+        if not _valid_client_id(client_id):
             raise EnrollmentError(f"client id {client_id!r} must be non-empty without whitespace")
         if client_id in self._clients:
             raise EnrollmentError(f"client {client_id!r} is already enrolled")
@@ -249,15 +245,6 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
         voice_proj_ds, config.kernel(), config.svm_c, config.svm_tol
     )
 
-    templates = tuple(
-        BiometricTemplate(
-            client_id=name,
-            face_coords=gallery_coords[:, face_ds.labels == label].mean(axis=1),
-            voice_class_id=label,
-        )
-        for label, name in enumerate(face_ds.class_names)
-    )
-
     # Threshold calibration from genuine enrollment data. The leave-one-out
     # distances are measured in a subspace fit on the full gallery, which
     # understates held-out genuine distances; the headroom factor compensates
@@ -276,7 +263,7 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
         face_gallery=face_gallery,
         voice_lda=voice_lda,
         voice_svm=voice_svm,
-        templates=templates,
+        class_names=face_ds.class_names,
         thresholds=Thresholds(tau_dist, tau_fused),
         config=config,
     )
@@ -392,9 +379,16 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 1", named sections, matrices as
-# "rows cols" headers with 17-significant-digit decimal entries, and a
-# trailing CRC32 line over all prior bytes.
+# model file format: UTF-8 text, magic "BIOMM 2", then the sections CONFIG,
+# FACE_PCA, FACE_LDA, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS,
+# and a trailing CRC32 line over all prior bytes. Matrices have a
+# "NAME rows cols" header and one line of 17-significant-digit decimals per
+# row; integer lists sit on their keyword's line. VOICE_SVM holds the packed
+# one-vs-one model as it is in memory: CLASSES, the PAIRS flattened, the
+# d x n SVS matrix of distinct support vectors, then per entry SV_INDEX
+# (column in SVS), MACHINE (index into PAIRS) and COEFS, and one BIASES row
+# with a bias per pair. CLIENTS is one NAMES line, the client of class c in
+# position c. Files of other versions (BIOMM 1) are refused.
 # ---------------------------------------------------------------------------
 
 
@@ -411,6 +405,10 @@ def _emit_matrix(lines: list, name: str, matrix: np.ndarray) -> None:
     lines.append(f"{name} {matrix.shape[0]} {matrix.shape[1]}")
     for row in matrix:
         lines.append(" ".join(_fmt(v) for v in row))
+
+
+def _emit_ints(lines: list, name: str, values) -> None:
+    lines.append(" ".join([name, *(str(int(v)) for v in np.ravel(values))]))
 
 
 def _emit_subspace(lines: list, section: str, s: pca_mod.Subspace) -> None:
@@ -464,26 +462,22 @@ def save_model(m: SystemModel, path) -> None:
     lines.append("SECTION GALLERY")
     lines.append(f"K {m.face_gallery.k}")
     _emit_matrix(lines, "POINTS", m.face_gallery.points)
-    lines.append(
-        "LABELS " + " ".join(str(int(v)) for v in m.face_gallery.labels)
-    )
+    _emit_ints(lines, "LABELS", m.face_gallery.labels)
 
     _emit_subspace(lines, "VOICE_LDA", m.voice_lda)
 
+    svm = m.voice_svm
     lines.append("SECTION VOICE_SVM")
-    lines.append(f"CLASSES {m.voice_svm.num_classes}")
-    lines.append(f"PAIRS {len(m.voice_svm.machines)}")
-    for (i, j), machine in zip(m.voice_svm.class_pairs, m.voice_svm.machines):
-        lines.append(f"PAIR {i} {j}")
-        lines.append(f"BIAS {_fmt(machine.bias)}")
-        _emit_matrix(lines, "COEFS", machine.dual_coefs[None, :])
-        _emit_matrix(lines, "SVS", machine.support_vectors)
+    lines.append(f"CLASSES {svm.num_classes}")
+    _emit_ints(lines, "PAIRS", svm.class_pairs)
+    _emit_matrix(lines, "SVS", svm.support_vectors)
+    _emit_ints(lines, "SV_INDEX", svm.sv_index)
+    _emit_ints(lines, "MACHINE", svm.machine)
+    _emit_matrix(lines, "COEFS", svm.dual_coefs[None, :])
+    _emit_matrix(lines, "BIASES", svm.biases[None, :])
 
-    lines.append("SECTION TEMPLATES")
-    lines.append(f"COUNT {len(m.templates)}")
-    for t in m.templates:
-        lines.append(f"TEMPLATE {t.client_id} {t.voice_class_id}")
-        _emit_matrix(lines, "FACE_COORDS", t.face_coords[None, :])
+    lines.append("SECTION CLIENTS")
+    lines.append(" ".join(["NAMES", *m.class_names]))
 
     lines.append("SECTION THRESHOLDS")
     lines.append(f"TAU_DIST {_fmt(m.thresholds.tau_dist)}")
@@ -627,30 +621,22 @@ def _read_model(reader: _Reader) -> SystemModel:
 
     reader.expect_section("VOICE_SVM")
     (num_classes,) = reader.fields("CLASSES", int)
-    (num_pairs,) = reader.fields("PAIRS", int)
-    if num_pairs != num_classes * (num_classes - 1) // 2:
-        raise FormatError(
-            f"expected {num_classes * (num_classes - 1) // 2} pairwise machines, "
-            f"found {num_pairs}"
-        )
-    kernel = config.kernel()
-    pairs = []
-    machines = []
-    for _ in range(num_pairs):
-        pairs.append(tuple(reader.fields("PAIR", int, int)))
-        (bias,) = reader.fields("BIAS", float)
-        coefs = reader.vector("COEFS")
-        svs = reader.matrix("SVS")
-        machines.append(svm_mod.BinarySvm(svs, coefs, bias, kernel, config.svm_c))
-    voice_svm = svm_mod.SvmModel(num_classes, tuple(pairs), tuple(machines))
+    pairs = reader.ints("PAIRS")
+    if pairs.size % 2:
+        raise FormatError("PAIRS must list two classes per machine")
+    voice_svm = svm_mod.SvmModel(
+        num_classes=num_classes,
+        class_pairs=pairs.reshape(-1, 2),
+        support_vectors=reader.matrix("SVS"),
+        sv_index=reader.ints("SV_INDEX"),
+        machine=reader.ints("MACHINE"),
+        dual_coefs=reader.vector("COEFS"),
+        biases=reader.vector("BIASES"),
+        kernel=config.kernel(),
+    )
 
-    reader.expect_section("TEMPLATES")
-    (count,) = reader.fields("COUNT", int)
-    templates = []
-    for _ in range(count):
-        name, voice_class = reader.fields("TEMPLATE", str, int)
-        coords = reader.vector("FACE_COORDS")
-        templates.append(BiometricTemplate(name, coords, voice_class))
+    reader.expect_section("CLIENTS")
+    class_names = tuple(reader.keyword("NAMES"))
 
     reader.expect_section("THRESHOLDS")
     (tau_dist,) = reader.fields("TAU_DIST", float)
@@ -662,7 +648,7 @@ def _read_model(reader: _Reader) -> SystemModel:
         face_gallery=face_gallery,
         voice_lda=voice_lda,
         voice_svm=voice_svm,
-        templates=tuple(templates),
+        class_names=class_names,
         thresholds=Thresholds(tau_dist, tau_fused),
         config=config,
     )

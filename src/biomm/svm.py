@@ -7,19 +7,20 @@ largest |E_1 - E_2|, the standard proxy for the largest objective step.
 Multiclass problems train one machine per unordered class pair and
 predict by majority vote.
 
-A one-vs-one model is packed once, when it is built (libsvm-style; Chang &
-Lin, "LIBSVM", ACM TIST 2(3), 2011): machines of C classes share training
-points, so their support vectors are stored once, as the columns of one
-deduplicated matrix, and each machine keeps only the column indices and
-dual coefficients of its own support vectors, plus its bias. A probe then
-costs one kernel row against the deduplicated matrix and one segmented sum
-that gives every machine's decision value.
+A one-vs-one model is stored in one packed layout, in memory and in the
+model file (libsvm-style; Chang & Lin, "LIBSVM", ACM TIST 2(3), 2011):
+machines of C classes share training points, so their support vectors are
+stored once, as the columns of one deduplicated matrix, and each machine
+keeps only the column indices and dual coefficients of its own support
+vectors, plus its bias. `pack` builds that layout from trained machines; a
+probe then costs one kernel row against the deduplicated matrix and one
+segmented sum that gives every machine's decision value. Single machines
+(`SvmModel.machines`) are views rebuilt from the packed arrays on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +87,6 @@ class BinarySvm:
     dual_coefs: np.ndarray
     bias: float
     kernel: KernelSpec
-    c: float
 
     def __post_init__(self):
         if np.ndim(self.support_vectors) != 2 or np.shape(self.dual_coefs) != (
@@ -97,81 +97,110 @@ class BinarySvm:
             )
 
 
-class PackedMachines(NamedTuple):
-    """The machines of an SvmModel in one layout; entry e belongs to machine[e]."""
-
-    support_vectors: np.ndarray  # d x n, every distinct support vector once
-    sv_index: np.ndarray         # per entry: its column in support_vectors
-    machine: np.ndarray          # per entry: its machine, in SvmModel.machines order
-    dual_coefs: np.ndarray       # per entry: a_i * y_i
-    biases: np.ndarray           # per machine
-    positive: np.ndarray         # per machine: the class a score >= 0 votes for
-    negative: np.ndarray         # per machine: the class a score < 0 votes for
-    kernel: KernelSpec
+# the array fields of SvmModel and their element types
+_ARRAY_FIELDS = (
+    ("class_pairs", np.intp),
+    ("support_vectors", np.float64),
+    ("sv_index", np.intp),
+    ("machine", np.intp),
+    ("dual_coefs", np.float64),
+    ("biases", np.float64),
+)
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    """One-vs-one multiclass model: one BinarySvm per unordered class pair.
+    """One-vs-one multiclass model in the packed layout; its arrays are read-only.
 
-    For pair (i, j) with i < j the machine's positive class is i. The pairs
-    may come in any order, but each of the C(C-1)/2 pairs exactly once, and
-    all machines share one kernel and one dimension. `packed` is derived
-    from the machines when the model is built.
+    Machine k decides class_pairs[k] = (i, j), i < j: a score >= 0 votes
+    for i, a score < 0 for j. The pairs may come in any order, but each of
+    the C(C-1)/2 pairs exactly once. Entry e is one support vector of
+    machine machine[e]: the column sv_index[e] of support_vectors, with
+    dual coefficient dual_coefs[e].
     """
 
     num_classes: int
-    class_pairs: tuple
-    machines: tuple
-    packed: PackedMachines = field(init=False, repr=False, compare=False)
+    class_pairs: np.ndarray      # P x 2: per machine, (positive, negative) class
+    support_vectors: np.ndarray  # d x n: every distinct support vector once
+    sv_index: np.ndarray         # per entry: its column in support_vectors
+    machine: np.ndarray          # per entry: its machine, 0..P-1
+    dual_coefs: np.ndarray       # per entry: a_i * y_i
+    biases: np.ndarray           # per machine
+    kernel: KernelSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "packed", _pack(self))
+        n = self.num_classes
+        if n < 2:
+            raise ClassError("a one-vs-one model needs at least two classes")
+        for name, dtype in _ARRAY_FIELDS:
+            array = np.array(getattr(self, name), dtype=dtype, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        every_pair = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if (self.class_pairs.shape != (len(every_pair), 2)
+                or sorted(map(tuple, self.class_pairs.tolist())) != every_pair
+                or self.biases.shape != (len(every_pair),)):
+            raise DomainError(
+                f"need one machine and bias for each pair (i, j), i < j, of classes 0..{n - 1}"
+            )
+        if self.support_vectors.ndim != 2:
+            raise DimensionError("support vectors must be a d x n matrix")
+        if self.sv_index.ndim != 1 or not (
+            self.sv_index.shape == self.machine.shape == self.dual_coefs.shape
+        ):
+            raise DimensionError("need one column index, machine and dual coefficient per entry")
+        for name, bound in (("sv_index", self.support_vectors.shape[1]),
+                            ("machine", len(every_pair))):
+            values = getattr(self, name)
+            if values.size and (values.min() < 0 or values.max() >= bound):
+                raise DomainError(f"{name} entries must lie in 0..{bound - 1}")
+
+    @property
+    def machines(self) -> tuple:
+        """One BinarySvm per machine, in class_pairs order, built from the packed arrays."""
+        views = []
+        for k, bias in enumerate(self.biases):
+            entries = self.machine == k
+            views.append(BinarySvm(
+                self.support_vectors[:, self.sv_index[entries]],
+                self.dual_coefs[entries],
+                float(bias),
+                self.kernel,
+            ))
+        return tuple(views)
 
 
-def _pack(m: SvmModel) -> PackedMachines:
-    n = m.num_classes
-    if n < 2:
-        raise ClassError("a one-vs-one model needs at least two classes")
-    every_pair = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = [tuple(int(v) for v in pair) for pair in m.class_pairs]
-    if sorted(pairs) != every_pair or len(m.machines) != len(pairs):
-        raise DomainError(
-            f"need one machine for each pair (i, j), i < j, of classes 0..{n - 1}"
-        )
-    kernels = {machine.kernel for machine in m.machines}
+def pack(num_classes: int, pairs, machines) -> SvmModel:
+    """The one-vs-one model whose machine k is machines[k], deciding pairs[k].
+
+    Equal support vectors of all machines are stored once, as one column of
+    the model's matrix, in order of first appearance.
+    """
+    kernels = {machine.kernel for machine in machines}
     if len(kernels) != 1:
         raise DomainError("all machines must share one kernel")
-    if len({machine.support_vectors.shape[0] for machine in m.machines}) != 1:
+    if len({machine.support_vectors.shape[0] for machine in machines}) != 1:
         raise DimensionError("all machines must have support vectors of one dimension")
 
     # one row per support vector of every machine; equal rows share one slot,
     # numbered in order of first appearance
     rows = np.ascontiguousarray(np.concatenate(
-        [machine.support_vectors for machine in m.machines], axis=1, dtype=np.float64
+        [machine.support_vectors for machine in machines], axis=1, dtype=np.float64
     ).T)
     slots = {}
-    sv_index = np.array(
-        [slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp
-    )
+    sv_index = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
     distinct = np.frombuffer(b"".join(slots), dtype=np.float64)
-    counts = [machine.support_vectors.shape[1] for machine in m.machines]
-    positive, negative = np.array(pairs, dtype=np.intp).T
-    packed = PackedMachines(
-        support_vectors=np.ascontiguousarray(distinct.reshape(len(slots), rows.shape[1]).T),
+    counts = [machine.support_vectors.shape[1] for machine in machines]
+    return SvmModel(
+        num_classes=num_classes,
+        class_pairs=pairs,
+        support_vectors=distinct.reshape(len(slots), rows.shape[1]).T,
         sv_index=sv_index,
-        machine=np.repeat(np.arange(len(counts)), counts),
-        dual_coefs=np.concatenate(
-            [machine.dual_coefs for machine in m.machines], dtype=np.float64
-        ),
-        biases=np.array([machine.bias for machine in m.machines], dtype=np.float64),
-        positive=positive,
-        negative=negative,
+        machine=np.repeat(np.arange(len(machines)), counts),
+        dual_coefs=np.concatenate([machine.dual_coefs for machine in machines], dtype=np.float64),
+        biases=[machine.bias for machine in machines],
         kernel=kernels.pop(),
     )
-    for array in packed[:-1]:
-        array.flags.writeable = False
-    return packed
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float):
@@ -332,7 +361,6 @@ def train_binary(
         dual_coefs=(alphas * y)[keep],
         bias=float(bias),
         kernel=kernel,
-        c=float(c),
     )
 
 
@@ -364,25 +392,24 @@ def train_multiclass(
             y = np.where(ds.labels[mask] == i, 1.0, -1.0)
             pairs.append((i, j))
             machines.append(train_binary(x, y, kernel, c, tol))
-    return SvmModel(ds.num_classes, tuple(pairs), tuple(machines))
+    return pack(ds.num_classes, pairs, machines)
 
 
 def decision_values(m: SvmModel, x) -> np.ndarray:
-    """Every machine's decision value at x, in m.machines order.
+    """Every machine's decision value at x, in m.class_pairs order.
 
     One kernel row against the deduplicated support vectors, then one
     segmented sum of dual coefficient times kernel value per machine.
     """
-    p = m.packed
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.support_vectors.shape[0],):
+    if x.shape != (m.support_vectors.shape[0],):
         raise DimensionError(
             f"input dimension {x.shape} != support vector dimension "
-            f"{p.support_vectors.shape[0]}"
+            f"{m.support_vectors.shape[0]}"
         )
-    row = kernel_matrix(p.kernel, p.support_vectors, x[:, None])[:, 0]
-    sums = np.bincount(p.machine, weights=p.dual_coefs * row[p.sv_index], minlength=p.biases.size)
-    return sums + p.biases
+    row = kernel_matrix(m.kernel, m.support_vectors, x[:, None])[:, 0]
+    sums = np.bincount(m.machine, weights=m.dual_coefs * row[m.sv_index], minlength=m.biases.size)
+    return sums + m.biases
 
 
 def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
@@ -393,7 +420,7 @@ def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
     won, then by the smaller class id.
     """
     scores = decision_values(m, x)
-    winners = np.where(scores >= 0, m.packed.positive, m.packed.negative)
+    winners = np.where(scores >= 0, m.class_pairs[:, 0], m.class_pairs[:, 1])
     votes = np.bincount(winners, minlength=m.num_classes)
     strengths = np.bincount(winners, weights=np.abs(scores), minlength=m.num_classes)
     top = votes.max()

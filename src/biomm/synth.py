@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AudioRecord, ImageRecord, LabeledDataset
+from .ingest import AudioRecord, ImageRecord
 
 
 @dataclass(frozen=True)
@@ -129,24 +129,3 @@ def make_enrollment_data(
         ]
         gallery[f"client{c}"] = (faces, voices)
     return gallery, prototypes, profiles, rng
-
-
-def voice_summary_dataset(
-    profiles, per_client: int, rng, cfg=None, sample_rate: int = 8000, **synth_kwargs
-) -> LabeledDataset:
-    """MFCC summary features for `per_client` utterances of every profile."""
-    from . import mfcc as mfcc_mod
-
-    cfg = cfg or mfcc_mod.MfccConfig()
-    columns = []
-    labels = []
-    for c, profile in enumerate(profiles):
-        for _ in range(per_client):
-            rec = synth_utterance(profile, rng, sample_rate, **synth_kwargs)
-            columns.append(mfcc_mod.extract(rec, cfg).summary)
-            labels.append(c)
-    return LabeledDataset(
-        np.column_stack(columns),
-        labels,
-        tuple(f"client{i}" for i in range(len(profiles))),
-    )

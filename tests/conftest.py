@@ -28,8 +28,9 @@ def reconstruct_alphas(machine, x_train):
     return alphas
 
 
-def kkt_worst_violation(machine, x_train, y_train):
-    """Worst violation of the three KKT cases over all training points.
+def kkt_worst_violation(machine, x_train, y_train, c):
+    """Worst violation of the three KKT cases over all training points,
+    for a machine trained with box constraint c.
 
     a=0      -> y*f >= 1 (violation: 1 - y*f)
     0<a<c    -> y*f = 1  (violation: |y*f - 1|)
@@ -43,7 +44,7 @@ def kkt_worst_violation(machine, x_train, y_train):
         a = alphas[i]
         if a <= 1e-9:
             worst = max(worst, 1.0 - margin)
-        elif a >= machine.c - 1e-9:
+        elif a >= c - 1e-9:
             worst = max(worst, margin - 1.0)
         else:
             worst = max(worst, abs(margin - 1.0))

@@ -195,7 +195,7 @@ class TestLdaProject:
         ds = random_labeled(rng, dim=4, classes=3, per_class=4)
         s = lda.fit_lda(ds)
         np.testing.assert_allclose(
-            lda.lda_project(s, s.mean), np.zeros(s.retained), atol=1e-12
+            pca.project(s, s.mean), np.zeros(s.retained), atol=1e-12
         )
 
     def test_one_dimensional_separation(self):

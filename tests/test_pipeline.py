@@ -4,10 +4,11 @@ import zlib
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from biomm import mfcc, pipeline, synth
-from biomm.errors import DimensionError, FormatError
+from biomm.errors import DimensionError, DomainError, FormatError
 
 NUM_CLIENTS = 5
 
@@ -135,6 +136,26 @@ class TestModelFile:
         pipeline.save_model(replace(world.model, config=config), path)
         assert pipeline.load_model(path).config == config
 
+    def test_loaded_machines_equal_fitted(self, world, model_file):
+        fitted = world.model.voice_svm
+        loaded = pipeline.load_model(model_file).voice_svm
+        assert loaded.class_pairs.tolist() == fitted.class_pairs.tolist()
+        assert len(loaded.machines) == len(fitted.machines) == NUM_CLIENTS * (NUM_CLIENTS - 1) // 2
+        for a, b in zip(loaded.machines, fitted.machines):
+            np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
+            np.testing.assert_array_equal(a.dual_coefs, b.dual_coefs)
+            assert a.bias == b.bias and a.kernel == b.kernel
+
+    def test_support_vectors_stored_once(self, world, model_file):
+        lines = model_file.read_text().split("\n")
+        (svs,) = [line for line in lines if line.startswith("SVS ")]
+        _, rows, cols = svs.split()
+        utterances = sum(len(voices) for _, voices in world.gallery.values())
+        assert int(rows) == world.model.voice_lda.retained
+        assert int(cols) <= utterances
+        per_machine = sum(m.support_vectors.shape[1] for m in world.model.voice_svm.machines)
+        assert int(cols) < per_machine
+
     def test_flipped_byte(self, model_file, tmp_path):
         data = bytearray(model_file.read_bytes())
         data[len(data) // 2] ^= 0x01
@@ -172,36 +193,44 @@ class TestModelFile:
             pipeline.load_model(damaged(tmp_path, bytes(data)))
 
 
-def _line_index(lines, prefix, nth=0):
-    return [n for n, line in enumerate(lines) if line.startswith(prefix)][nth]
+def _line_index(lines, prefix):
+    return next(n for n, line in enumerate(lines) if line.startswith(prefix))
 
 
-def _set_line(prefix, text, nth=0):
+def _set_line(prefix, text):
     def edit(lines):
-        lines[_line_index(lines, prefix, nth)] = text
+        lines[_line_index(lines, prefix)] = text
     return edit
 
 
 def _drop_sv_row(lines):
-    """The second machine's support vectors lose their last coordinate row."""
-    i = _line_index(lines, "SVS ", 1)
+    """The support vectors lose their last coordinate row."""
+    i = _line_index(lines, "SVS ")
     _, rows, cols = lines[i].split()
     lines[i] = f"SVS {int(rows) - 1} {cols}"
     del lines[i + int(rows)]
 
 
-def _drop_coef(lines):
-    """The first machine lists one dual coefficient fewer than it has SVs."""
-    i = _line_index(lines, "COEFS ", 0)
-    lines[i] = f"COEFS 1 {int(lines[i].split()[2]) - 1}"
-    lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
+def _drop_last_value(name):
+    """The one-row matrix `name` loses its last value."""
+    def edit(lines):
+        i = _line_index(lines, name + " ")
+        lines[i] = f"{name} 1 {int(lines[i].split()[2]) - 1}"
+        lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
+    return edit
 
 
-def _drop_last_template(lines):
-    i = _line_index(lines, "COUNT ")
-    lines[i] = f"COUNT {int(lines[i].split()[1]) - 1}"
-    j = _line_index(lines, "TEMPLATE ", -1)
-    del lines[j:_line_index(lines, "SECTION THRESHOLDS")]
+def _edit_tokens(prefix, change):
+    """The line starting with `prefix` gets its value tokens replaced by change(tokens)."""
+    def edit(lines):
+        i = _line_index(lines, prefix)
+        tokens = lines[i].split()
+        lines[i] = " ".join(tokens[:1] + change(tokens[1:]))
+    return edit
+
+
+def _replaced(position, value):
+    return lambda tokens: tokens[:position] + [value] + tokens[position + 1:]
 
 
 def rewritten(model_file, tmp_path, edit):
@@ -216,6 +245,7 @@ def rewritten(model_file, tmp_path, edit):
 
 
 MALFORMED_BODIES = {
+    "magic-version-1": _set_line("BIOMM ", "BIOMM 1"),
     "points-rows-not-int": _set_line("POINTS ", "POINTS x2 20"),
     "points-negative-rows": _set_line("POINTS ", "POINTS -4 20"),
     "points-missing-cols": _set_line("POINTS ", "POINTS 4"),
@@ -226,15 +256,23 @@ MALFORMED_BODIES = {
     "labels-too-few": _set_line("LABELS ", "LABELS 0 1"),
     "label-not-int": _set_line("LABELS ", "LABELS " + " ".join(["0.5"] * 20)),
     "classes-not-int": _set_line("CLASSES ", "CLASSES 5x"),
-    "template-missing-class": _set_line("TEMPLATE ", "TEMPLATE client0"),
-    "fewer-templates-than-classes": _drop_last_template,
+    "names-line-missing": lambda lines: lines.pop(_line_index(lines, "NAMES")),
+    "fewer-names-than-classes": _edit_tokens("NAMES", lambda names: names[:-1]),
+    "name-repeated": _edit_tokens("NAMES", _replaced(1, "client0")),
     "label-beyond-classes": _set_line("LABELS ", "LABELS " + " ".join(["0"] * 19 + ["5"])),
     "tau-not-float": _set_line("TAU_DIST ", "TAU_DIST abc"),
     "svs-rows-differ": _drop_sv_row,
-    "coefs-shorter-than-svs": _drop_coef,
-    "pair-out-of-range": _set_line("PAIR ", "PAIR 3 5", nth=9),
-    "pair-repeated": _set_line("PAIR ", "PAIR 0 1", nth=1),
-    "pair-reversed": _set_line("PAIR ", "PAIR 1 0", nth=0),
+    "coefs-shorter-than-svs": _drop_last_value("COEFS"),
+    "pair-out-of-range": _edit_tokens("PAIRS ", _replaced(19, "5")),
+    "pair-repeated": _edit_tokens("PAIRS ", _replaced(3, "1")),
+    "pair-reversed": _edit_tokens("PAIRS ", lambda t: [t[1], t[0]] + t[2:]),
+    "pairs-odd-count": _edit_tokens("PAIRS ", lambda t: t[:-1]),
+    "biases-fewer-than-pairs": _drop_last_value("BIASES"),
+    "sv-index-past-end": _edit_tokens("SV_INDEX ", _replaced(0, "9999")),
+    "sv-index-negative": _edit_tokens("SV_INDEX ", _replaced(0, "-1")),
+    "sv-index-fewer-than-coefs": _edit_tokens("SV_INDEX ", lambda t: t[:-1]),
+    "machine-fewer-than-coefs": _edit_tokens("MACHINE ", lambda t: t[:-1]),
+    "machine-past-end": _edit_tokens("MACHINE ", _replaced(0, "10")),
 }
 
 
@@ -252,6 +290,17 @@ class TestMalformedBody:
             replace(world.model, voice_lda=world.model.face_pca)
         with pytest.raises(DimensionError):
             replace(world.model, face_lda=world.model.voice_lda)
+
+    @pytest.mark.parametrize(
+        "names",
+        [("client0", "client0", "client2", "client3", "client4"),
+         ("client0", "", "client2", "client3", "client4"),
+         ("client0", "client 1", "client2", "client3", "client4")],
+        ids=["repeated", "empty", "whitespace"],
+    )
+    def test_client_names_checked(self, world, names):
+        with pytest.raises(DomainError):
+            replace(world.model, class_names=names)
 
     @pytest.mark.parametrize("edit", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
     def test_raises_format_error(self, model_file, tmp_path, edit):

@@ -140,7 +140,7 @@ class TestTrainBinary:
             if np.all(y == y[0]):
                 y[0] = -y[0]
             m = svm.train_binary(x, y, RBF2, c=10.0, tol=1e-3)
-            assert kkt_worst_violation(m, x, y) <= 1e-3
+            assert kkt_worst_violation(m, x, y, c=10.0) <= 1e-3
 
     def test_separable_margin_constraints(self):
         # spec constraints (i)-(iii): y_i (w.x_i + b) >= 1 for separable data
@@ -211,7 +211,6 @@ class TestPredictBinary:
             dual_coefs=np.array([0.0]),
             bias=0.0,
             kernel=LINEAR,
-            c=1.0,
         )
         assert svm.predict_binary(m, np.array([5.0]))[1] == 1
 
@@ -221,7 +220,6 @@ class TestPredictBinary:
             dual_coefs=np.array([2.0]),
             bias=-0.75,
             kernel=svm.KernelSpec("rbf", 2.0),
-            c=10.0,
         )
         score, sign = svm.predict_binary(m, np.array([100.0]))
         assert abs(score - (-0.75)) < 1e-12
@@ -231,9 +229,9 @@ class TestPredictBinary:
         rng = np.random.RandomState(8)
         sv = rng.standard_normal((2, 6))
         coef = rng.standard_normal(6)
-        m1 = svm.BinarySvm(sv, coef, 0.3, RBF2, 10.0)
+        m1 = svm.BinarySvm(sv, coef, 0.3, RBF2)
         perm = rng.permutation(6)
-        m2 = svm.BinarySvm(sv[:, perm], coef[perm], 0.3, RBF2, 10.0)
+        m2 = svm.BinarySvm(sv[:, perm], coef[perm], 0.3, RBF2)
         for _ in range(5):
             q = rng.standard_normal(2)
             s1, _ = svm.predict_binary(m1, q)
@@ -247,7 +245,7 @@ class TestMulticlass:
         ds = gaussian_clusters(rng, classes=2, per_class=5)
         model = svm.train_multiclass(ds, LINEAR, c=10.0)
         assert len(model.machines) == 1
-        assert model.class_pairs == ((0, 1),)
+        assert model.class_pairs.tolist() == [[0, 1]]
 
     def test_five_classes_ten_machines(self):
         rng = np.random.RandomState(10)
@@ -291,7 +289,6 @@ class TestMulticlass:
                 dual_coefs=np.array([score]),
                 bias=0.0,
                 kernel=svm.KernelSpec("rbf", 1.0),
-                c=10.0,
             )
 
         pairs = ((0, 1), (0, 2), (1, 2))
@@ -300,17 +297,17 @@ class TestMulticlass:
             constant_machine(-0.9),   # (0,2): votes 2, strength 0.9
             constant_machine(0.7),    # (1,2): votes 1, strength 0.7
         )
-        model = svm.SvmModel(3, pairs, machines)
+        model = svm.pack(3, pairs, machines)
         label, votes = svm.predict_multiclass(model, np.zeros(1))
         assert votes.tolist() == [1, 1, 1]
         assert label == 2
 
         # permuting the machines must not change the verdict
         order = [2, 0, 1]
-        permuted = svm.SvmModel(
+        permuted = svm.pack(
             3,
-            tuple(pairs[i] for i in order),
-            tuple(machines[i] for i in order),
+            [pairs[i] for i in order],
+            [machines[i] for i in order],
         )
         assert svm.predict_multiclass(permuted, np.zeros(1))[0] == 2
 
@@ -369,7 +366,7 @@ def reference_vote(model, x):
 
 def random_shared_model(rng, classes, kernel, dim=3, pool=8):
     """Hand-built machines whose support vectors come from one small pool,
-    in shuffled pair order; one machine scores exactly 0 everywhere."""
+    packed in shuffled pair order; one machine scores exactly 0 everywhere."""
     points = rng.standard_normal((dim, pool))
     pairs = [(i, j) for i in range(classes) for j in range(i + 1, classes)]
     machines = []
@@ -379,23 +376,31 @@ def random_shared_model(rng, classes, kernel, dim=3, pool=8):
         bias = rng.standard_normal() * 0.5
         if n == 0:
             coefs, bias = np.zeros(cols.size), 0.0
-        machines.append(svm.BinarySvm(points[:, cols], coefs, bias, kernel, 10.0))
+        machines.append(svm.BinarySvm(points[:, cols], coefs, bias, kernel))
     order = rng.permutation(len(pairs))
-    return svm.SvmModel(
-        classes, tuple(pairs[k] for k in order), tuple(machines[k] for k in order)
-    )
+    return svm.pack(classes, [pairs[k] for k in order], [machines[k] for k in order])
 
 
-def rebuilt(model):
-    """The same model assembled again from copies of its machines, as load_model does."""
-    return svm.SvmModel(
-        model.num_classes,
-        tuple(model.class_pairs),
-        tuple(
-            svm.BinarySvm(m.support_vectors.copy(), m.dual_coefs.copy(), m.bias, m.kernel, m.c)
-            for m in model.machines
-        ),
-    )
+ARRAYS = ("class_pairs", "support_vectors", "sv_index", "machine", "dual_coefs", "biases")
+
+
+def assert_same_arrays(a, b):
+    assert a.num_classes == b.num_classes and a.kernel == b.kernel
+    for name in ARRAYS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def repacked(model):
+    """The model packed again from its machine views; it must equal the original."""
+    again = svm.pack(model.num_classes, model.class_pairs, model.machines)
+    assert_same_arrays(again, model)
+    return again
+
+
+def assert_same_machine(a, b):
+    np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
+    np.testing.assert_array_equal(a.dual_coefs, b.dual_coefs)
+    assert a.bias == b.bias and a.kernel == b.kernel
 
 
 class TestPackedDecisions:
@@ -404,10 +409,10 @@ class TestPackedDecisions:
         rng = np.random.RandomState(17)
         ds = gaussian_clusters(rng, classes=5, per_class=6, gap=2.0, spread=1.0)
         model = svm.train_multiclass(ds, kernel, c=10.0)
-        total = sum(m.support_vectors.shape[1] for m in model.machines)
-        distinct = model.packed.support_vectors.shape[1]
-        assert distinct <= ds.num_samples < total  # machines share support vectors
-        again = rebuilt(model)
+        total = model.sv_index.size
+        assert total == sum(m.support_vectors.shape[1] for m in model.machines)
+        assert model.support_vectors.shape[1] <= ds.num_samples < total  # shared SVs
+        again = repacked(model)
         queries = [ds.features[:, i] for i in range(ds.num_samples)]
         queries += [rng.standard_normal(ds.dim) * 3.0 for _ in range(20)]
         for q in queries:
@@ -426,13 +431,14 @@ class TestPackedDecisions:
         ties = 0
         for trial in range(40):
             model = random_shared_model(rng, classes=4 + trial % 3, kernel=kernel)
-            assert model.packed.support_vectors.shape[1] <= 8
+            assert model.support_vectors.shape[1] <= 8
+            again = repacked(model)
             for _ in range(5):
                 q = rng.standard_normal(3)
                 values = svm.decision_values(model, q)
                 oracle = [svm.predict_binary(m, q)[0] for m in model.machines]
                 np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-12)
-                np.testing.assert_array_equal(svm.decision_values(rebuilt(model), q), values)
+                np.testing.assert_array_equal(svm.decision_values(again, q), values)
                 label, votes = svm.predict_multiclass(model, q)
                 ref_label, ref_votes, tied = reference_vote(model, q)
                 assert label == ref_label
@@ -441,22 +447,23 @@ class TestPackedDecisions:
         assert ties >= 10  # the tie-break was exercised, not only clear majorities
 
     def test_machine_without_support_vectors_scores_its_bias(self):
-        empty = svm.BinarySvm(np.zeros((2, 0)), np.zeros(0), -0.25, RBF2, 1.0)
-        other = svm.BinarySvm(np.ones((2, 1)), np.array([2.0]), 0.5, RBF2, 1.0)
+        empty = svm.BinarySvm(np.zeros((2, 0)), np.zeros(0), -0.25, RBF2)
+        other = svm.BinarySvm(np.ones((2, 1)), np.array([2.0]), 0.5, RBF2)
         for machines in ((empty, empty, empty), (empty, other, empty)):
-            model = svm.SvmModel(3, ((0, 1), (0, 2), (1, 2)), machines)
+            model = svm.pack(3, ((0, 1), (0, 2), (1, 2)), machines)
             q = np.array([0.3, -0.2])
             np.testing.assert_allclose(
                 svm.decision_values(model, q),
                 [svm.predict_binary(m, q)[0] for m in machines], rtol=1e-12, atol=1e-12,
             )
+            for view, machine in zip(model.machines, machines):
+                assert_same_machine(view, machine)
 
     def test_packed_arrays_are_read_only(self):
         model = random_shared_model(np.random.RandomState(19), 4, RBF2)
-        for name, value in model.packed._asdict().items():
-            if isinstance(value, np.ndarray):
-                with pytest.raises(ValueError):
-                    value[...] = 0
+        for name in ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(model, name)[...] = 0
 
     def test_query_dimension_checked(self):
         model = random_shared_model(np.random.RandomState(20), 4, RBF2)
@@ -464,10 +471,49 @@ class TestPackedDecisions:
             svm.decision_values(model, np.zeros(4))
 
 
+class TestMachineViews:
+    def test_trained_model_views_equal_trained_machines(self):
+        rng = np.random.RandomState(21)
+        ds = gaussian_clusters(rng, classes=4, per_class=5, gap=2.0, spread=1.0)
+        model = svm.train_multiclass(ds, RBF2, c=10.0)
+        assert len(model.machines) == len(model.class_pairs) == 6
+        for (i, j), view in zip(model.class_pairs, model.machines):
+            mask = (ds.labels == i) | (ds.labels == j)
+            y = np.where(ds.labels[mask] == i, 1.0, -1.0)
+            assert_same_machine(view, svm.train_binary(ds.features[:, mask], y, RBF2, 10.0))
+
+    def test_pack_stores_each_support_vector_once(self):
+        model = random_shared_model(np.random.RandomState(22), 5, LINEAR)
+        columns = {col.tobytes() for col in model.support_vectors.T}
+        assert len(columns) == model.support_vectors.shape[1]
+        used = {col.tobytes() for m in model.machines for col in m.support_vectors.T}
+        assert used == columns
+
+
 class TestModelInvariants:
     @staticmethod
     def machine(dim=2, n=2, kernel=RBF2):
-        return svm.BinarySvm(np.ones((dim, n)), np.ones(n), 0.0, kernel, 1.0)
+        return svm.BinarySvm(np.ones((dim, n)), np.ones(n), 0.0, kernel)
+
+    @staticmethod
+    def model(**changes):
+        """A valid three-class model with some of its fields replaced."""
+        fields = dict(
+            num_classes=3,
+            class_pairs=((0, 1), (0, 2), (1, 2)),
+            support_vectors=np.arange(6.0).reshape(2, 3),
+            sv_index=[0, 1, 2, 1, 0],
+            machine=[0, 0, 1, 2, 2],
+            dual_coefs=[1.0, -1.0, 0.5, 2.0, -2.0],
+            biases=[0.0, 0.1, 0.2],
+            kernel=RBF2,
+        )
+        return svm.SvmModel(**{**fields, **changes})
+
+    def test_valid_fields_build_a_model(self):
+        model = self.model()
+        assert [m.support_vectors.shape[1] for m in model.machines] == [2, 1, 2]
+        np.testing.assert_array_equal(model.machines[2].support_vectors, [[1.0, 0.0], [4.0, 3.0]])
 
     @pytest.mark.parametrize(
         "pairs",
@@ -476,26 +522,54 @@ class TestModelInvariants:
     )
     def test_pairs_must_cover_every_ordered_pair_once(self, pairs):
         with pytest.raises(DomainError):
-            svm.SvmModel(3, pairs, tuple(self.machine() for _ in pairs))
+            self.model(class_pairs=pairs)
 
     def test_one_machine_per_pair(self):
         with pytest.raises(DomainError):
-            svm.SvmModel(2, ((0, 1),), (self.machine(), self.machine()))
+            svm.pack(2, ((0, 1),), (self.machine(), self.machine()))
+
+    @pytest.mark.parametrize("biases", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]], ids=["short", "long"])
+    def test_one_bias_per_pair(self, biases):
+        with pytest.raises(DomainError):
+            self.model(biases=biases)
 
     def test_at_least_two_classes(self):
         with pytest.raises(ClassError):
-            svm.SvmModel(1, (), ())
+            self.model(num_classes=1, class_pairs=(), biases=[])
+
+    @pytest.mark.parametrize("index", [[0, 1, 3, 1, 0], [0, 1, -1, 1, 0]], ids=["past-end", "negative"])
+    def test_column_index_in_range(self, index):
+        with pytest.raises(DomainError):
+            self.model(sv_index=index)
+
+    @pytest.mark.parametrize("ids", [[0, 0, 1, 2, 3], [0, 0, -1, 2, 2]], ids=["past-end", "negative"])
+    def test_machine_id_in_range(self, ids):
+        with pytest.raises(DomainError):
+            self.model(machine=ids)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sv_index", [0, 1, 2, 1]), ("machine", [0, 0, 1, 2, 2, 2]), ("dual_coefs", [1.0] * 4)],
+        ids=["index-short", "machine-long", "coefs-short"],
+    )
+    def test_entry_counts_agree(self, field, value):
+        with pytest.raises(DimensionError):
+            self.model(**{field: value})
+
+    def test_support_vectors_form_a_matrix(self):
+        with pytest.raises(DimensionError):
+            self.model(support_vectors=np.arange(3.0))
 
     def test_machines_share_dimension(self):
         with pytest.raises(DimensionError):
-            svm.SvmModel(3, ((0, 1), (0, 2), (1, 2)),
-                         (self.machine(), self.machine(dim=3), self.machine()))
+            svm.pack(3, ((0, 1), (0, 2), (1, 2)),
+                     (self.machine(), self.machine(dim=3), self.machine()))
 
     def test_machines_share_kernel(self):
         with pytest.raises(DomainError):
-            svm.SvmModel(3, ((0, 1), (0, 2), (1, 2)),
-                         (self.machine(), self.machine(kernel=LINEAR), self.machine()))
+            svm.pack(3, ((0, 1), (0, 2), (1, 2)),
+                     (self.machine(), self.machine(kernel=LINEAR), self.machine()))
 
     def test_one_coefficient_per_support_vector(self):
         with pytest.raises(DimensionError):
-            svm.BinarySvm(np.ones((2, 3)), np.ones(2), 0.0, RBF2, 1.0)
+            svm.BinarySvm(np.ones((2, 3)), np.ones(2), 0.0, RBF2)
