@@ -26,7 +26,7 @@ from .errors import (
 VALID_SAMPLE_RATES = (8000, 16000, 22050, 44100)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageRecord:
     """Grayscale image; `gray` is row-major uint8, length width*height."""
 
@@ -45,7 +45,7 @@ class ImageRecord:
         object.__setattr__(self, "gray", gray)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioRecord:
     """Mono audio; samples are float64 in [-1, 1] scaled from int16."""
 
@@ -65,7 +65,7 @@ class AudioRecord:
         object.__setattr__(self, "samples", samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature matrix (one column per sample) with contiguous integer labels."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnModel:
     """Gallery of projected training vectors (one column each) plus k."""
 

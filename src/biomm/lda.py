@@ -22,7 +22,7 @@ LDA_RANK_RTOL = 1e-8
 DEFAULT_REG_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterPair:
     """Within/between class scatter with the per-class and total means."""
 

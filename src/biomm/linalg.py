@@ -22,7 +22,7 @@ SYMMETRY_RTOL = 1e-10
 SPD_COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPairs:
     """Full spectrum of a symmetric problem, sorted by descending eigenvalue.
 

@@ -88,7 +88,7 @@ class MfccConfig:
         return _Params(frame_len, hop, fft_size, self.fmin_hz, fmax)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MfccFeatures:
     """Per-frame cepstra (num_ceps x frames) and the utterance summary.
 

@@ -22,7 +22,7 @@ KIND_PCA = "pca"
 KIND_LDA = "lda"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A learned linear projection: x -> basis^T (x - mean).
 

@@ -97,7 +97,7 @@ def _valid_client_id(client_id: str) -> bool:
     return bool(client_id) and not any(ch.isspace() for ch in client_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """A fitted or loaded system. Its parts must fit together: one distinct
     client name per voice class (class c is class_names[c]), gallery labels
@@ -515,9 +515,16 @@ class _Reader:
 
     def parse(self, casts, tokens, what: str) -> list:
         try:
-            return [cast(token) for cast, token in zip(casts, tokens)]
+            values = [cast(token) for cast, token in zip(casts, tokens)]
         except ValueError as exc:
             raise FormatError(f"bad {what} value in section {self.section}") from exc
+        self.finite([v for v in values if isinstance(v, float)], what)
+        return values
+
+    def finite(self, values, what: str) -> None:
+        """float() accepts "nan" and "inf"; no value of a model may be either."""
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite {what} value in section {self.section}")
 
     def fields(self, name: str, *casts) -> list:
         """The values after keyword `name`: exactly one per cast."""
@@ -548,7 +555,9 @@ class _Reader:
                 data.append([float(v) for v in values])
         except ValueError as exc:
             raise FormatError(f"bad {name} value in section {self.section}") from exc
-        return np.array(data, dtype=np.float64).reshape(rows, cols)
+        matrix = np.array(data, dtype=np.float64).reshape(rows, cols)
+        self.finite(matrix, name)
+        return matrix
 
     def vector(self, name: str) -> np.ndarray:
         matrix = self.matrix(name)

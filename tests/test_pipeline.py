@@ -229,6 +229,14 @@ def _edit_tokens(prefix, change):
     return edit
 
 
+def _edit_first_row(name, change):
+    """The first row of matrix `name` gets its values replaced by change(values)."""
+    def edit(lines):
+        i = _line_index(lines, name + " ") + 1
+        lines[i] = " ".join(change(lines[i].split()))
+    return edit
+
+
 def _replaced(position, value):
     return lambda tokens: tokens[:position] + [value] + tokens[position + 1:]
 
@@ -273,6 +281,10 @@ MALFORMED_BODIES = {
     "sv-index-fewer-than-coefs": _edit_tokens("SV_INDEX ", lambda t: t[:-1]),
     "machine-fewer-than-coefs": _edit_tokens("MACHINE ", lambda t: t[:-1]),
     "machine-past-end": _edit_tokens("MACHINE ", _replaced(0, "10")),
+    "biases-nan": _edit_first_row("BIASES", lambda values: ["nan"] * len(values)),
+    "svs-value-nan": _edit_first_row("SVS", _replaced(0, "nan")),
+    "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
+    "svm-gamma-inf": _set_line("svm_gamma ", "svm_gamma inf"),
 }
 
 
@@ -306,3 +318,23 @@ class TestMalformedBody:
     def test_raises_format_error(self, model_file, tmp_path, edit):
         with pytest.raises(FormatError):
             pipeline.load_model(rewritten(model_file, tmp_path, edit))
+
+
+@pytest.fixture(scope="module")
+def refit(world):
+    return pipeline.enroll_and_fit(world.gallery)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [lambda m: m, lambda m: m.voice_svm, lambda m: m.voice_svm.machines[0],
+     lambda m: m.face_pca, lambda m: m.face_gallery],
+    ids=["system", "svm", "machine", "subspace", "gallery"],
+)
+def test_models_holding_arrays_compare_by_identity(world, refit, part):
+    # two fits of one gallery are equal in value but distinct objects;
+    # comparing their arrays field by field would raise ValueError
+    fitted, again = part(world.model), part(refit)
+    assert fitted == fitted
+    assert not fitted == again
+    assert fitted != again

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biomm import svm
-from biomm.errors import ClassError, DimensionError, DomainError, FoldError
+from biomm.errors import ClassError, ConvergenceError, DimensionError, DomainError, FoldError
 from biomm.ingest import LabeledDataset
 from conftest import dual_objective, kkt_worst_violation
 
@@ -141,6 +141,41 @@ class TestTrainBinary:
                 y[0] = -y[0]
             m = svm.train_binary(x, y, RBF2, c=10.0, tol=1e-3)
             assert kkt_worst_violation(m, x, y, c=10.0) <= 1e-3
+
+    def test_kkt_certificate_small_c(self):
+        # overlapping classes at a small C: in every trial some multipliers
+        # sit exactly at C, so the bound cases of the stop rule are certified
+        rng = np.random.RandomState(11)
+        c = 0.5
+        for trial in range(10):
+            n = 20
+            x = rng.standard_normal((2, n))
+            y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+            if np.all(y == y[0]):
+                y[0] = -y[0]
+            m = svm.train_binary(x, y, RBF2, c=c, tol=1e-3)
+            assert np.any(np.abs(m.dual_coefs) == c)
+            assert kkt_worst_violation(m, x, y, c=c) <= 1e-3
+
+    def test_bias_without_free_multipliers(self):
+        # two contradictory points at x = 0 end at C, the far point at 0; no
+        # multiplier is free, so the bias is (m + M) / 2, and KKT pins it at 1
+        x = np.array([[0.0, 0.0, 10.0]])
+        y = np.array([1.0, -1.0, 1.0])
+        m = svm.train_binary(x, y, LINEAR, c=0.5)
+        np.testing.assert_array_equal(m.dual_coefs, [0.5, -0.5])
+        assert m.bias == 1.0
+        assert kkt_worst_violation(m, x, y, c=0.5) <= 1e-12
+
+    def test_iteration_cap_raises_convergence_error(self, monkeypatch):
+        # this problem takes three steps to reach a KKT gap of 1e-4
+        x = np.array([[0.0, 0.3, 2.0, 2.5], [0.0, 1.0, 0.5, 1.5]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", 2)
+        with pytest.raises(ConvergenceError, match="2-iteration cap with KKT gap"):
+            svm.train_binary(x, y, LINEAR, c=1.0, tol=1e-4)
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", 3)
+        svm.train_binary(x, y, LINEAR, c=1.0, tol=1e-4)
 
     def test_separable_margin_constraints(self):
         # spec constraints (i)-(iii): y_i (w.x_i + b) >= 1 for separable data
