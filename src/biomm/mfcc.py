@@ -1,14 +1,16 @@
 """Mel-frequency cepstral coefficient extraction.
 
-Chain per frame: Hamming window -> FFT (numpy's pocketfft) -> power
-spectrum -> triangular mel filterbank -> natural log -> cosine transform,
-dropping the zeroth coefficient (it carries frame energy, not speaker
-identity). Each step is a public function that takes a matrix of frame
-columns, and `extract` is their composition.
+Chain per frame: Hamming window -> one-sided power spectrum (a real FFT,
+numpy's pocketfft, over all frames of the utterance at once) ->
+triangular mel filterbank -> natural log -> cosine transform, dropping
+the zeroth coefficient (it carries frame energy, not speaker identity).
+Each step is a public function that takes a matrix of frame columns, and
+`extract` is their composition.
 
-The filterbank weights and the cosine-transform matrix depend only on the
-configuration and the sample rate, so each is built once per distinct
-(config, sample rate) and then shared, read-only, by every utterance.
+The Hamming window, the filterbank weights and the cosine-transform
+matrix depend only on the configuration and the sample rate, so each is
+built once per distinct frame length or (config, sample rate) and then
+shared, read-only, by every utterance.
 
 An utterance is summarized by the per-coefficient mean and standard
 deviation across frames, giving a fixed-length vector for LDA/SVM.
@@ -27,10 +29,6 @@ from .ingest import AudioRecord
 
 ENERGY_FLOOR = 1e-10
 TABLE_CACHE_SIZE = 16  # distinct configurations whose tables stay built
-# extract transforms this many frames at a time: the complex spectra of a
-# whole utterance (0.8 MB at 1 s and 8 kHz) can exceed glibc's heap trim
-# threshold, and then every call faults in fresh pages.
-FFT_BLOCK_FRAMES = 32
 
 
 def mel(f):
@@ -100,12 +98,19 @@ class MfccFeatures:
     summary: np.ndarray
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def hamming_window(length: int) -> np.ndarray:
-    """Hamming window 0.54 - 0.46*cos(2*pi*n/(N-1)) for n = 0..N-1."""
+    """Hamming window 0.54 - 0.46*cos(2*pi*n/(N-1)) for n = 0..N-1.
+
+    Built once per length; every later call returns the same read-only
+    array.
+    """
     if length < 2:
         raise DomainError("window length must be >= 2")
     n = np.arange(length)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
+    window.flags.writeable = False
+    return window
 
 
 def frame_and_window(audio: AudioRecord, cfg: MfccConfig) -> np.ndarray:
@@ -121,26 +126,33 @@ def frame_and_window(audio: AudioRecord, cfg: MfccConfig) -> np.ndarray:
             f"audio has {n} samples, need at least one {params.frame_len}-sample frame"
         )
     windows = np.lib.stride_tricks.sliding_window_view(audio.samples, params.frame_len)
-    frames = windows[:: params.hop] * hamming_window(params.frame_len)
-    out = np.zeros((params.fft_size, frames.shape[0]))
-    out[: params.frame_len] = frames.T
+    frames = windows[:: params.hop].T
+    out = np.zeros((params.fft_size, frames.shape[1]))
+    np.multiply(frames, hamming_window(params.frame_len)[:, None], out=out[: params.frame_len])
     return out
 
 
-def dft(frames) -> np.ndarray:
-    """Discrete Fourier transform of a frame, or of every column of a matrix.
+def power_spectrum(frames) -> np.ndarray:
+    """One-sided power spectrum of a real frame, or of every column of a matrix.
 
-    The transform length (the frame length, or the row count of a matrix)
-    must be a power of two. Semantics are the plain DFT
-    X_k = sum_n x_n exp(-2j*pi*k*n/N), computed by numpy's FFT.
+    Returns |X_k|^2 for k = 0..N/2, where X_k = sum_n x_n exp(-2j*pi*k*n/N)
+    is the plain DFT of length N (the frame length, or the row count of a
+    matrix), which must be a power of two. The bins above N/2 mirror these
+    for real input and are not computed: numpy's real FFT yields only
+    X_0..X_{N/2}.
     """
-    x = np.asarray(frames)
+    x = np.asarray(frames, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size < 1:
         raise DimensionError("frames must be a non-empty 1-D or 2-D array")
     n = x.shape[0]
     if n & (n - 1) != 0:
         raise DimensionError(f"frame length {n} is not a power of two")
-    return np.fft.fft(x, axis=0)
+    spectrum = np.fft.rfft(x, axis=0)
+    # square in place: the sum is the only array allocated besides the transform
+    re, im = spectrum.real, spectrum.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    return re + im
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -208,12 +220,7 @@ def dct_cepstra(log_energies, num_ceps: int) -> np.ndarray:
 def extract(audio: AudioRecord, cfg: MfccConfig | None = None) -> MfccFeatures:
     """Run the full MFCC chain on one utterance."""
     cfg = cfg or MfccConfig()
-    frames = frame_and_window(audio, cfg)
-    n_bins = frames.shape[0] // 2 + 1
-    power = np.empty((n_bins, frames.shape[1]))
-    for start in range(0, frames.shape[1], FFT_BLOCK_FRAMES):
-        block = slice(start, start + FFT_BLOCK_FRAMES)
-        power[:, block] = np.abs(dft(frames[:, block])[:n_bins]) ** 2
+    power = power_spectrum(frame_and_window(audio, cfg))
     log_e = np.log(mel_filterbank(power, cfg, audio.sample_rate))
     cepstra = dct_cepstra(log_e, cfg.num_ceps)
     summary = np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])

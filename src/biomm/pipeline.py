@@ -88,6 +88,12 @@ class Decision:
     face_id: str | None = None
     voice_id: str | None = None
 
+    def __post_init__(self):
+        # scores derived from numpy votes and distances arrive as numpy
+        # scalars; a Decision holds plain floats whichever mode made it
+        for name in ("face_score", "voice_score", "fused_score"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     @property
     def accepted(self) -> bool:
         return self.verdict == VERDICT_ACCEPT
@@ -189,8 +195,16 @@ def _face_dataset(enrollment: Enrollment) -> LabeledDataset:
 
 def _voice_dataset(enrollment: Enrollment, cfg: mfcc_mod.MfccConfig) -> LabeledDataset:
     columns, labels = [], []
-    for label, (_, (_, voices)) in enumerate(enrollment.items()):
+    rate = None
+    for label, (client_id, (_, voices)) in enumerate(enrollment.items()):
         for rec in voices:
+            if rate is None:
+                rate = rec.sample_rate
+            elif rec.sample_rate != rate:
+                raise DatasetError(
+                    f"client {client_id!r} recording is at {rec.sample_rate} Hz, "
+                    f"expected {rate} Hz"
+                )
             columns.append(mfcc_mod.extract(rec, cfg).summary)
             labels.append(label)
     return LabeledDataset(
@@ -322,7 +336,7 @@ def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioReco
         mode=MODE_IDENTIFY,
         claimed_id=None,
         face_score=face_score,
-        voice_score=float(voice_score),
+        voice_score=voice_score,
         fused_score=fused,
         verdict=VERDICT_REJECT if rejected else VERDICT_ACCEPT,
         client_id=None if rejected else names[candidate],
@@ -402,9 +416,11 @@ def _optional(cast):
 
 def _emit_matrix(lines: list, name: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(matrix)
-    lines.append(f"{name} {matrix.shape[0]} {matrix.shape[1]}")
-    for row in matrix:
-        lines.append(" ".join(_fmt(v) for v in row))
+    rows, cols = matrix.shape
+    lines.append(f"{name} {rows} {cols}")
+    # "%.17g" % v spells each value as _fmt does, one format call per row
+    row_format = " ".join(["%.17g"] * cols)
+    lines.extend(row_format % tuple(row) for row in matrix.tolist())
 
 
 def _emit_ints(lines: list, name: str, values) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,13 @@ class TestHamming:
     def test_symmetry(self):
         window = mfcc.hamming_window(64)
         assert np.abs(window - window[::-1]).max() < 1e-12
+
+    def test_built_once_and_read_only(self):
+        window = mfcc.hamming_window(200)
+        assert mfcc.hamming_window(200) is window
+        with pytest.raises(ValueError):
+            window[0] = 1.0
+        np.testing.assert_array_equal(window, mfcc.hamming_window.__wrapped__(200))
 
 
 class TestFraming:
@@ -88,22 +97,29 @@ class TestFraming:
         np.testing.assert_array_equal(shifted.frames, full.frames[:, 1:])
 
 
+def naive_power(x):
+    """One-sided power spectrum from the oracle: |X_k|^2 for k = 0..N/2."""
+    return np.abs(naive_dft(x)[: len(x) // 2 + 1]) ** 2
+
+
 class TestDft:
+    """power_spectrum against the naive DFT oracle."""
+
     def test_constant_is_dc_only(self):
         np.testing.assert_allclose(
-            mfcc.dft([1.0, 1.0, 1.0, 1.0]), [4.0, 0.0, 0.0, 0.0], atol=1e-12
+            mfcc.power_spectrum([1.0, 1.0, 1.0, 1.0]), [16.0, 0.0, 0.0], atol=1e-12
         )
 
     def test_impulse_is_flat(self):
         x = np.zeros(8)
         x[0] = 1.0
-        np.testing.assert_allclose(mfcc.dft(x), np.ones(8), atol=1e-12)
+        np.testing.assert_allclose(mfcc.power_spectrum(x), np.ones(5), atol=1e-12)
 
     def test_matches_naive_length_64(self):
         rng = np.random.RandomState(2)
         x = rng.standard_normal(64)
-        expected = naive_dft(x)
-        got = mfcc.dft(x)
+        expected = naive_power(x)
+        got = mfcc.power_spectrum(x)
         rel = np.abs(got - expected).max() / np.abs(expected).max()
         assert rel <= 1e-9
 
@@ -112,29 +128,30 @@ class TestDft:
         for size in (64, 128, 256, 512, 1024):
             for _ in range(5):
                 x = rng.standard_normal(size)
-                expected = naive_dft(x)
-                rel = np.abs(mfcc.dft(x) - expected).max() / np.abs(expected).max()
+                expected = naive_power(x)
+                rel = np.abs(mfcc.power_spectrum(x) - expected).max() / np.abs(expected).max()
                 assert rel <= 1e-9
 
     def test_parseval(self):
+        # one-sided: the bins strictly between DC and Nyquist stand for two
         rng = np.random.RandomState(4)
         for size in (64, 256, 1024):
             x = rng.standard_normal(size)
-            spec = mfcc.dft(x)
+            power = mfcc.power_spectrum(x)
             time_energy = (x * x).sum()
-            freq_energy = (np.abs(spec) ** 2).sum() / size
+            freq_energy = (power[0] + 2.0 * power[1:-1].sum() + power[-1]) / size
             assert abs(time_energy - freq_energy) <= 1e-9 * time_energy
 
     def test_matrix_transforms_each_column(self):
         rng = np.random.RandomState(5)
         x = rng.standard_normal((128, 6))
-        expected = np.column_stack([naive_dft(x[:, j]) for j in range(6)])
-        rel = np.abs(mfcc.dft(x) - expected).max() / np.abs(expected).max()
+        expected = np.column_stack([naive_power(x[:, j]) for j in range(6)])
+        rel = np.abs(mfcc.power_spectrum(x) - expected).max() / np.abs(expected).max()
         assert rel <= 1e-9
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionError):
-            mfcc.dft(np.zeros(12))
+            mfcc.power_spectrum(np.zeros(12))
 
 
 class TestFilterbank:
@@ -238,12 +255,27 @@ class TestExtract:
         expected_filter = int(np.argmin(np.abs(centers - 1000.0)))
 
         frames = mfcc.frame_and_window(audio, cfg)
-        spectrum = mfcc.dft(frames)
-        power = np.abs(spectrum[: params.fft_size // 2 + 1, :]) ** 2
+        spectrum = np.fft.rfft(frames, axis=0)
+        power = spectrum.real**2 + spectrum.imag**2
+        np.testing.assert_array_equal(mfcc.power_spectrum(frames), power)
         weights = mfcc.filter_weights(cfg, fs)
         energies = weights @ power
         dominant = np.argmax(energies, axis=0)
         assert np.all(np.abs(dominant - expected_filter) <= 1)
+
+    def test_peak_memory_of_one_second(self):
+        # bound fixed before the whole-utterance transform landed: a 1 s,
+        # 8 kHz utterance must not come near the ~1 MB at which glibc's heap
+        # trimming made every call fault its pages in afresh
+        audio = AudioRecord(8000, np.random.RandomState(8).uniform(-0.5, 0.5, 8000))
+        mfcc.extract(audio)  # tables built outside the measurement
+        tracemalloc.start()
+        try:
+            mfcc.extract(audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 768 * 1024
 
     def test_deterministic(self):
         rng = np.random.RandomState(5)
@@ -274,7 +306,8 @@ class TestExtract:
         audio = AudioRecord(8000, rng.uniform(-0.8, 0.8, 6000))
         cfg = mfcc.MfccConfig(num_filters=22, num_ceps=11)
         frames = mfcc.frame_and_window(audio, cfg)
-        power = np.abs(mfcc.dft(frames)[: frames.shape[0] // 2 + 1]) ** 2
+        spectrum = np.fft.rfft(frames, axis=0)
+        power = spectrum.real**2 + spectrum.imag**2
         weights = mfcc.filter_weights.__wrapped__(cfg, audio.sample_rate)
         log_e = np.log(np.maximum(weights @ power, mfcc.ENERGY_FLOOR))
         cepstra = mfcc._dct_matrix.__wrapped__(cfg.num_ceps, cfg.num_filters) @ log_e

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biomm import mfcc, pipeline, synth
-from biomm.errors import DimensionError, DomainError, FormatError
+from biomm.errors import DatasetError, DimensionError, DomainError, FormatError
 
 NUM_CLIENTS = 5
 
@@ -73,6 +73,29 @@ class TestServing:
             d = pipeline.identify(world.model, face, voice)
             assert not d.accepted and d.client_id is None
 
+    def test_scores_are_python_floats_in_both_modes(self, world):
+        name, face, voice = world.genuine[0]
+        for d in (
+            pipeline.identify(world.model, face, voice),
+            pipeline.verify(world.model, face, voice, name),
+        ):
+            assert type(d.face_score) is float
+            assert type(d.voice_score) is float
+            assert type(d.fused_score) is float
+
+
+def test_enrollment_mixing_sample_rates_is_refused():
+    # filterbanks built for two rates give summaries of equal length that
+    # measure different frequency bands; they cannot share one voice space
+    gallery, _, profiles, rng = synth.make_enrollment_data(num_clients=3, seed=4)
+    faces, _ = gallery["client2"]
+    gallery["client2"] = (
+        faces,
+        [synth.synth_utterance(profiles[2], rng, sample_rate=16000) for _ in range(4)],
+    )
+    with pytest.raises(DatasetError, match="16000"):
+        pipeline.enroll_and_fit(gallery)
+
 
 class TestSingleModality:
     def test_w_face_one_is_face_only(self, world):
@@ -102,6 +125,18 @@ class TestModelFile:
             assert pipeline.verify(loaded, face, voice, name) == pipeline.verify(
                 world.model, face, voice, name
             )
+
+    def test_matrix_rows_spell_each_value_as_format_17g(self):
+        edge = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 0.1, 1.0, -2.5]
+        rng = np.random.RandomState(9)
+        scales = 10.0 ** rng.randint(-300, 300, (3, len(edge)))
+        rows = np.vstack([edge, rng.standard_normal((3, len(edge))) * scales])
+        lines = []
+        pipeline._emit_matrix(lines, "M", rows)
+        expected = [f"M {rows.shape[0]} {rows.shape[1]}"] + [
+            " ".join(format(float(v), ".17g") for v in row) for row in rows
+        ]
+        assert lines == expected
 
     def test_save_load_save_is_byte_identical(self, model_file, tmp_path):
         again = tmp_path / "again.biomm"
