@@ -57,10 +57,6 @@ class ClassError(BiommError):
     """Training was attempted with too few (or empty) classes."""
 
 
-class FoldError(BiommError):
-    """Cross-validation fold count exceeds the sample count."""
-
-
 class EnrollmentError(BiommError):
     """A client id was enrolled twice or with insufficient samples."""
 

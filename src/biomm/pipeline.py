@@ -65,6 +65,10 @@ class PipelineConfig:
     svm_tol: float = 1e-3
     w_face: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
+            raise DomainError(f"w_face must lie in [0, 1], got {self.w_face}")
+
     def kernel(self) -> svm_mod.KernelSpec:
         gamma = self.svm_gamma if self.svm_kernel == "rbf" else None
         return svm_mod.KernelSpec(self.svm_kernel, gamma)

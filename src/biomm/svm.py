@@ -7,7 +7,10 @@ multiplier is the maximal KKT violator, the second the one whose pairing
 with it gains most in the second-order model of the objective, and the
 solver stops on the KKT gap and returns the bias with the multipliers.
 Multiclass problems train one machine per unordered class pair and
-predict by majority vote.
+predict by majority vote. The machines of a one-vs-one model are solved
+together in lock step: one vectorized step moves every machine that has
+not yet converged, and each machine takes exactly the steps it would take
+alone, so the model equals the one that training them one at a time gives.
 
 A one-vs-one model is stored in one packed layout, in memory and in the
 model file (libsvm-style; Chang & Lin, "LIBSVM", ACM TIST 2(3), 2011):
@@ -31,13 +34,13 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    FoldError,
 )
 from .ingest import LabeledDataset
 
 MAX_ITERATIONS = 100_000
 PRUNE_TOL = 1e-12
 TAU = 1e-12  # LIBSVM's floor on the curvature of a working-set direction
+STACK_BYTES = 1 << 22  # the most kernel-matrix bytes `_smo` solves in one stack
 
 
 @dataclass(frozen=True)
@@ -206,50 +209,115 @@ def pack(num_classes: int, pairs, machines) -> SvmModel:
     )
 
 
-def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float):
-    """LIBSVM's SMO on a precomputed kernel matrix. Returns (alphas, bias).
+def _smo(k: np.ndarray, y: np.ndarray, size, c: float, tol: float):
+    """LIBSVM's SMO on B machines at once, in lock step. Returns (alphas, biases).
 
-    Solves min 1/2 a'Qa - sum(a), Q = (y y') * K, over 0 <= a <= c and
-    y'a = 0 (Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2(3),
-    2011). The state is signed, which spares every case split on y:
-    v = y * a lies in [0, c] where y = +1 and in [-c, 0] where y = -1, and
+    Machine b solves min 1/2 a'Qa - sum(a), Q = (y y') * K, over
+    0 <= a <= c and y'a = 0 (Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin,
+    ACM TIST 2(3), 2011) on its kernel matrix k[b] (B x n x n) and labels
+    y[b] (B x n), of which the first size[b] entries are real; the rest is
+    padding whose kernel entries must be 0. Padding gets lower = upper = 0,
+    so it never enters I_up or I_low and never moves.
+
+    The state is signed, which spares every case split on y: v = y * a lies
+    in [0, c] where y = +1 and in [-c, 0] where y = -1, and
     score = -y * G = y - K v, G = Qa - 1 being the dual gradient. Each step
     raises v_i for the i in I_up (v_i below its bound) of largest score m,
     and lowers v_j for the j in I_low (v_j above its bound) maximizing b^2/a,
     b = m - score_j > 0, a = K_ii + K_jj - 2 K_ij floored at TAU. Both move
     by b/a or less, so neither passes its bound, and one that reaches it is
-    set to it exactly. The loop stops once the KKT gap m - M, M the least
-    score over I_low, is at most tol. The bias is the mean score over free
-    multipliers, or (m + M) / 2 when every multiplier is at a bound.
+    set to it exactly. A machine stops once its KKT gap m - M, M the least
+    score over I_low, is at most tol, and never moves again, so each machine
+    takes exactly the steps it would take alone. Its bias is the mean score
+    over its free multipliers, or (m + M) / 2 when every multiplier is at a
+    bound.
     """
-    lower, upper = np.where(y > 0, 0.0, -c), np.where(y > 0, c, 0.0)
-    diag = np.diag(k)
-    curvature = np.maximum(diag[:, None] + diag - 2.0 * k, TAU)
-    v = np.zeros(y.size)
+    batch, n = y.shape
+    real = np.arange(n) < np.asarray(size)[:, None]
+    lower = np.where(real & (y < 0), -c, 0.0)
+    upper = np.where(real & (y > 0), c, 0.0)
+    diag = np.diagonal(k, axis1=1, axis2=2)
+    curvature = np.maximum(diag[:, :, None] + diag[:, None, :] - 2.0 * k, TAU)
+    v = np.zeros((batch, n))
     score = y.copy()
+    top, bottom = np.empty(batch), np.empty(batch)
+    moving = np.arange(batch)
     for steps in range(MAX_ITERATIONS + 1):
-        up = np.where(v < upper, score, -np.inf)
-        low = np.where(v > lower, score, np.inf)
-        i = up.argmax()
-        top, bottom = up[i], low.min()
-        if top - bottom <= tol:
+        up = np.where(v[moving] < upper[moving], score[moving], -np.inf)
+        low = np.where(v[moving] > lower[moving], score[moving], np.inf)
+        i = up.argmax(axis=1)
+        top[moving] = up[np.arange(moving.size), i]
+        bottom[moving] = low.min(axis=1)
+        open_ = top[moving] - bottom[moving] > tol
+        moving, i, low = moving[open_], i[open_], low[open_]
+        if moving.size == 0:
             break
         if steps == MAX_ITERATIONS:
+            gap = (top[moving] - bottom[moving]).max()
             raise ConvergenceError(
                 f"SMO hit the {MAX_ITERATIONS}-iteration cap with KKT gap "
-                f"{top - bottom:.3e} > tol {tol:.3e}"
+                f"{gap:.3e} > tol {tol:.3e}"
             )
-        gain = np.maximum(top - low, 0.0)
-        j = (gain * gain / curvature[i]).argmax()
-        room_up, room_down = upper[i] - v[i], v[j] - lower[j]
-        step = min(gain[j] / curvature[i, j], room_up, room_down)
-        new_i = upper[i] if step == room_up else v[i] + step
-        new_j = lower[j] if step == room_down else v[j] - step
-        score -= k[i] * (new_i - v[i]) + k[j] * (new_j - v[j])
-        v[i], v[j] = new_i, new_j
+        rows = np.arange(moving.size)
+        gain = np.maximum(top[moving, None] - low, 0.0)
+        j = (gain * gain / curvature[moving, i]).argmax(axis=1)
+        v_i, v_j = v[moving, i], v[moving, j]
+        room_up, room_down = upper[moving, i] - v_i, v_j - lower[moving, j]
+        step = np.minimum(np.minimum(gain[rows, j] / curvature[moving, i, j], room_up), room_down)
+        new_i = np.where(step == room_up, upper[moving, i], v_i + step)
+        new_j = np.where(step == room_down, lower[moving, j], v_j - step)
+        score[moving] -= (k[moving, i] * (new_i - v_i)[:, None]
+                          + k[moving, j] * (new_j - v_j)[:, None])
+        v[moving, i], v[moving, j] = new_i, new_j
     free = (v > lower) & (v < upper)
-    bias = score[free].mean() if free.any() else 0.5 * (top + bottom)
-    return y * v, float(bias)
+    biases = 0.5 * (top + bottom)
+    for b in np.flatnonzero(free.any(axis=1)):
+        biases[b] = score[b, free[b]].mean()
+    return y * v, biases
+
+
+def _check_problem(x: np.ndarray, y: np.ndarray, c: float, tol: float) -> None:
+    if x.ndim != 2 or y.shape != (x.shape[1],):
+        raise DimensionError("x must be d x n with one label per column")
+    if not (np.abs(y) == 1.0).all():
+        raise DomainError("labels must be -1 or +1")
+    if (y == 1.0).all() or (y == -1.0).all():
+        raise ClassError("both classes must be present")
+    if c <= 0 or tol <= 0:
+        raise DomainError("c and tol must be positive")
+
+
+def _train_machines(problems, kernel: KernelSpec, c: float, tol: float) -> list:
+    """One machine per (x, y) problem, all solved together by `_smo`.
+
+    Every problem is checked before any is solved. The kernel matrices are
+    padded to the largest problem and stacked, in chunks of as many
+    machines as fit in STACK_BYTES (at least one).
+    """
+    for x, y in problems:
+        _check_problem(x, y, c, tol)
+    n = max(y.size for _, y in problems)
+    per_chunk = max(1, STACK_BYTES // (8 * n * n))
+    machines = []
+    for start in range(0, len(problems), per_chunk):
+        chunk = problems[start:start + per_chunk]
+        k = np.zeros((len(chunk), n, n))
+        labels = np.zeros((len(chunk), n))
+        size = [y.size for _, y in chunk]
+        for b, (x, y) in enumerate(chunk):
+            k[b, :y.size, :y.size] = kernel_matrix(kernel, x, x)
+            labels[b, :y.size] = y
+        alphas, biases = _smo(k, labels, size, c, tol)
+        for (x, y), a, bias in zip(chunk, alphas, biases):
+            a = a[:y.size]
+            keep = np.flatnonzero(a > PRUNE_TOL)
+            machines.append(BinarySvm(
+                support_vectors=x[:, keep],
+                dual_coefs=(a * y)[keep],
+                bias=float(bias),
+                kernel=kernel,
+            ))
+    return machines
 
 
 def train_binary(
@@ -258,24 +326,7 @@ def train_binary(
     """Train one soft-margin machine on columns of x with labels in {-1,+1}."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[1],):
-        raise DimensionError("x must be d x n with one label per column")
-    if not (np.all(np.abs(y) == 1.0)):
-        raise DomainError("labels must be -1 or +1")
-    if np.all(y == 1.0) or np.all(y == -1.0):
-        raise ClassError("both classes must be present")
-    if c <= 0 or tol <= 0:
-        raise DomainError("c and tol must be positive")
-
-    k = kernel_matrix(kernel, x, x)
-    alphas, bias = _smo(k, y, c, tol)
-    keep = np.flatnonzero(alphas > PRUNE_TOL)
-    return BinarySvm(
-        support_vectors=x[:, keep].copy(),
-        dual_coefs=(alphas * y)[keep],
-        bias=bias,
-        kernel=kernel,
-    )
+    return _train_machines([(x, y)], kernel, c, tol)[0]
 
 
 def predict_binary(m: BinarySvm, x) -> tuple[float, int]:
@@ -294,18 +345,18 @@ def predict_binary(m: BinarySvm, x) -> tuple[float, int]:
 def train_multiclass(
     ds: LabeledDataset, kernel: KernelSpec, c: float, tol: float = 1e-3
 ) -> SvmModel:
-    """One-vs-one training: a machine for every unordered class pair."""
+    """One-vs-one training: a machine for every unordered class pair, all solved together."""
     if ds.num_classes < 2:
         raise ClassError("multiclass training needs at least two classes")
     pairs = []
-    machines = []
+    problems = []
     for i in range(ds.num_classes):
         for j in range(i + 1, ds.num_classes):
             mask = (ds.labels == i) | (ds.labels == j)
-            x = ds.features[:, mask]
-            y = np.where(ds.labels[mask] == i, 1.0, -1.0)
             pairs.append((i, j))
-            machines.append(train_binary(x, y, kernel, c, tol))
+            problems.append((ds.features[:, mask], np.where(ds.labels[mask] == i, 1.0, -1.0)))
+    machines = _train_machines(problems, kernel, c, tol)
+    del problems  # pack needs only the machines: free the pair copies of the features first
     return pack(ds.num_classes, pairs, machines)
 
 
@@ -343,54 +394,3 @@ def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
         return int(tied[0]), votes
     best = tied[np.argmax(strengths[tied])]  # argmax keeps the smaller id on ties
     return int(best), votes
-
-
-def _stratified_folds(labels: np.ndarray, folds: int, seed: int):
-    """Deal each class's shuffled samples round-robin across folds."""
-    rng = np.random.default_rng(seed)
-    assignment = np.zeros(labels.size, dtype=np.int64)
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        members = members[rng.permutation(members.size)]
-        assignment[members] = np.arange(members.size) % folds
-    return assignment
-
-
-def cross_validate(
-    ds: LabeledDataset,
-    kernel: KernelSpec,
-    c: float,
-    folds: int = 10,
-    seed: int = 42,
-    tol: float = 1e-3,
-) -> float:
-    """Stratified k-fold cross-validation accuracy, as a percentage."""
-    if folds < 2:
-        raise DomainError("folds must be >= 2")
-    if folds > ds.num_samples:
-        raise FoldError(f"{folds} folds exceed {ds.num_samples} samples")
-    assignment = _stratified_folds(ds.labels, folds, seed)
-    correct = 0
-    for f in range(folds):
-        test_idx = np.flatnonzero(assignment == f)
-        if test_idx.size == 0:
-            continue
-        train_idx = np.flatnonzero(assignment != f)
-        train_labels = ds.labels[train_idx]
-        present = np.unique(train_labels)
-        if present.size < 2:
-            # degenerate fold: the only trainable answer is the sole class
-            correct += int(np.sum(ds.labels[test_idx] == present[0]))
-            continue
-        remap = {int(orig): new for new, orig in enumerate(present)}
-        sub = LabeledDataset(
-            ds.features[:, train_idx],
-            np.array([remap[int(l)] for l in train_labels]),
-            tuple(ds.class_names[int(orig)] for orig in present),
-        )
-        model = train_multiclass(sub, kernel, c, tol)
-        for t in test_idx:
-            label, _ = predict_multiclass(model, ds.features[:, t])
-            if int(present[label]) == int(ds.labels[t]):
-                correct += 1
-    return 100.0 * correct / ds.num_samples

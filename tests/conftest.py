@@ -6,6 +6,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from biomm import svm
+from biomm.errors import ConvergenceError
 
 
 def reconstruct_alphas(machine, x_train):
@@ -56,3 +57,36 @@ def dual_objective(machine):
     coef = machine.dual_coefs
     k = svm.kernel_matrix(machine.kernel, machine.support_vectors, machine.support_vectors)
     return float(np.abs(coef).sum() - 0.5 * coef @ k @ coef)
+
+
+def reference_smo(k: np.ndarray, y: np.ndarray, c: float, tol: float):
+    """LIBSVM's SMO on one machine, one step per loop pass: the solver that
+    `svm._smo` runs on a stack of machines in lock step. Returns (alphas, bias)."""
+    lower, upper = np.where(y > 0, 0.0, -c), np.where(y > 0, c, 0.0)
+    diag = np.diag(k)
+    curvature = np.maximum(diag[:, None] + diag - 2.0 * k, svm.TAU)
+    v = np.zeros(y.size)
+    score = y.copy()
+    for steps in range(svm.MAX_ITERATIONS + 1):
+        up = np.where(v < upper, score, -np.inf)
+        low = np.where(v > lower, score, np.inf)
+        i = up.argmax()
+        top, bottom = up[i], low.min()
+        if top - bottom <= tol:
+            break
+        if steps == svm.MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"SMO hit the {svm.MAX_ITERATIONS}-iteration cap with KKT gap "
+                f"{top - bottom:.3e} > tol {tol:.3e}"
+            )
+        gain = np.maximum(top - low, 0.0)
+        j = (gain * gain / curvature[i]).argmax()
+        room_up, room_down = upper[i] - v[i], v[j] - lower[j]
+        step = min(gain[j] / curvature[i, j], room_up, room_down)
+        new_i = upper[i] if step == room_up else v[i] + step
+        new_j = lower[j] if step == room_down else v[j] - step
+        score -= k[i] * (new_i - v[i]) + k[j] * (new_j - v[j])
+        v[i], v[j] = new_i, new_j
+    free = (v > lower) & (v < upper)
+    bias = score[free].mean() if free.any() else 0.5 * (top + bottom)
+    return y * v, float(bias)

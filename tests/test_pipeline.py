@@ -114,6 +114,11 @@ class TestSingleModality:
             assert d.client_id == d.voice_id
             assert d.fused_score == d.voice_score
 
+    @pytest.mark.parametrize("w_face", [-1.0, 1.5, float("nan")], ids=["negative", "above-one", "nan"])
+    def test_w_face_outside_unit_interval_refused(self, w_face):
+        with pytest.raises(DomainError, match="w_face"):
+            pipeline.PipelineConfig(w_face=w_face)
+
 
 class TestModelFile:
     def test_reload_gives_equal_decisions(self, world, model_file):
@@ -320,6 +325,7 @@ MALFORMED_BODIES = {
     "svs-value-nan": _edit_first_row("SVS", _replaced(0, "nan")),
     "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
     "svm-gamma-inf": _set_line("svm_gamma ", "svm_gamma inf"),
+    "w-face-out-of-range": _set_line("w_face ", "w_face 1.5"),
 }
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from biomm import svm
-from biomm.errors import ClassError, ConvergenceError, DimensionError, DomainError, FoldError
+from biomm.errors import ClassError, ConvergenceError, DimensionError, DomainError
 from biomm.ingest import LabeledDataset
-from conftest import dual_objective, kkt_worst_violation
+from conftest import dual_objective, kkt_worst_violation, reference_smo
 
 LINEAR = svm.KernelSpec("linear")
 RBF2 = svm.KernelSpec("rbf", 2.0)
@@ -20,10 +20,11 @@ def make_ds(features, labels):
 
 
 def gaussian_clusters(rng, classes=5, per_class=10, dim=3, gap=40.0, spread=1.0):
+    """per_class is one sample count for every class, or one count per class."""
     features, labels = [], []
-    for c in range(classes):
+    for c, count in enumerate(np.broadcast_to(per_class, (classes,))):
         mu = rng.standard_normal(dim) * gap
-        for _ in range(per_class):
+        for _ in range(count):
             features.append(mu + rng.standard_normal(dim) * spread)
             labels.append(c)
     return make_ds(np.column_stack(features), labels)
@@ -239,6 +240,123 @@ class TestTrainBinary:
         assert train_acc(1e4) >= train_acc(1e-2)
 
 
+def random_problem(rng, size, dim=3):
+    """size points with random labels, both classes present."""
+    x = rng.standard_normal((dim, size))
+    y = np.where(rng.uniform(size=size) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    return x, y
+
+
+def solve_stacked(problems, kernel, c, tol):
+    """svm._smo on the problems' kernel matrices padded with zeros to the largest,
+    and the unpadded kernel matrices. The padding labels are +1: only the
+    machine sizes may tell the solver which entries are padding."""
+    kernels = [svm.kernel_matrix(kernel, x, x) for x, _ in problems]
+    n = max(y.size for _, y in problems)
+    k = np.zeros((len(problems), n, n))
+    labels = np.ones((len(problems), n))
+    for b, ((_, y), kb) in enumerate(zip(problems, kernels)):
+        k[b, :y.size, :y.size] = kb
+        labels[b, :y.size] = y
+    alphas, biases = svm._smo(k, labels, [y.size for _, y in problems], c, tol)
+    return alphas, biases, kernels
+
+
+def assert_lock_step_equals_reference(problems, kernel, c, tol):
+    alphas, biases, kernels = solve_stacked(problems, kernel, c, tol)
+    for (_, y), kb, a, bias in zip(problems, kernels, alphas, biases):
+        ref_alphas, ref_bias = reference_smo(kb, y, c, tol)
+        np.testing.assert_array_equal(a[:y.size], ref_alphas)
+        np.testing.assert_array_equal(a[y.size:], 0.0)
+        np.testing.assert_array_equal(bias, ref_bias)
+
+
+def steps_alone(k, y, c, tol):
+    """The number of steps reference_smo takes on one machine: the least cap it meets."""
+    def converges(cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "MAX_ITERATIONS", cap)
+            try:
+                reference_smo(k, y, c, tol)
+            except ConvergenceError:
+                return False
+            return True
+
+    below, cap = 0, 1
+    while not converges(cap):
+        below, cap = cap, 2 * cap
+    while cap - below > 1:
+        mid = (below + cap) // 2
+        below, cap = (below, mid) if converges(mid) else (mid, cap)
+    return cap
+
+
+# one step: the two points meet in the middle
+ONE_STEP = (np.array([[-1.0, 1.0]]), np.array([-1.0, 1.0]))
+# three steps to a KKT gap of 1e-4 at c = 1 (linear kernel)
+THREE_STEPS = (np.array([[0.0, 0.3, 2.0, 2.5], [0.0, 1.0, 0.5, 1.5]]),
+               np.array([1.0, 1.0, -1.0, -1.0]))
+
+
+class TestLockStepSolver:
+    """svm._smo on a stack of machines gives each machine exactly what the
+    one-machine reference solver gives it."""
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF2], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("c", [0.5, 10.0, 1e4])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4])
+    def test_random_batches_match_reference(self, kernel, c, tol):
+        # in 9 dimensions any labelling of at most 9 points is linearly
+        # separable, so a linear machine at c = 1e4 needs tens of steps, not
+        # the tens of thousands an inseparable problem can take
+        dim = 9 if kernel == LINEAR else 3
+        rng = np.random.RandomState(23)
+        for _ in range(3):
+            sizes = list(range(2, 10)) + list(rng.randint(2, 10, size=4))
+            problems = [random_problem(rng, size, dim) for size in rng.permutation(sizes)]
+            assert_lock_step_equals_reference(problems, kernel, c, tol)
+
+    def test_machines_converging_after_very_different_step_counts(self):
+        rng = np.random.RandomState(24)
+        c, tol = 10.0, 1e-4
+        problems = [ONE_STEP, random_problem(rng, 9), THREE_STEPS, random_problem(rng, 9), ONE_STEP]
+        steps = [steps_alone(svm.kernel_matrix(LINEAR, x, x), y, c, tol) for x, y in problems]
+        assert min(steps) == 1 and max(steps) >= 100
+        assert_lock_step_equals_reference(problems, LINEAR, c, tol)
+
+    def test_iteration_cap_counts_each_machines_steps(self, monkeypatch):
+        problems = [ONE_STEP, THREE_STEPS, ONE_STEP]
+        c, tol = 1.0, 1e-4
+        steps = [steps_alone(svm.kernel_matrix(LINEAR, x, x), y, c, tol) for x, y in problems]
+        assert steps == [1, 3, 1]
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", 2)
+        with pytest.raises(ConvergenceError, match="2-iteration cap with KKT gap"):
+            solve_stacked(problems, LINEAR, c, tol)
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", 3)
+        assert_lock_step_equals_reference(problems, LINEAR, c, tol)
+
+    @pytest.mark.parametrize("per_chunk, chunks", [(1, [1] * 10), (3, [3, 3, 3, 1])], ids=["1", "3"])
+    def test_chunked_solve_equals_one_stack(self, monkeypatch, per_chunk, chunks):
+        rng = np.random.RandomState(25)
+        ds = gaussian_clusters(rng, classes=5, per_class=(2, 3, 5, 4, 3), gap=2.0)
+        batches = []
+        solve = svm._smo
+
+        def recording_smo(k, y, size, c, tol):
+            batches.append(len(size))
+            return solve(k, y, size, c, tol)
+
+        monkeypatch.setattr(svm, "_smo", recording_smo)
+        whole = svm.train_multiclass(ds, RBF2, c=10.0)
+        assert batches == [10]
+        largest = 5 + 4  # points of the largest pair problem
+        monkeypatch.setattr(svm, "STACK_BYTES", per_chunk * largest * largest * 8)
+        batches.clear()
+        assert_same_arrays(svm.train_multiclass(ds, RBF2, c=10.0), whole)
+        assert batches == chunks
+
+
 class TestPredictBinary:
     def test_zero_score_resolves_positive(self):
         m = svm.BinarySvm(
@@ -345,45 +463,6 @@ class TestMulticlass:
             [machines[i] for i in order],
         )
         assert svm.predict_multiclass(permuted, np.zeros(1))[0] == 2
-
-
-class TestCrossValidate:
-    def test_ceiling_case(self):
-        # every fold holds duplicates of its training points
-        point = np.eye(5) * 100.0
-        features = np.repeat(point, 5, axis=1)
-        labels = np.repeat(np.arange(5), 5)
-        ds = make_ds(features, labels.tolist())
-        acc = svm.cross_validate(ds, LINEAR, c=10.0, folds=5, seed=0)
-        assert acc == 100.0
-
-    def test_shuffled_labels_near_chance(self):
-        rng = np.random.RandomState(14)
-        ds = gaussian_clusters(rng, classes=5, per_class=10, gap=30.0)
-        accs = []
-        for seed in (0, 1, 2):
-            shuffled = LabeledDataset(
-                ds.features,
-                rng.permutation(ds.labels),
-                ds.class_names,
-            )
-            accs.append(
-                svm.cross_validate(shuffled, RBF2, c=10.0, folds=10, seed=seed)
-            )
-        assert 5.0 <= np.mean(accs) <= 40.0
-
-    def test_deterministic(self):
-        rng = np.random.RandomState(15)
-        ds = gaussian_clusters(rng, classes=3, per_class=6)
-        a = svm.cross_validate(ds, RBF2, c=10.0, folds=5, seed=42)
-        b = svm.cross_validate(ds, RBF2, c=10.0, folds=5, seed=42)
-        assert a == b
-
-    def test_fold_error(self):
-        rng = np.random.RandomState(16)
-        ds = gaussian_clusters(rng, classes=2, per_class=3)
-        with pytest.raises(FoldError):
-            svm.cross_validate(ds, LINEAR, c=1.0, folds=7, seed=0)
 
 
 def reference_vote(model, x):
@@ -506,16 +585,27 @@ class TestPackedDecisions:
             svm.decision_values(model, np.zeros(4))
 
 
+def assert_views_equal_trained_machines(ds):
+    model = svm.train_multiclass(ds, RBF2, c=10.0)
+    classes = ds.num_classes
+    assert len(model.machines) == len(model.class_pairs) == classes * (classes - 1) // 2
+    for (i, j), view in zip(model.class_pairs, model.machines):
+        mask = (ds.labels == i) | (ds.labels == j)
+        y = np.where(ds.labels[mask] == i, 1.0, -1.0)
+        assert_same_machine(view, svm.train_binary(ds.features[:, mask], y, RBF2, 10.0))
+
+
 class TestMachineViews:
     def test_trained_model_views_equal_trained_machines(self):
         rng = np.random.RandomState(21)
-        ds = gaussian_clusters(rng, classes=4, per_class=5, gap=2.0, spread=1.0)
-        model = svm.train_multiclass(ds, RBF2, c=10.0)
-        assert len(model.machines) == len(model.class_pairs) == 6
-        for (i, j), view in zip(model.class_pairs, model.machines):
-            mask = (ds.labels == i) | (ds.labels == j)
-            y = np.where(ds.labels[mask] == i, 1.0, -1.0)
-            assert_same_machine(view, svm.train_binary(ds.features[:, mask], y, RBF2, 10.0))
+        assert_views_equal_trained_machines(
+            gaussian_clusters(rng, classes=4, per_class=5, gap=2.0, spread=1.0))
+
+    def test_unequal_classes_views_equal_trained_machines(self):
+        # pair problems of 5, 7 and 8 points are padded to 8 in one stack
+        rng = np.random.RandomState(21)
+        assert_views_equal_trained_machines(
+            gaussian_clusters(rng, classes=3, per_class=(2, 3, 5), gap=2.0, spread=1.0))
 
     def test_pack_stores_each_support_vector_once(self):
         model = random_shared_model(np.random.RandomState(22), 5, LINEAR)
