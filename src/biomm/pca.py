@@ -27,7 +27,9 @@ class Subspace:
     """A learned linear projection: x -> basis^T (x - mean).
 
     For kind "pca" the basis columns are orthonormal; for kind "lda" they
-    are unit norm but not mutually orthogonal in general.
+    are unit norm but not mutually orthogonal in general. Kind "lda" also
+    covers the Fisherface map, an LDA fitted in PCA coordinates composed
+    with that PCA into one projection from pixel space.
     """
 
     kind: str

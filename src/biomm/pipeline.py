@@ -1,17 +1,20 @@
 """End-to-end multimodal system: enrollment, identification, verification,
 score-level fusion, and model persistence.
 
-Face chain: pixels -> PCA -> LDA -> KNN gallery. Voice chain: MFCC summary
--> LDA -> one-vs-one SVM. Scores from both chains are mapped to [0, 1]
-(1/(1+distance) for faces, vote fractions for voices) and fused by a convex
-combination. A probe is rejected as unknown when its face distance exceeds
-tau_dist AND its fused score falls below tau_fused; both thresholds are
-calibrated from the enrollment data and stored in the model file.
+Face chain: pixels -> PCA -> LDA -> KNN gallery, with PCA and LDA kept as
+one pixel -> Fisher-space map, their product (the Fisherface W_opt). Voice
+chain: MFCC summary -> LDA -> one-vs-one SVM. Scores from both chains are
+mapped to [0, 1] (1/(1+distance) for faces, vote fractions for voices) and
+fused by a convex combination. A probe is rejected as unknown when its face
+distance exceeds tau_dist AND its fused score falls below tau_fused; both
+thresholds are calibrated from the enrollment data and stored in the model
+file.
 
-The model file (magic "BIOMM 2", CRC32-checked text) stores the config,
-both face subspaces and the gallery, the voice LDA, the packed one-vs-one
-SVM with each support vector once, the client names and the thresholds;
-see the format comment further down.
+The model file (magic "BIOMM 3", CRC32-checked text) stores the config,
+the enrollment sample rate and image size, the Fisherface map and the
+gallery, the voice LDA, the packed one-vs-one SVM with each support vector
+once, the client names and the thresholds; see the format comment further
+down. A probe whose rate or image size differs from enrollment is refused.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from .errors import (
     FormatError,
     IdentityError,
 )
-from .ingest import AudioRecord, ImageRecord, LabeledDataset, image_to_vector
+from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
+from .ingest import image_to_vector
 
-MAGIC = "BIOMM 2"
+MAGIC = "BIOMM 3"
 DIST_HEADROOM = 6.0
 
 MODE_IDENTIFY = "identification"
@@ -112,18 +116,25 @@ class SystemModel:
     """A fitted or loaded system. Its parts must fit together: one distinct
     client name per voice class (class c is class_names[c]), gallery labels
     among those classes, and each stage's output dimension equal to the next
-    stage's input dimension."""
+    stage's input dimension, starting from the face_size = (width, height)
+    pixels of an enrolled image."""
 
-    face_pca: pca_mod.Subspace
-    face_lda: pca_mod.Subspace
+    face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
     voice_lda: pca_mod.Subspace
     voice_svm: svm_mod.SvmModel
     class_names: tuple
     thresholds: Thresholds
     config: PipelineConfig
+    sample_rate: int
+    face_size: tuple
 
     def __post_init__(self):
+        if self.sample_rate not in VALID_SAMPLE_RATES:
+            raise DomainError(f"unsupported enrollment sample rate {self.sample_rate}")
+        width, height = self.face_size
+        if width < 1 or height < 1:
+            raise DimensionError(f"enrolled image size {width}x{height} is empty")
         classes = self.voice_svm.num_classes
         if len(self.class_names) != classes:
             raise DimensionError(f"{len(self.class_names)} client names for {classes} classes")
@@ -137,8 +148,8 @@ class SystemModel:
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
         for link, produced, consumed in (
-            ("face PCA -> face LDA", self.face_pca.retained, self.face_lda.ambient_dim),
-            ("face LDA -> gallery", self.face_lda.retained, self.face_gallery.points.shape[0]),
+            ("image -> face", width * height, self.face.ambient_dim),
+            ("face -> gallery", self.face.retained, self.face_gallery.points.shape[0]),
             ("voice LDA -> SVM", self.voice_lda.retained,
              self.voice_svm.support_vectors.shape[0]),
         ):
@@ -178,7 +189,8 @@ class Enrollment:
         return self._clients.items()
 
 
-def _face_dataset(enrollment: Enrollment) -> LabeledDataset:
+def _face_dataset(enrollment: Enrollment) -> tuple:
+    """The face columns and the (width, height) that every image shares."""
     columns, labels = [], []
     shape = None
     for label, (client_id, (faces, _)) in enumerate(enrollment.items()):
@@ -192,12 +204,11 @@ def _face_dataset(enrollment: Enrollment) -> LabeledDataset:
                 )
             columns.append(image_to_vector(img))
             labels.append(label)
-    return LabeledDataset(
-        np.column_stack(columns), labels, enrollment.client_ids
-    )
+    return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), shape
 
 
-def _voice_dataset(enrollment: Enrollment, cfg: mfcc_mod.MfccConfig) -> LabeledDataset:
+def _voice_dataset(enrollment: Enrollment, cfg: mfcc_mod.MfccConfig) -> tuple:
+    """The MFCC summary columns and the sample rate that every recording shares."""
     columns, labels = [], []
     rate = None
     for label, (client_id, (_, voices)) in enumerate(enrollment.items()):
@@ -211,9 +222,7 @@ def _voice_dataset(enrollment: Enrollment, cfg: mfcc_mod.MfccConfig) -> LabeledD
                 )
             columns.append(mfcc_mod.extract(rec, cfg).summary)
             labels.append(label)
-    return LabeledDataset(
-        np.column_stack(columns), labels, enrollment.client_ids
-    )
+    return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), rate
 
 
 def _distance_score(distance: float) -> float:
@@ -238,24 +247,35 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
     rejection thresholds from the genuine enrollment scores: tau_dist is the
     99th percentile of leave-one-out gallery distances, tau_fused the 1st
     percentile of genuine fused scores.
+
+    The face PCA and the LDA fitted in its coordinates are kept only as their
+    product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the
+    gallery is projected with that map, so fitted and reloaded models agree.
     """
     config = config or PipelineConfig()
     if len(enrollment.client_ids) < 2:
         raise ClassError("at least two enrolled clients are required to fit")
 
-    face_ds = _face_dataset(enrollment)
+    face_ds, face_size = _face_dataset(enrollment)
     face_pca = pca_mod.fit_pca(face_ds, config.pca_retained)
     pca_coords = pca_mod.project(face_pca, face_ds.features)
     pca_ds = LabeledDataset(pca_coords, face_ds.labels, face_ds.class_names)
     face_lda = lda_mod.fit_lda(pca_ds, config.lda_retained, config.reg)
-    gallery_coords = pca_mod.project(face_lda, pca_coords)
+    # W_lda^T (W_pca^T (x - m_pca) - m_lda) = (W_pca W_lda)^T (x - m_pca - W_pca m_lda),
+    # as W_pca^T W_pca = I; its columns keep the unit norm of the LDA basis
+    face = pca_mod.Subspace(
+        pca_mod.KIND_LDA,
+        face_pca.mean + face_pca.basis @ face_lda.mean,
+        face_pca.basis @ face_lda.basis,
+    )
+    gallery_coords = pca_mod.project(face, face_ds.features)
     face_gallery = knn_mod.KnnModel(
         gallery_coords,
         face_ds.labels,
         k=min(config.knn_k, face_ds.num_samples),
     )
 
-    voice_ds = _voice_dataset(enrollment, config.mfcc)
+    voice_ds, sample_rate = _voice_dataset(enrollment, config.mfcc)
     voice_lda = lda_mod.fit_lda(voice_ds, config.lda_retained, config.reg)
     voice_coords = pca_mod.project(voice_lda, voice_ds.features)
     voice_proj_ds = LabeledDataset(voice_coords, voice_ds.labels, voice_ds.class_names)
@@ -276,14 +296,15 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
     )
 
     return SystemModel(
-        face_pca=face_pca,
-        face_lda=face_lda,
+        face=face,
         face_gallery=face_gallery,
         voice_lda=voice_lda,
         voice_svm=voice_svm,
         class_names=face_ds.class_names,
         thresholds=Thresholds(tau_dist, tau_fused),
         config=config,
+        sample_rate=sample_rate,
+        face_size=face_size,
     )
 
 
@@ -296,11 +317,16 @@ def enroll_and_fit(gallery: dict, config: PipelineConfig | None = None) -> Syste
 
 
 def _face_probe(m: SystemModel, face_image: ImageRecord):
-    x = image_to_vector(face_image)
-    return pca_mod.project(m.face_lda, pca_mod.project(m.face_pca, x))
+    size = (face_image.width, face_image.height)
+    if size != m.face_size:
+        raise DatasetError("probe image is %dx%d, enrolled ones %dx%d" % (*size, *m.face_size))
+    return pca_mod.project(m.face, image_to_vector(face_image))
 
 
 def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
+    rate = voice_recording.sample_rate
+    if rate != m.sample_rate:
+        raise DatasetError(f"probe voice is at {rate} Hz, enrolled ones at {m.sample_rate} Hz")
     summary = mfcc_mod.extract(voice_recording, m.config.mfcc).summary
     return pca_mod.project(m.voice_lda, summary)
 
@@ -397,16 +423,18 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 2", then the sections CONFIG,
-# FACE_PCA, FACE_LDA, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS,
-# and a trailing CRC32 line over all prior bytes. Matrices have a
-# "NAME rows cols" header and one line of 17-significant-digit decimals per
-# row; integer lists sit on their keyword's line. VOICE_SVM holds the packed
-# one-vs-one model as it is in memory: CLASSES, the PAIRS flattened, the
-# d x n SVS matrix of distinct support vectors, then per entry SV_INDEX
-# (column in SVS), MACHINE (index into PAIRS) and COEFS, and one BIASES row
-# with a bias per pair. CLIENTS is one NAMES line, the client of class c in
-# position c. Files of other versions (BIOMM 1) are refused.
+# model file format: UTF-8 text, magic "BIOMM 3", then the sections CONFIG,
+# INPUTS, FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a
+# trailing CRC32 line over all prior bytes. Matrices have a "NAME rows cols"
+# header and one line of 17-significant-digit decimals per row; integer lists
+# sit on their keyword's line. INPUTS is the enrollment SAMPLE_RATE and
+# FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
+# a pixels x (C-1) BASIS. VOICE_SVM holds the packed one-vs-one model as it is
+# in memory: CLASSES, the PAIRS flattened, the d x n SVS matrix of distinct
+# support vectors, then per entry SV_INDEX (column in SVS), MACHINE (index
+# into PAIRS) and COEFS, and one BIASES row with a bias per pair. CLIENTS is
+# one NAMES line, the client of class c in position c. Files of other
+# versions (BIOMM 1 and 2) are refused.
 # ---------------------------------------------------------------------------
 
 
@@ -476,8 +504,11 @@ def save_model(m: SystemModel, path) -> None:
         value = attrgetter(attr)(m.config)
         lines.append(f"{attr.rpartition('.')[2]} {_fmt_field(value)}")
 
-    _emit_subspace(lines, "FACE_PCA", m.face_pca)
-    _emit_subspace(lines, "FACE_LDA", m.face_lda)
+    lines.append("SECTION INPUTS")
+    lines.append(f"SAMPLE_RATE {m.sample_rate}")
+    _emit_ints(lines, "FACE_SIZE", m.face_size)
+
+    _emit_subspace(lines, "FACE", m.face)
 
     lines.append("SECTION GALLERY")
     lines.append(f"K {m.face_gallery.k}")
@@ -637,8 +668,11 @@ def _read_model(reader: _Reader) -> SystemModel:
         raise FormatError(f"bad magic line (expected {MAGIC!r})")
     config = _read_config(reader)
 
-    face_pca = _read_subspace(reader, "FACE_PCA")
-    face_lda = _read_subspace(reader, "FACE_LDA")
+    reader.expect_section("INPUTS")
+    (sample_rate,) = reader.fields("SAMPLE_RATE", int)
+    face_size = tuple(reader.fields("FACE_SIZE", int, int))
+
+    face = _read_subspace(reader, "FACE")
 
     reader.expect_section("GALLERY")
     (k,) = reader.fields("K", int)
@@ -672,12 +706,13 @@ def _read_model(reader: _Reader) -> SystemModel:
     (tau_fused,) = reader.fields("TAU_FUSED", float)
 
     return SystemModel(
-        face_pca=face_pca,
-        face_lda=face_lda,
+        face=face,
         face_gallery=face_gallery,
         voice_lda=voice_lda,
         voice_svm=voice_svm,
         class_names=class_names,
         thresholds=Thresholds(tau_dist, tau_fused),
         config=config,
+        sample_rate=sample_rate,
+        face_size=face_size,
     )

@@ -1,5 +1,6 @@
 """End-to-end tests of the fused system on a small seeded synthetic gallery."""
 
+import re
 import zlib
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from biomm import mfcc, pipeline, synth
+from biomm import lda, mfcc, pca, pipeline, synth
 from biomm.errors import DatasetError, DimensionError, DomainError, FormatError
+from biomm.ingest import AudioRecord, ImageRecord, LabeledDataset, image_to_vector
 
 NUM_CLIENTS = 5
 
@@ -95,6 +97,88 @@ def test_enrollment_mixing_sample_rates_is_refused():
     )
     with pytest.raises(DatasetError, match="16000"):
         pipeline.enroll_and_fit(gallery)
+
+
+class TestProbeInputShape:
+    """A probe must come at the enrollment sample rate and image size."""
+
+    @pytest.mark.parametrize("rate", [16000, 44100])
+    def test_voice_at_another_rate_refused(self, world, rate):
+        name, face, voice = world.genuine[0]
+        resampled = AudioRecord(rate, voice.samples)
+        with pytest.raises(DatasetError, match=str(rate)):
+            pipeline.identify(world.model, face, resampled)
+        with pytest.raises(DatasetError, match=str(rate)):
+            pipeline.verify(world.model, face, resampled, name)
+
+    def test_image_of_another_size_refused(self, world):
+        # the same 256 pixels read as 8 x 32 are not the enrolled 16 x 16 face
+        name, face, voice = world.genuine[0]
+        reshaped = ImageRecord(8, 32, face.gray)
+        with pytest.raises(DatasetError, match="8x32"):
+            pipeline.identify(world.model, reshaped, voice)
+        with pytest.raises(DatasetError, match="8x32"):
+            pipeline.verify(world.model, reshaped, voice, name)
+
+    def test_model_file_keeps_the_input_shape(self, world, model_file):
+        loaded = pipeline.load_model(model_file)
+        assert world.model.sample_rate == loaded.sample_rate == 8000
+        assert world.model.face_size == loaded.face_size == (16, 16)
+
+
+def _two_step_fisherface(gallery, x):
+    """Pixels -> PCA -> LDA as two projections, each fitted with its defaults."""
+    faces = [(c, f) for c, (fs, _) in enumerate(gallery.values()) for f in fs]
+    ds = LabeledDataset(
+        np.column_stack([image_to_vector(f) for _, f in faces]),
+        [c for c, _ in faces],
+        tuple(gallery),
+    )
+    face_pca = pca.fit_pca(ds)
+    pca_ds = LabeledDataset(pca.project(face_pca, ds.features), ds.labels, ds.class_names)
+    face_lda = lda.fit_lda(pca_ds)
+    return pca.project(face_lda, pca.project(face_pca, x))
+
+
+@pytest.fixture(scope="module")
+def world20():
+    gallery, prototypes, _, rng = synth.make_enrollment_data(num_clients=20, seed=11)
+    return gallery, prototypes, rng, pipeline.enroll_and_fit(gallery)
+
+
+class TestFisherfaceMap:
+    """The face chain is one pixel -> Fisher-space projection, the product
+    of the PCA and LDA maps it is fitted as."""
+
+    def test_composition_certificate(self, world, world20):
+        gallery20, prototypes, rng, model20 = world20
+        probes20 = [synth.render_face(p, rng) for p in prototypes]
+        for gallery, model, probes in (
+            (world.gallery, world.model, [face for _, face, _ in world.genuine]),
+            (gallery20, model20, probes20),
+        ):
+            faces = [f for fs, _ in gallery.values() for f in fs] + probes
+            x = np.column_stack([image_to_vector(f) for f in faces])
+            two_step = _two_step_fisherface(gallery, x)
+            one_step = pca.project(model.face, x)
+            assert np.abs(one_step - two_step).max() <= 1e-12 * np.abs(two_step).max()
+
+    def test_basis_shape_and_unit_columns(self, world, world20):
+        for model in (world.model, world20[3]):
+            assert model.face.kind == pca.KIND_LDA
+            assert model.face.basis.shape == (256, model.num_classes - 1)
+            np.testing.assert_allclose(
+                np.linalg.norm(model.face.basis, axis=0), 1.0, rtol=0, atol=1e-12
+            )
+
+    def test_face_stored_as_one_basis(self, world, model_file):
+        lines = model_file.read_text().split("\n")
+        face = lines[lines.index("SECTION FACE"):lines.index("SECTION GALLERY")]
+        assert [line for line in face if line.startswith("BASIS ")] == [
+            f"BASIS 256 {NUM_CLIENTS - 1}"
+        ]
+        # the 20 enrolled faces give a PCA basis of 20 - 5 = 15 columns
+        assert not any(re.fullmatch(r"\S+ 256 15", line) for line in lines)
 
 
 class TestSingleModality:
@@ -251,6 +335,15 @@ def _drop_sv_row(lines):
     del lines[i + int(rows)]
 
 
+def _drop_face_basis_column(lines):
+    """The face basis (the first BASIS, in section FACE) loses its last column."""
+    i = _line_index(lines, "BASIS ")
+    _, rows, cols = lines[i].split()
+    lines[i] = f"BASIS {rows} {int(cols) - 1}"
+    for r in range(i + 1, i + 1 + int(rows)):
+        lines[r] = " ".join(lines[r].split()[:-1])
+
+
 def _drop_last_value(name):
     """The one-row matrix `name` loses its last value."""
     def edit(lines):
@@ -294,6 +387,10 @@ def rewritten(model_file, tmp_path, edit):
 
 MALFORMED_BODIES = {
     "magic-version-1": _set_line("BIOMM ", "BIOMM 1"),
+    "magic-version-2": _set_line("BIOMM ", "BIOMM 2"),
+    "face-basis-column-dropped": _drop_face_basis_column,
+    "sample-rate-unsupported": _set_line("SAMPLE_RATE ", "SAMPLE_RATE 12000"),
+    "face-size-disagrees-with-basis": _set_line("FACE_SIZE ", "FACE_SIZE 16 15"),
     "points-rows-not-int": _set_line("POINTS ", "POINTS x2 20"),
     "points-negative-rows": _set_line("POINTS ", "POINTS -4 20"),
     "points-missing-cols": _set_line("POINTS ", "POINTS 4"),
@@ -338,11 +435,16 @@ class TestMalformedBody:
         assert pipeline.identify(loaded, face, voice) == pipeline.identify(world.model, face, voice)
 
     def test_chain_dimensions_must_agree(self, world):
-        # the voice SVM works in the voice LDA space, not in the face PCA space
+        def narrowed(s):
+            return pca.Subspace(s.kind, s.mean, s.basis[:, :-1])
+
+        # the face map takes the enrolled image's pixels, not a voice summary
         with pytest.raises(DimensionError):
-            replace(world.model, voice_lda=world.model.face_pca)
+            replace(world.model, face=world.model.voice_lda)
         with pytest.raises(DimensionError):
-            replace(world.model, face_lda=world.model.voice_lda)
+            replace(world.model, face=narrowed(world.model.face))
+        with pytest.raises(DimensionError):
+            replace(world.model, voice_lda=narrowed(world.model.voice_lda))
 
     @pytest.mark.parametrize(
         "names",
@@ -369,7 +471,7 @@ def refit(world):
 @pytest.mark.parametrize(
     "part",
     [lambda m: m, lambda m: m.voice_svm, lambda m: m.voice_svm.machines[0],
-     lambda m: m.face_pca, lambda m: m.face_gallery],
+     lambda m: m.face, lambda m: m.face_gallery],
     ids=["system", "svm", "machine", "subspace", "gallery"],
 )
 def test_models_holding_arrays_compare_by_identity(world, refit, part):
