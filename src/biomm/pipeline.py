@@ -10,15 +10,17 @@ distance exceeds tau_dist AND its fused score falls below tau_fused; both
 thresholds are calibrated from the enrollment data and stored in the model
 file.
 
-The model file (magic "BIOMM 3", CRC32-checked text) stores the config,
+The model file (magic "BIOMM 4", CRC32-checked text) stores the config,
 the enrollment sample rate and image size, the Fisherface map and the
 gallery, the voice LDA, the packed one-vs-one SVM with each support vector
-once, the client names and the thresholds; see the format comment further
-down. A probe whose rate or image size differs from enrollment is refused.
+once, the client names and the thresholds, each float matrix as its exact
+float64 bytes; see the format comment further down. A probe whose rate or
+image size differs from enrollment is refused.
 """
 
 from __future__ import annotations
 
+import base64
 import re
 import zlib
 from dataclasses import dataclass
@@ -45,7 +47,7 @@ from .errors import (
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from .ingest import image_to_vector
 
-MAGIC = "BIOMM 3"
+MAGIC = "BIOMM 4"
 DIST_HEADROOM = 6.0
 
 MODE_IDENTIFY = "identification"
@@ -150,6 +152,8 @@ class SystemModel:
         for link, produced, consumed in (
             ("image -> face", width * height, self.face.ambient_dim),
             ("face -> gallery", self.face.retained, self.face_gallery.points.shape[0]),
+            ("MFCC summary -> voice LDA", 2 * self.config.mfcc.num_ceps,
+             self.voice_lda.ambient_dim),
             ("voice LDA -> SVM", self.voice_lda.retained,
              self.voice_svm.support_vectors.shape[0]),
         ):
@@ -423,18 +427,19 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 3", then the sections CONFIG,
+# model file format: UTF-8 text, magic "BIOMM 4", then the sections CONFIG,
 # INPUTS, FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a
-# trailing CRC32 line over all prior bytes. Matrices have a "NAME rows cols"
-# header and one line of 17-significant-digit decimals per row; integer lists
-# sit on their keyword's line. INPUTS is the enrollment SAMPLE_RATE and
+# trailing CRC32 line over all prior bytes. A matrix is one line "NAME rows
+# cols payload", the payload the base64 of its 8 * rows * cols row-major
+# little-endian float64 bytes; integer lists sit on their keyword's line, and
+# other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
 # FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
 # a pixels x (C-1) BASIS. VOICE_SVM holds the packed one-vs-one model as it is
 # in memory: CLASSES, the PAIRS flattened, the d x n SVS matrix of distinct
 # support vectors, then per entry SV_INDEX (column in SVS), MACHINE (index
 # into PAIRS) and COEFS, and one BIASES row with a bias per pair. CLIENTS is
 # one NAMES line, the client of class c in position c. Files of other
-# versions (BIOMM 1 and 2) are refused.
+# versions (BIOMM 1 to 3) are refused.
 # ---------------------------------------------------------------------------
 
 
@@ -449,14 +454,12 @@ def _optional(cast):
 def _emit_matrix(lines: list, name: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(matrix)
     rows, cols = matrix.shape
-    lines.append(f"{name} {rows} {cols}")
-    # "%.17g" % v spells each value as _fmt does, one format call per row
-    row_format = " ".join(["%.17g"] * cols)
-    lines.extend(row_format % tuple(row) for row in matrix.tolist())
+    payload = base64.b64encode(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    lines.append(f"{name} {rows} {cols} {payload.decode('ascii')}")
 
 
 def _emit_ints(lines: list, name: str, values) -> None:
-    lines.append(" ".join([name, *(str(int(v)) for v in np.ravel(values))]))
+    lines.append(" ".join([name, *map(str, np.ravel(values).tolist())]))
 
 
 def _emit_subspace(lines: list, section: str, s: pca_mod.Subspace) -> None:
@@ -589,24 +592,28 @@ class _Reader:
 
     def ints(self, name: str) -> np.ndarray:
         tokens = self.keyword(name)
-        return np.array(self.parse([int] * len(tokens), tokens, name), dtype=np.int64)
+        try:
+            return np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"bad {name} value in section {self.section}") from exc
 
     def matrix(self, name: str) -> np.ndarray:
-        rows, cols = self.fields(name, int, int)
+        tokens = self.keyword(name)
+        # an empty matrix has an empty payload, which leaves no token
+        if len(tokens) not in (2, 3):
+            raise FormatError(f"matrix {name} needs rows, cols and a payload")
+        rows, cols = self.parse([int, int], tokens[:2], name)
         if rows < 0 or cols < 0:
             raise FormatError(f"matrix {name} has negative shape {rows} x {cols}")
-        data = []
         try:
-            for r in range(rows):
-                values = self.next().split()
-                if len(values) != cols:
-                    raise FormatError(
-                        f"matrix {name} row {r} has {len(values)} values, expected {cols}"
-                    )
-                data.append([float(v) for v in values])
-        except ValueError as exc:
-            raise FormatError(f"bad {name} value in section {self.section}") from exc
-        matrix = np.array(data, dtype=np.float64).reshape(rows, cols)
+            raw = base64.b64decode("".join(tokens[2:]), validate=True)
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise FormatError(f"matrix {name} payload is not base64") from exc
+        if len(raw) != 8 * rows * cols:
+            raise FormatError(
+                f"matrix {name} payload has {len(raw)} bytes, expected {8 * rows * cols}"
+            )
+        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
         self.finite(matrix, name)
         return matrix
 

@@ -17,9 +17,12 @@ model file (libsvm-style; Chang & Lin, "LIBSVM", ACM TIST 2(3), 2011):
 machines of C classes share training points, so their support vectors are
 stored once, as the columns of one deduplicated matrix, and each machine
 keeps only the column indices and dual coefficients of its own support
-vectors, plus its bias. `pack` builds that layout from trained machines; a
-probe then costs one kernel row against the deduplicated matrix and one
-segmented sum that gives every machine's decision value. Single machines
+vectors, plus its bias. Every pair's kernel matrix is a block of one kernel
+matrix over all training points, so training computes that once and packs
+the model straight from the support vectors' point indices (the tests keep
+`pack`, which packs trained machines by value, as its reference). A probe
+costs one kernel row against the deduplicated matrix and one segmented sum
+that gives every machine's decision value. Single machines
 (`SvmModel.machines`) are views rebuilt from the packed arrays on request.
 """
 
@@ -70,14 +73,23 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise kernel values between the columns of a and b."""
+    """All pairwise kernel values between the columns of a and b.
+
+    An entry depends only on its two columns, bit for bit, so a block of at
+    least 2 x 2 equals the matrix of its own points: the dot products come
+    from a general matrix product, never BLAS's symmetric one (a.T @ a),
+    which rounds an entry by where it falls, and each squared norm is summed
+    along its own contiguous row.
+    """
     if a.shape[0] != b.shape[0]:
         raise DimensionError("kernel operands differ in dimension")
+    a_rows = np.array(a.T, order="C")  # a copy, never the buffer of b
+    gram = a_rows @ b
     if spec.kind == "linear":
-        return a.T @ b
-    sq_a = (a * a).sum(axis=0)[:, None]
-    sq_b = (b * b).sum(axis=0)[None, :]
-    sq = np.maximum(sq_a + sq_b - 2.0 * (a.T @ b), 0.0)
+        return gram
+    sq_a = (a_rows * a_rows).sum(axis=1)[:, None]
+    sq_b = np.ascontiguousarray((b * b).T).sum(axis=1)[None, :]
+    sq = np.maximum(sq_a + sq_b - 2.0 * gram, 0.0)
     return np.exp(-spec.gamma * sq)
 
 
@@ -176,39 +188,6 @@ class SvmModel:
         return tuple(views)
 
 
-def pack(num_classes: int, pairs, machines) -> SvmModel:
-    """The one-vs-one model whose machine k is machines[k], deciding pairs[k].
-
-    Equal support vectors of all machines are stored once, as one column of
-    the model's matrix, in order of first appearance.
-    """
-    kernels = {machine.kernel for machine in machines}
-    if len(kernels) != 1:
-        raise DomainError("all machines must share one kernel")
-    if len({machine.support_vectors.shape[0] for machine in machines}) != 1:
-        raise DimensionError("all machines must have support vectors of one dimension")
-
-    # one row per support vector of every machine; equal rows share one slot,
-    # numbered in order of first appearance
-    rows = np.ascontiguousarray(np.concatenate(
-        [machine.support_vectors for machine in machines], axis=1, dtype=np.float64
-    ).T)
-    slots = {}
-    sv_index = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
-    distinct = np.frombuffer(b"".join(slots), dtype=np.float64)
-    counts = [machine.support_vectors.shape[1] for machine in machines]
-    return SvmModel(
-        num_classes=num_classes,
-        class_pairs=pairs,
-        support_vectors=distinct.reshape(len(slots), rows.shape[1]).T,
-        sv_index=sv_index,
-        machine=np.repeat(np.arange(len(machines)), counts),
-        dual_coefs=np.concatenate([machine.dual_coefs for machine in machines], dtype=np.float64),
-        biases=[machine.bias for machine in machines],
-        kernel=kernels.pop(),
-    )
-
-
 def _smo(k: np.ndarray, y: np.ndarray, size, c: float, tol: float):
     """LIBSVM's SMO on B machines at once, in lock step. Returns (alphas, biases).
 
@@ -276,48 +255,35 @@ def _smo(k: np.ndarray, y: np.ndarray, size, c: float, tol: float):
     return y * v, biases
 
 
-def _check_problem(x: np.ndarray, y: np.ndarray, c: float, tol: float) -> None:
+def _check_problem(x: np.ndarray, y: np.ndarray) -> None:
     if x.ndim != 2 or y.shape != (x.shape[1],):
         raise DimensionError("x must be d x n with one label per column")
     if not (np.abs(y) == 1.0).all():
         raise DomainError("labels must be -1 or +1")
     if (y == 1.0).all() or (y == -1.0).all():
         raise ClassError("both classes must be present")
+
+
+def _solve(k: np.ndarray, index: np.ndarray, y: np.ndarray, c: float, tol: float):
+    """Machine b trains on the points index[b] of the kernel matrix k, labelled
+    y[b] (B x n each; a machine of fewer points is padded at the end with
+    y = 0). The machines' blocks of k are gathered into zero-padded stacks of
+    at most STACK_BYTES (at least one machine each) that `_smo` solves.
+    Returns the B x n multipliers a, 0 on padding, and the biases.
+    """
     if c <= 0 or tol <= 0:
         raise DomainError("c and tol must be positive")
-
-
-def _train_machines(problems, kernel: KernelSpec, c: float, tol: float) -> list:
-    """One machine per (x, y) problem, all solved together by `_smo`.
-
-    Every problem is checked before any is solved. The kernel matrices are
-    padded to the largest problem and stacked, in chunks of as many
-    machines as fit in STACK_BYTES (at least one).
-    """
-    for x, y in problems:
-        _check_problem(x, y, c, tol)
-    n = max(y.size for _, y in problems)
+    batch, n = y.shape
+    real = y != 0
+    alphas, biases = np.empty((batch, n)), np.empty(batch)
     per_chunk = max(1, STACK_BYTES // (8 * n * n))
-    machines = []
-    for start in range(0, len(problems), per_chunk):
-        chunk = problems[start:start + per_chunk]
-        k = np.zeros((len(chunk), n, n))
-        labels = np.zeros((len(chunk), n))
-        size = [y.size for _, y in chunk]
-        for b, (x, y) in enumerate(chunk):
-            k[b, :y.size, :y.size] = kernel_matrix(kernel, x, x)
-            labels[b, :y.size] = y
-        alphas, biases = _smo(k, labels, size, c, tol)
-        for (x, y), a, bias in zip(chunk, alphas, biases):
-            a = a[:y.size]
-            keep = np.flatnonzero(a > PRUNE_TOL)
-            machines.append(BinarySvm(
-                support_vectors=x[:, keep],
-                dual_coefs=(a * y)[keep],
-                bias=float(bias),
-                kernel=kernel,
-            ))
-    return machines
+    for start in range(0, batch, per_chunk):
+        part = slice(start, start + per_chunk)
+        rows, pad = index[part], real[part]
+        stack = k[rows[:, :, None], rows[:, None, :]]
+        stack *= pad[:, :, None] & pad[:, None, :]
+        alphas[part], biases[part] = _smo(stack, y[part], pad.sum(axis=1), c, tol)
+    return alphas, biases
 
 
 def train_binary(
@@ -326,7 +292,10 @@ def train_binary(
     """Train one soft-margin machine on columns of x with labels in {-1,+1}."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _train_machines([(x, y)], kernel, c, tol)[0]
+    _check_problem(x, y)
+    alphas, biases = _solve(kernel_matrix(kernel, x, x), np.arange(y.size)[None], y[None], c, tol)
+    keep = np.flatnonzero(alphas[0] > PRUNE_TOL)
+    return BinarySvm(x[:, keep], (alphas[0] * y)[keep], float(biases[0]), kernel)
 
 
 def predict_binary(m: BinarySvm, x) -> tuple[float, int]:
@@ -345,19 +314,45 @@ def predict_binary(m: BinarySvm, x) -> tuple[float, int]:
 def train_multiclass(
     ds: LabeledDataset, kernel: KernelSpec, c: float, tol: float = 1e-3
 ) -> SvmModel:
-    """One-vs-one training: a machine for every unordered class pair, all solved together."""
+    """One-vs-one training: a machine for every unordered class pair, all solved together.
+
+    Machine (i, j), i < j, trains on the points of classes i (+1) and j (-1)
+    in training order, with its block of one kernel matrix over all points.
+    """
     if ds.num_classes < 2:
         raise ClassError("multiclass training needs at least two classes")
-    pairs = []
-    problems = []
-    for i in range(ds.num_classes):
-        for j in range(i + 1, ds.num_classes):
-            mask = (ds.labels == i) | (ds.labels == j)
-            pairs.append((i, j))
-            problems.append((ds.features[:, mask], np.where(ds.labels[mask] == i, 1.0, -1.0)))
-    machines = _train_machines(problems, kernel, c, tol)
-    del problems  # pack needs only the machines: free the pair copies of the features first
-    return pack(ds.num_classes, pairs, machines)
+    x, labels = ds.features, ds.labels
+    first, second = np.triu_indices(ds.num_classes, 1)
+    # machine b's points, in training order, fill row b of the padded index
+    machine, point = np.nonzero((labels == first[:, None]) | (labels == second[:, None]))
+    sizes = np.bincount(machine, minlength=first.size)
+    pos = np.arange(point.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    index = np.zeros((first.size, sizes.max()), dtype=np.intp)
+    y = np.zeros(index.shape)
+    index[machine, pos] = point
+    y[machine, pos] = np.where(labels[point] == first[machine], 1.0, -1.0)
+    alphas, biases = _solve(kernel_matrix(kernel, x, x), index, y, c, tol)
+
+    # one entry per support vector, machine by machine, each in training order;
+    # equal points share the column of the first, numbered by first appearance
+    machine, pos = np.nonzero(alphas > PRUNE_TOL)
+    seen = {}
+    same = np.array([seen.setdefault(col.tobytes(), p) for p, col in enumerate(x.T)])
+    point = same[index[machine, pos]]
+    distinct, first_entry = np.unique(point, return_index=True)
+    columns = distinct[np.argsort(first_entry)]
+    column_of = np.empty(x.shape[1], dtype=np.intp)
+    column_of[columns] = np.arange(columns.size)
+    return SvmModel(
+        num_classes=ds.num_classes,
+        class_pairs=np.column_stack([first, second]),
+        support_vectors=x[:, columns],
+        sv_index=column_of[point],
+        machine=machine,
+        dual_coefs=(alphas * y)[machine, pos],
+        biases=biases,
+        kernel=kernel,
+    )
 
 
 def decision_values(m: SvmModel, x) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from biomm import svm
-from biomm.errors import ConvergenceError
+from biomm.errors import ConvergenceError, DimensionError, DomainError
 
 
 def reconstruct_alphas(machine, x_train):
@@ -90,3 +90,66 @@ def reference_smo(k: np.ndarray, y: np.ndarray, c: float, tol: float):
     free = (v > lower) & (v < upper)
     bias = score[free].mean() if free.any() else 0.5 * (top + bottom)
     return y * v, float(bias)
+
+
+def pack(num_classes: int, pairs, machines) -> svm.SvmModel:
+    """The one-vs-one model whose machine k is machines[k], deciding pairs[k].
+
+    Equal support vectors of all machines are stored once, as one column of
+    the model's matrix, in order of first appearance: the layout that
+    `svm.train_multiclass` builds from point indices, here built from the
+    values of the machines' support vectors.
+    """
+    kernels = {machine.kernel for machine in machines}
+    if len(kernels) != 1:
+        raise DomainError("all machines must share one kernel")
+    if len({machine.support_vectors.shape[0] for machine in machines}) != 1:
+        raise DimensionError("all machines must have support vectors of one dimension")
+
+    # one row per support vector of every machine; equal rows share one slot,
+    # numbered in order of first appearance
+    rows = np.ascontiguousarray(np.concatenate(
+        [machine.support_vectors for machine in machines], axis=1, dtype=np.float64
+    ).T)
+    slots = {}
+    sv_index = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
+    distinct = np.frombuffer(b"".join(slots), dtype=np.float64)
+    counts = [machine.support_vectors.shape[1] for machine in machines]
+    return svm.SvmModel(
+        num_classes=num_classes,
+        class_pairs=pairs,
+        support_vectors=distinct.reshape(len(slots), rows.shape[1]).T,
+        sv_index=sv_index,
+        machine=np.repeat(np.arange(len(machines)), counts),
+        dual_coefs=np.concatenate([machine.dual_coefs for machine in machines], dtype=np.float64),
+        biases=[machine.bias for machine in machines],
+        kernel=kernels.pop(),
+    )
+
+
+def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.SvmModel:
+    """One-vs-one training the long way: a kernel matrix per pair problem,
+    stacked with zero padding in chunks of STACK_BYTES, solved by `svm._smo`,
+    one BinarySvm per machine, then `pack`. `svm.train_multiclass` must give
+    the same arrays."""
+    pairs, problems = [], []
+    for i in range(ds.num_classes):
+        for j in range(i + 1, ds.num_classes):
+            mask = (ds.labels == i) | (ds.labels == j)
+            pairs.append((i, j))
+            problems.append((ds.features[:, mask], np.where(ds.labels[mask] == i, 1.0, -1.0)))
+    n = max(y.size for _, y in problems)
+    per_chunk = max(1, svm.STACK_BYTES // (8 * n * n))
+    machines = []
+    for start in range(0, len(problems), per_chunk):
+        chunk = problems[start:start + per_chunk]
+        k = np.zeros((len(chunk), n, n))
+        labels = np.zeros((len(chunk), n))
+        for b, (x, y) in enumerate(chunk):
+            k[b, :y.size, :y.size] = svm.kernel_matrix(kernel, x, x)
+            labels[b, :y.size] = y
+        alphas, biases = svm._smo(k, labels, [y.size for _, y in chunk], c, tol)
+        for (x, y), a, bias in zip(chunk, alphas, biases):
+            keep = np.flatnonzero(a[:y.size] > svm.PRUNE_TOL)
+            machines.append(svm.BinarySvm(x[:, keep], (a[:y.size] * y)[keep], float(bias), kernel))
+    return pack(ds.num_classes, pairs, machines)

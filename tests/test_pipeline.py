@@ -1,5 +1,6 @@
 """End-to-end tests of the fused system on a small seeded synthetic gallery."""
 
+import base64
 import re
 import zlib
 from dataclasses import replace
@@ -174,11 +175,11 @@ class TestFisherfaceMap:
     def test_face_stored_as_one_basis(self, world, model_file):
         lines = model_file.read_text().split("\n")
         face = lines[lines.index("SECTION FACE"):lines.index("SECTION GALLERY")]
-        assert [line for line in face if line.startswith("BASIS ")] == [
-            f"BASIS 256 {NUM_CLIENTS - 1}"
+        assert [line.split()[:3] for line in face if line.startswith("BASIS ")] == [
+            ["BASIS", "256", str(NUM_CLIENTS - 1)]
         ]
         # the 20 enrolled faces give a PCA basis of 20 - 5 = 15 columns
-        assert not any(re.fullmatch(r"\S+ 256 15", line) for line in lines)
+        assert not any(re.match(r"\S+ 256 15 ", line) for line in lines)
 
 
 class TestSingleModality:
@@ -215,17 +216,21 @@ class TestModelFile:
                 world.model, face, voice, name
             )
 
-    def test_matrix_rows_spell_each_value_as_format_17g(self):
+    def test_matrix_line_round_trips_bit_exact(self):
         edge = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 0.1, 1.0, -2.5]
         rng = np.random.RandomState(9)
         scales = 10.0 ** rng.randint(-300, 300, (3, len(edge)))
         rows = np.vstack([edge, rng.standard_normal((3, len(edge))) * scales])
         lines = []
         pipeline._emit_matrix(lines, "M", rows)
-        expected = [f"M {rows.shape[0]} {rows.shape[1]}"] + [
-            " ".join(format(float(v), ".17g") for v in row) for row in rows
-        ]
-        assert lines == expected
+        assert len(lines) == 1 and lines[0].startswith(f"M {rows.shape[0]} {rows.shape[1]} ")
+        back = pipeline._Reader(lines).matrix("M")
+        assert back.dtype == np.float64 and back.flags.writeable
+        np.testing.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+        for empty in (np.zeros((1, 0)), np.zeros((0, 3))):  # no payload token at all
+            lines = []
+            pipeline._emit_matrix(lines, "E", empty)
+            assert pipeline._Reader(lines).matrix("E").shape == empty.shape
 
     def test_save_load_save_is_byte_identical(self, model_file, tmp_path):
         again = tmp_path / "again.biomm"
@@ -243,7 +248,6 @@ class TestModelFile:
                 shift_ms=12.5,
                 fft_size=512,
                 num_filters=24,
-                num_ceps=10,
                 fmin_hz=60.0,
                 fmax_hz=3600.0,
             ),
@@ -256,6 +260,7 @@ class TestModelFile:
         for field in ("pca_retained", "lda_retained", "reg", "knn_k", "mfcc",
                       "svm_kernel", "svm_gamma", "svm_c", "svm_tol", "w_face"):
             assert getattr(config, field) != getattr(pipeline.PipelineConfig(), field)
+        # num_ceps keeps its default: the fitted voice LDA takes 2 * 12 inputs
         path = tmp_path / "config.biomm"
         pipeline.save_model(replace(world.model, config=config), path)
         assert pipeline.load_model(path).config == config
@@ -273,7 +278,7 @@ class TestModelFile:
     def test_support_vectors_stored_once(self, world, model_file):
         lines = model_file.read_text().split("\n")
         (svs,) = [line for line in lines if line.startswith("SVS ")]
-        _, rows, cols = svs.split()
+        _, rows, cols, _ = svs.split()
         utterances = sum(len(voices) for _, voices in world.gallery.values())
         assert int(rows) == world.model.voice_lda.retained
         assert int(cols) <= utterances
@@ -327,30 +332,31 @@ def _set_line(prefix, text):
     return edit
 
 
+def _edit_matrix(name, change):
+    """Matrix `name` is decoded, replaced by change(matrix) and encoded again."""
+    def edit(lines):
+        i = _line_index(lines, name + " ")
+        _, rows, cols, payload = lines[i].split()
+        matrix = np.frombuffer(base64.b64decode(payload), "<f8").reshape(int(rows), int(cols))
+        matrix = np.asarray(change(matrix.copy()), dtype="<f8")
+        encoded = base64.b64encode(matrix.tobytes()).decode("ascii")
+        lines[i] = f"{name} {matrix.shape[0]} {matrix.shape[1]} {encoded}"
+    return edit
+
+
 def _drop_sv_row(lines):
     """The support vectors lose their last coordinate row."""
-    i = _line_index(lines, "SVS ")
-    _, rows, cols = lines[i].split()
-    lines[i] = f"SVS {int(rows) - 1} {cols}"
-    del lines[i + int(rows)]
+    _edit_matrix("SVS", lambda m: m[:-1])(lines)
 
 
 def _drop_face_basis_column(lines):
     """The face basis (the first BASIS, in section FACE) loses its last column."""
-    i = _line_index(lines, "BASIS ")
-    _, rows, cols = lines[i].split()
-    lines[i] = f"BASIS {rows} {int(cols) - 1}"
-    for r in range(i + 1, i + 1 + int(rows)):
-        lines[r] = " ".join(lines[r].split()[:-1])
+    _edit_matrix("BASIS", lambda m: m[:, :-1])(lines)
 
 
 def _drop_last_value(name):
     """The one-row matrix `name` loses its last value."""
-    def edit(lines):
-        i = _line_index(lines, name + " ")
-        lines[i] = f"{name} 1 {int(lines[i].split()[2]) - 1}"
-        lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
-    return edit
+    return _edit_matrix(name, lambda m: m[:, :-1])
 
 
 def _edit_tokens(prefix, change):
@@ -364,10 +370,19 @@ def _edit_tokens(prefix, change):
 
 def _edit_first_row(name, change):
     """The first row of matrix `name` gets its values replaced by change(values)."""
-    def edit(lines):
-        i = _line_index(lines, name + " ") + 1
-        lines[i] = " ".join(change(lines[i].split()))
-    return edit
+    def first_row(matrix):
+        matrix[0] = change(matrix[0].tolist())
+        return matrix
+    return _edit_matrix(name, first_row)
+
+
+def _edit_payload(name, change):
+    """The payload of matrix `name` gets its bytes replaced by change(bytes);
+    the rows and cols it states stay."""
+    def encode(tokens):
+        raw = change(base64.b64decode(tokens[2]))
+        return tokens[:2] + [base64.b64encode(raw).decode("ascii")]
+    return _edit_tokens(name + " ", encode)
 
 
 def _replaced(position, value):
@@ -388,6 +403,7 @@ def rewritten(model_file, tmp_path, edit):
 MALFORMED_BODIES = {
     "magic-version-1": _set_line("BIOMM ", "BIOMM 1"),
     "magic-version-2": _set_line("BIOMM ", "BIOMM 2"),
+    "magic-version-3": _set_line("BIOMM ", "BIOMM 3"),
     "face-basis-column-dropped": _drop_face_basis_column,
     "sample-rate-unsupported": _set_line("SAMPLE_RATE ", "SAMPLE_RATE 12000"),
     "face-size-disagrees-with-basis": _set_line("FACE_SIZE ", "FACE_SIZE 16 15"),
@@ -418,11 +434,18 @@ MALFORMED_BODIES = {
     "sv-index-fewer-than-coefs": _edit_tokens("SV_INDEX ", lambda t: t[:-1]),
     "machine-fewer-than-coefs": _edit_tokens("MACHINE ", lambda t: t[:-1]),
     "machine-past-end": _edit_tokens("MACHINE ", _replaced(0, "10")),
-    "biases-nan": _edit_first_row("BIASES", lambda values: ["nan"] * len(values)),
-    "svs-value-nan": _edit_first_row("SVS", _replaced(0, "nan")),
+    "biases-nan": _edit_first_row("BIASES", lambda values: [float("nan")] * len(values)),
+    "svs-value-nan": _edit_first_row("SVS", _replaced(0, float("nan"))),
+    "coefs-value-inf": _edit_first_row("COEFS", _replaced(0, float("inf"))),
+    "payload-not-base64": _edit_tokens("SVS ", lambda t: t[:2] + ["*" + t[2][1:]]),
+    "payload-one-double-short": _edit_payload("SVS", lambda raw: raw[:-8]),
+    "payload-extra-bytes": _edit_payload("SVS", lambda raw: raw + bytes(8)),
+    "payload-missing": _edit_tokens("SVS ", lambda t: t[:2]),
+    "sv-index-beyond-int64": _edit_tokens("SV_INDEX ", _replaced(0, "9" * 20)),
     "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
     "svm-gamma-inf": _set_line("svm_gamma ", "svm_gamma inf"),
     "w-face-out-of-range": _set_line("w_face ", "w_face 1.5"),
+    "num-ceps-disagrees-with-voice-lda": _set_line("num_ceps ", "num_ceps 10"),
 }
 
 
@@ -445,6 +468,10 @@ class TestMalformedBody:
             replace(world.model, face=narrowed(world.model.face))
         with pytest.raises(DimensionError):
             replace(world.model, voice_lda=narrowed(world.model.voice_lda))
+        # the voice LDA takes the 2 * num_ceps summary of the stored MFCC config
+        ten_ceps = replace(world.model.config, mfcc=mfcc.MfccConfig(num_ceps=10))
+        with pytest.raises(DimensionError):
+            replace(world.model, config=ten_ceps)
 
     @pytest.mark.parametrize(
         "names",

@@ -4,7 +4,13 @@ import pytest
 from biomm import svm
 from biomm.errors import ClassError, ConvergenceError, DimensionError, DomainError
 from biomm.ingest import LabeledDataset
-from conftest import dual_objective, kkt_worst_violation, reference_smo
+from conftest import (
+    dual_objective,
+    kkt_worst_violation,
+    pack,
+    reference_smo,
+    reference_train_multiclass,
+)
 
 LINEAR = svm.KernelSpec("linear")
 RBF2 = svm.KernelSpec("rbf", 2.0)
@@ -450,14 +456,14 @@ class TestMulticlass:
             constant_machine(-0.9),   # (0,2): votes 2, strength 0.9
             constant_machine(0.7),    # (1,2): votes 1, strength 0.7
         )
-        model = svm.pack(3, pairs, machines)
+        model = pack(3, pairs, machines)
         label, votes = svm.predict_multiclass(model, np.zeros(1))
         assert votes.tolist() == [1, 1, 1]
         assert label == 2
 
         # permuting the machines must not change the verdict
         order = [2, 0, 1]
-        permuted = svm.pack(
+        permuted = pack(
             3,
             [pairs[i] for i in order],
             [machines[i] for i in order],
@@ -492,7 +498,7 @@ def random_shared_model(rng, classes, kernel, dim=3, pool=8):
             coefs, bias = np.zeros(cols.size), 0.0
         machines.append(svm.BinarySvm(points[:, cols], coefs, bias, kernel))
     order = rng.permutation(len(pairs))
-    return svm.pack(classes, [pairs[k] for k in order], [machines[k] for k in order])
+    return pack(classes, [pairs[k] for k in order], [machines[k] for k in order])
 
 
 ARRAYS = ("class_pairs", "support_vectors", "sv_index", "machine", "dual_coefs", "biases")
@@ -506,7 +512,7 @@ def assert_same_arrays(a, b):
 
 def repacked(model):
     """The model packed again from its machine views; it must equal the original."""
-    again = svm.pack(model.num_classes, model.class_pairs, model.machines)
+    again = pack(model.num_classes, model.class_pairs, model.machines)
     assert_same_arrays(again, model)
     return again
 
@@ -564,7 +570,7 @@ class TestPackedDecisions:
         empty = svm.BinarySvm(np.zeros((2, 0)), np.zeros(0), -0.25, RBF2)
         other = svm.BinarySvm(np.ones((2, 1)), np.array([2.0]), 0.5, RBF2)
         for machines in ((empty, empty, empty), (empty, other, empty)):
-            model = svm.pack(3, ((0, 1), (0, 2), (1, 2)), machines)
+            model = pack(3, ((0, 1), (0, 2), (1, 2)), machines)
             q = np.array([0.3, -0.2])
             np.testing.assert_allclose(
                 svm.decision_values(model, q),
@@ -615,6 +621,60 @@ class TestMachineViews:
         assert used == columns
 
 
+def shuffled(ds, rng):
+    """ds with its columns in random order, so that the classes interleave."""
+    order = rng.permutation(ds.num_samples)
+    return make_ds(ds.features[:, order], ds.labels[order].tolist())
+
+
+def training_set(case):
+    rng = np.random.RandomState(26)
+    if case == "separable":  # far clusters: most points are not support vectors
+        return shuffled(gaussian_clusters(rng, classes=4, per_class=6, gap=40.0), rng)
+    ds = shuffled(gaussian_clusters(rng, classes=5, per_class=(2, 3, 5, 4, 3), gap=2.0), rng)
+    if case == "duplicates":  # point 0 comes twice more and point 1 once more
+        extra = [0, 1, 0]
+        return make_ds(np.hstack([ds.features, ds.features[:, extra]]),
+                       ds.labels.tolist() + ds.labels[extra].tolist())
+    return ds
+
+
+class TestOneKernelTraining:
+    """train_multiclass gathers every machine's block from one kernel matrix
+    and packs by point index; the per-pair route of the reference must give
+    the same arrays, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF2], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("case", ["unequal", "separable", "duplicates"])
+    @pytest.mark.parametrize("per_chunk", [None, 1, 3], ids=["one-stack", "chunks-of-1", "chunks-of-3"])
+    def test_equals_per_pair_reference(self, monkeypatch, kernel, case, per_chunk):
+        ds = training_set(case)
+        if per_chunk is not None:
+            largest = sum(sorted(np.bincount(ds.labels))[-2:])  # points of the largest pair
+            monkeypatch.setattr(svm, "STACK_BYTES", per_chunk * largest * largest * 8)
+        model = svm.train_multiclass(ds, kernel, c=10.0)
+        assert_same_arrays(model, reference_train_multiclass(ds, kernel, c=10.0))
+        pair_points = (ds.num_classes - 1) * ds.num_samples
+        if case == "separable" and kernel == LINEAR:
+            assert model.sv_index.size < pair_points / 2  # most multipliers were pruned
+        if case == "duplicates":
+            columns = {col.tobytes() for col in model.support_vectors.T}
+            assert len(columns) == model.support_vectors.shape[1] < ds.num_samples
+
+    @pytest.mark.parametrize("dim", [3, 19])
+    def test_pair_block_does_not_depend_on_the_other_columns(self, dim):
+        # 80 points, as 20 clients of 4 utterances, of which a pair problem takes 8
+        rng = np.random.RandomState(27)
+        a = rng.standard_normal((dim, 80)) * 10.0 ** rng.randint(-2, 3, (dim, 1))
+        for x in (a, np.asfortranarray(a)):
+            for spec in (LINEAR, RBF2, svm.KernelSpec("rbf", 0.01)):
+                whole = svm.kernel_matrix(spec, x, x)
+                for _ in range(20):
+                    block = np.sort(rng.choice(80, size=rng.randint(2, 17), replace=False))
+                    alone = svm.kernel_matrix(spec, x[:, block], x[:, block])
+                    np.testing.assert_array_equal(alone, whole[np.ix_(block, block)])
+
+
 class TestModelInvariants:
     @staticmethod
     def machine(dim=2, n=2, kernel=RBF2):
@@ -651,7 +711,7 @@ class TestModelInvariants:
 
     def test_one_machine_per_pair(self):
         with pytest.raises(DomainError):
-            svm.pack(2, ((0, 1),), (self.machine(), self.machine()))
+            pack(2, ((0, 1),), (self.machine(), self.machine()))
 
     @pytest.mark.parametrize("biases", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]], ids=["short", "long"])
     def test_one_bias_per_pair(self, biases):
@@ -687,13 +747,13 @@ class TestModelInvariants:
 
     def test_machines_share_dimension(self):
         with pytest.raises(DimensionError):
-            svm.pack(3, ((0, 1), (0, 2), (1, 2)),
-                     (self.machine(), self.machine(dim=3), self.machine()))
+            pack(3, ((0, 1), (0, 2), (1, 2)),
+                 (self.machine(), self.machine(dim=3), self.machine()))
 
     def test_machines_share_kernel(self):
         with pytest.raises(DomainError):
-            svm.pack(3, ((0, 1), (0, 2), (1, 2)),
-                     (self.machine(), self.machine(kernel=LINEAR), self.machine()))
+            pack(3, ((0, 1), (0, 2), (1, 2)),
+                 (self.machine(), self.machine(kernel=LINEAR), self.machine()))
 
     def test_one_coefficient_per_support_vector(self):
         with pytest.raises(DimensionError):
