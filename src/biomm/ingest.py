@@ -1,15 +1,22 @@
-"""File loaders and the labeled dataset container.
+"""Biometric records, the labeled dataset container, and the file codecs.
+
+`ImageRecord` and `AudioRecord` are the raw inputs that enrollment and
+probes take; `LabeledDataset` is the feature matrix the subspace fits read.
 
 Supported carriers are deliberately minimal: binary PGM (P5, maxval <= 255)
 for images, 16-bit mono PCM WAV for audio, and TAB-separated UTF-8
-manifests mapping sample paths to class names. Matching writers exist so
-tests and demos can synthesize fixtures.
+manifests mapping sample paths to class names. The codecs return single
+records and (path, class name) rows, not feature matrices: `fit_system`
+takes raw records per client and checks their image size and sample rate
+itself, so a command-line front end reads a manifest, loads each sample
+and enrolls it. Matching writers exist so tests and demos can synthesize
+fixtures.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +79,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple
-    sample_ids: tuple = field(default=())
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -91,15 +97,9 @@ class LabeledDataset:
             raise DatasetError("labels must lie in [0, num_classes)")
         if present.size != c:
             raise DatasetError("every class id must appear at least once")
-        ids = tuple(self.sample_ids) or tuple(
-            f"sample{i}" for i in range(features.shape[1])
-        )
-        if len(ids) != features.shape[1]:
-            raise DatasetError("sample_ids length must equal the number of columns")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        object.__setattr__(self, "sample_ids", ids)
 
     @property
     def num_classes(self) -> int:
@@ -112,15 +112,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[0]
-
-    def subset(self, index) -> "LabeledDataset":
-        index = np.asarray(index, dtype=np.int64)
-        return LabeledDataset(
-            self.features[:, index],
-            self.labels[index],
-            self.class_names,
-            tuple(self.sample_ids[i] for i in index),
-        )
 
 
 def _pgm_tokens(data: bytes, count: int, start: int):
@@ -263,62 +254,3 @@ def manifest_class_ids(records):
 def image_to_vector(img: ImageRecord) -> np.ndarray:
     """Row-major flattening of pixel intensities, cast to float (not rescaled)."""
     return img.gray.astype(np.float64)
-
-
-def load_image_dataset(manifest_path) -> LabeledDataset:
-    """Load every PGM named by a manifest into one feature matrix."""
-    records = load_manifest(manifest_path)
-    labels, names = manifest_class_ids(records)
-    base = Path(manifest_path).parent
-    columns = []
-    shape = None
-    for sample_path, _ in records:
-        img = load_pgm(base / sample_path)
-        if shape is None:
-            shape = (img.width, img.height)
-        elif shape != (img.width, img.height):
-            raise DatasetError(
-                f"image {sample_path} is {img.width}x{img.height}, expected {shape[0]}x{shape[1]}"
-            )
-        columns.append(image_to_vector(img))
-    features = np.column_stack(columns)
-    ids = tuple(p for p, _ in records)
-    return LabeledDataset(features, labels, names, ids)
-
-
-def load_audio_records(manifest_path):
-    """Load every WAV named by a manifest; returns (records, labels, names, ids)."""
-    manifest = load_manifest(manifest_path)
-    labels, names = manifest_class_ids(manifest)
-    base = Path(manifest_path).parent
-    records = [load_wav(base / p) for p, _ in manifest]
-    ids = tuple(p for p, _ in manifest)
-    return records, labels, names, ids
-
-
-def split(ds: LabeledDataset, fraction: float, seed: int):
-    """Deterministic stratified train/test split.
-
-    Per class, round(fraction * n) samples go to train (clamped so both
-    sides keep at least one sample of every class).
-    """
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
-    for c in range(ds.num_classes):
-        members = np.flatnonzero(ds.labels == c)
-        if members.size < 2:
-            raise DatasetError(
-                f"stratification impossible: class {ds.class_names[c]!r} has "
-                f"{members.size} sample(s), need >= 2"
-            )
-        perm = members[rng.permutation(members.size)]
-        n_train = int(round(fraction * members.size))
-        n_train = max(1, min(members.size - 1, n_train))
-        train_idx.extend(perm[:n_train])
-        test_idx.extend(perm[n_train:])
-    train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
-    test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
-    return ds.subset(train_idx), ds.subset(test_idx)

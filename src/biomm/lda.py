@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import ClassError, DatasetError, DomainError, RankError
 from .ingest import LabeledDataset
-from .pca import KIND_LDA, Subspace
+from .pca import Subspace
 
 LDA_RANK_RTOL = 1e-8
 DEFAULT_REG_SCALE = 1e-6
@@ -83,16 +83,19 @@ def fit_lda(
 ) -> Subspace:
     """Fit the Fisher discriminant basis (top generalized eigenvectors).
 
-    retained defaults to C - 1, the maximum informative rank. reg defaults
-    to 1e-6 * trace(S_W)/d; pass 0 to disable ridging (singular S_W then
-    raises SingularityError).
+    retained defaults to min(C - 1, rank): the C - 1 discriminants that C
+    class means give at most (Belhumeur, Hespanha & Kriegman, "Eigenfaces
+    vs. Fisherfaces", IEEE TPAMI 19(7), 1997), fewer when the informative
+    rank, the count of generalized eigenvalues above LDA_RANK_RTOL of the
+    largest, is lower, as for data of fewer than C - 1 dimensions. A rank of
+    0, or an explicit retained above the rank, raises RankError. reg
+    defaults to 1e-6 * trace(S_W)/d; pass 0 to disable ridging (singular S_W
+    then raises SingularityError).
     """
     c = ds.num_classes
     if c < 2:
         raise ClassError("LDA needs at least two classes")
-    if retained is None:
-        retained = c - 1
-    if retained < 1 or retained > c - 1:
+    if retained is not None and not 1 <= retained <= c - 1:
         raise RankError(f"retained must lie in [1, C-1] = [1, {c - 1}], got {retained}")
 
     pair = scatter(ds)
@@ -103,13 +106,15 @@ def fit_lda(
 
     pairs = linalg.gen_eig(pair.s_b, pair.s_w, reg)
     rank = _informative_rank(pairs.values)
-    if retained > rank:
+    if retained is None:
+        retained = min(c - 1, rank)
+    if not 1 <= retained <= rank:
         raise RankError(
-            f"retained {retained} exceeds the informative rank {rank} "
+            f"informative rank {rank}, {retained} discriminants wanted "
             "(class means may coincide)"
         )
     basis = pairs.vectors[:, :retained].copy()
-    return Subspace(KIND_LDA, pair.total_mean.copy(), basis)
+    return Subspace(pair.total_mean.copy(), basis)
 
 
 def _informative_rank(values: np.ndarray) -> int:

@@ -18,27 +18,21 @@ from .ingest import LabeledDataset
 
 RANK_RTOL = 1e-10
 
-KIND_PCA = "pca"
-KIND_LDA = "lda"
-
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A learned linear projection: x -> basis^T (x - mean).
 
-    For kind "pca" the basis columns are orthonormal; for kind "lda" they
-    are unit norm but not mutually orthogonal in general. Kind "lda" also
-    covers the Fisherface map, an LDA fitted in PCA coordinates composed
-    with that PCA into one projection from pixel space.
+    A PCA basis has orthonormal columns. An LDA basis has unit-norm columns
+    that are not mutually orthogonal in general; so has the Fisherface map,
+    an LDA fitted in PCA coordinates composed with that PCA into one
+    projection from pixel space.
     """
 
-    kind: str
     mean: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in (KIND_PCA, KIND_LDA):
-            raise DomainError(f"unknown subspace kind {self.kind!r}")
         if self.mean.shape[0] != self.basis.shape[0]:
             raise DimensionError("mean and basis ambient dimensions differ")
 
@@ -111,7 +105,7 @@ def fit_pca(ds: LabeledDataset, retained: int | None = None) -> Subspace:
         basis = linalg._fix_signs(basis)
     else:
         basis = pairs.vectors[:, :retained].copy()
-    return Subspace(KIND_PCA, m, basis)
+    return Subspace(m, basis)
 
 
 def project(s: Subspace, x: np.ndarray) -> np.ndarray:

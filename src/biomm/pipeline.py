@@ -6,16 +6,18 @@ one pixel -> Fisher-space map, their product (the Fisherface W_opt). Voice
 chain: MFCC summary -> LDA -> one-vs-one SVM. Scores from both chains are
 mapped to [0, 1] (1/(1+distance) for faces, vote fractions for voices) and
 fused by a convex combination. A probe is rejected as unknown when its face
-distance exceeds tau_dist AND its fused score falls below tau_fused; both
-thresholds are calibrated from the enrollment data and stored in the model
-file.
+distance exceeds tau_dist AND its fused score falls below tau_fused.
+tau_dist is calibrated from the enrollment data; tau_fused is its image in
+score space under w_face, computed where it is used.
 
-The model file (magic "BIOMM 4", CRC32-checked text) stores the config,
+The model file (magic "BIOMM 5", CRC32-checked text) stores the config,
 the enrollment sample rate and image size, the Fisherface map and the
-gallery, the voice LDA, the packed one-vs-one SVM with each support vector
-once, the client names and the thresholds, each float matrix as its exact
-float64 bytes; see the format comment further down. A probe whose rate or
-image size differs from enrollment is refused.
+gallery points, the voice LDA, the packed one-vs-one SVM with each support
+vector once, the client names and tau_dist, each float matrix as its exact
+float64 bytes; see the format comment further down. It holds no value the
+loader can compute from the others: the gallery's k and tau_fused follow
+from the config and the gallery size. A probe whose rate or image size
+differs from enrollment is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from .ingest import image_to_vector
 
-MAGIC = "BIOMM 4"
+MAGIC = "BIOMM 5"
 DIST_HEADROOM = 6.0
 
 MODE_IDENTIFY = "identification"
@@ -61,7 +63,7 @@ class PipelineConfig:
     """Every tunable of both chains, with the module defaults."""
 
     pca_retained: int | None = None     # default: samples - classes
-    lda_retained: int | None = None     # default: classes - 1
+    lda_retained: int | None = None     # both chains; default: min(classes - 1, rank)
     reg: float | None = None            # default: 1e-6 * trace(S_W)/d
     knn_k: int = 2
     mfcc: mfcc_mod.MfccConfig = mfcc_mod.MfccConfig()
@@ -78,12 +80,6 @@ class PipelineConfig:
     def kernel(self) -> svm_mod.KernelSpec:
         gamma = self.svm_gamma if self.svm_kernel == "rbf" else None
         return svm_mod.KernelSpec(self.svm_kernel, gamma)
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    tau_dist: float
-    tau_fused: float
 
 
 @dataclass(frozen=True)
@@ -117,16 +113,17 @@ def _valid_client_id(client_id: str) -> bool:
 class SystemModel:
     """A fitted or loaded system. Its parts must fit together: one distinct
     client name per voice class (class c is class_names[c]), gallery labels
-    among those classes, and each stage's output dimension equal to the next
-    stage's input dimension, starting from the face_size = (width, height)
-    pixels of an enrolled image."""
+    among those classes, a gallery voting among min(knn_k, points) neighbours
+    (the k that loading recomputes), and each stage's output dimension equal
+    to the next stage's input dimension, starting from the face_size =
+    (width, height) pixels of an enrolled image."""
 
     face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
     voice_lda: pca_mod.Subspace
     voice_svm: svm_mod.SvmModel
     class_names: tuple
-    thresholds: Thresholds
+    tau_dist: float
     config: PipelineConfig
     sample_rate: int
     face_size: tuple
@@ -149,6 +146,10 @@ class SystemModel:
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
+        if self.face_gallery.k != min(self.config.knn_k, labels.size):
+            raise DomainError(
+                f"gallery k {self.face_gallery.k} disagrees with knn_k {self.config.knn_k}"
+            )
         for link, produced, consumed in (
             ("image -> face", width * height, self.face.ambient_dim),
             ("face -> gallery", self.face.retained, self.face_gallery.points.shape[0]),
@@ -163,6 +164,13 @@ class SystemModel:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
+
+    @property
+    def tau_fused(self) -> float:
+        """The distance gate mapped into score space under a unanimous voice
+        vote: a probe farther than tau_dist scores below it."""
+        w = self.config.w_face
+        return w * _distance_score(self.tau_dist) + (1.0 - w)
 
 
 class Enrollment:
@@ -233,13 +241,18 @@ def _distance_score(distance: float) -> float:
     return 1.0 / (1.0 + distance)
 
 
+def _gallery(points: np.ndarray, labels, knn_k: int) -> knn_mod.KnnModel:
+    """A kNN gallery voting among knn_k neighbours, or all its points if fewer."""
+    return knn_mod.KnnModel(points, labels, k=min(knn_k, points.shape[1]))
+
+
 def _loo_face_distances(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Leave-one-out mean distance of each gallery point vs the rest."""
     n = points.shape[1]
     out = np.zeros(n)
     for i in range(n):
         keep = np.arange(n) != i
-        model = knn_mod.KnnModel(points[:, keep], labels[keep], k=min(k, n - 1))
+        model = _gallery(points[:, keep], labels[keep], k)
         out[i] = knn_mod.classify(model, points[:, i]).mean_distance
     return out
 
@@ -248,9 +261,8 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
     """Batch fit of both chains over everything enrolled so far.
 
     Refits from scratch (PCA/LDA/SVM are batch learners) and calibrates the
-    rejection thresholds from the genuine enrollment scores: tau_dist is the
-    99th percentile of leave-one-out gallery distances, tau_fused the 1st
-    percentile of genuine fused scores.
+    rejection threshold tau_dist from the genuine enrollment scores: the
+    99th percentile of leave-one-out gallery distances, times DIST_HEADROOM.
 
     The face PCA and the LDA fitted in its coordinates are kept only as their
     product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the
@@ -268,16 +280,11 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
     # W_lda^T (W_pca^T (x - m_pca) - m_lda) = (W_pca W_lda)^T (x - m_pca - W_pca m_lda),
     # as W_pca^T W_pca = I; its columns keep the unit norm of the LDA basis
     face = pca_mod.Subspace(
-        pca_mod.KIND_LDA,
         face_pca.mean + face_pca.basis @ face_lda.mean,
         face_pca.basis @ face_lda.basis,
     )
     gallery_coords = pca_mod.project(face, face_ds.features)
-    face_gallery = knn_mod.KnnModel(
-        gallery_coords,
-        face_ds.labels,
-        k=min(config.knn_k, face_ds.num_samples),
-    )
+    face_gallery = _gallery(gallery_coords, face_ds.labels, config.knn_k)
 
     voice_ds, sample_rate = _voice_dataset(enrollment, config.mfcc)
     voice_lda = lda_mod.fit_lda(voice_ds, config.lda_retained, config.reg)
@@ -293,11 +300,6 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
     # (impostor distances sit more than an order of magnitude higher).
     loo = _loo_face_distances(gallery_coords, face_ds.labels, config.knn_k)
     tau_dist = DIST_HEADROOM * float(np.percentile(loo, 99.0))
-    # the fused gate is the distance gate mapped into score space under a
-    # unanimous voice vote: anything farther than tau_dist scores below it
-    tau_fused = (
-        config.w_face * _distance_score(tau_dist) + (1.0 - config.w_face) * 1.0
-    )
 
     return SystemModel(
         face=face,
@@ -305,7 +307,7 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
         voice_lda=voice_lda,
         voice_svm=voice_svm,
         class_names=face_ds.class_names,
-        thresholds=Thresholds(tau_dist, tau_fused),
+        tau_dist=tau_dist,
         config=config,
         sample_rate=sample_rate,
         face_size=face_size,
@@ -354,17 +356,12 @@ def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioReco
 
     w = m.config.w_face
     fused = w * face_score + (1.0 - w) * voice_score
-    if face_result.label == voice_label:
-        candidate = face_result.label
-    elif w * face_score >= (1.0 - w) * voice_score:
+    if w * face_score >= (1.0 - w) * voice_score:
         candidate = face_result.label
     else:
         candidate = voice_label
 
-    rejected = (
-        face_result.mean_distance > m.thresholds.tau_dist
-        and fused < m.thresholds.tau_fused
-    )
+    rejected = face_result.mean_distance > m.tau_dist and fused < m.tau_fused
     names = m.class_names
     return Decision(
         mode=MODE_IDENTIFY,
@@ -398,10 +395,8 @@ def verify(
 
     mask = m.face_gallery.labels == cid
     client_points = m.face_gallery.points[:, mask]
-    client_model = knn_mod.KnnModel(
-        client_points,
-        np.zeros(client_points.shape[1], dtype=np.int64),
-        k=min(m.config.knn_k, client_points.shape[1]),
+    client_model = _gallery(
+        client_points, np.zeros(client_points.shape[1], dtype=np.int64), m.config.knn_k
     )
     q_face = _face_probe(m, face_image)
     face_score = _distance_score(knn_mod.classify(client_model, q_face).mean_distance)
@@ -414,7 +409,7 @@ def verify(
 
     w = m.config.w_face
     fused = w * face_score + (1.0 - w) * voice_score
-    accepted = fused >= m.thresholds.tau_fused
+    accepted = fused >= m.tau_fused
     return Decision(
         mode=MODE_VERIFY,
         claimed_id=claimed_id,
@@ -427,19 +422,22 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 4", then the sections CONFIG,
+# model file format: UTF-8 text, magic "BIOMM 5", then the sections CONFIG,
 # INPUTS, FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a
 # trailing CRC32 line over all prior bytes. A matrix is one line "NAME rows
 # cols payload", the payload the base64 of its 8 * rows * cols row-major
 # little-endian float64 bytes; integer lists sit on their keyword's line, and
 # other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
 # FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
-# a pixels x (C-1) BASIS. VOICE_SVM holds the packed one-vs-one model as it is
-# in memory: CLASSES, the PAIRS flattened, the d x n SVS matrix of distinct
-# support vectors, then per entry SV_INDEX (column in SVS), MACHINE (index
-# into PAIRS) and COEFS, and one BIASES row with a bias per pair. CLIENTS is
-# one NAMES line, the client of class c in position c. Files of other
-# versions (BIOMM 1 to 3) are refused.
+# a pixels x (C-1) BASIS; VOICE_LDA is a MEAN and BASIS too. GALLERY is the
+# POINTS matrix and their LABELS; its k is min(knn_k, points), as at fit time.
+# VOICE_SVM holds the packed one-vs-one model as it is in memory: CLASSES,
+# the PAIRS flattened, the d x n SVS matrix of distinct support vectors, then
+# per entry SV_INDEX (column in SVS), MACHINE (index into PAIRS) and COEFS,
+# and one BIASES row with a bias per pair. CLIENTS is one NAMES line, the
+# client of class c in position c. THRESHOLDS is one TAU_DIST line, the last
+# of the body; tau_fused is computed from it and w_face. Files of other
+# versions (BIOMM 1 to 4) are refused.
 # ---------------------------------------------------------------------------
 
 
@@ -464,7 +462,6 @@ def _emit_ints(lines: list, name: str, values) -> None:
 
 def _emit_subspace(lines: list, section: str, s: pca_mod.Subspace) -> None:
     lines.append(f"SECTION {section}")
-    lines.append(f"KIND {s.kind}")
     _emit_matrix(lines, "MEAN", s.mean[None, :])
     _emit_matrix(lines, "BASIS", s.basis)
 
@@ -514,7 +511,6 @@ def save_model(m: SystemModel, path) -> None:
     _emit_subspace(lines, "FACE", m.face)
 
     lines.append("SECTION GALLERY")
-    lines.append(f"K {m.face_gallery.k}")
     _emit_matrix(lines, "POINTS", m.face_gallery.points)
     _emit_ints(lines, "LABELS", m.face_gallery.labels)
 
@@ -534,8 +530,7 @@ def save_model(m: SystemModel, path) -> None:
     lines.append(" ".join(["NAMES", *m.class_names]))
 
     lines.append("SECTION THRESHOLDS")
-    lines.append(f"TAU_DIST {_fmt(m.thresholds.tau_dist)}")
-    lines.append(f"TAU_FUSED {_fmt(m.thresholds.tau_fused)}")
+    lines.append(f"TAU_DIST {_fmt(m.tau_dist)}")
 
     body = "\n".join(lines) + "\n"
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
@@ -626,10 +621,9 @@ class _Reader:
 
 def _read_subspace(reader: _Reader, section: str) -> pca_mod.Subspace:
     reader.expect_section(section)
-    (kind,) = reader.fields("KIND", str)
     mean = reader.vector("MEAN")
     basis = reader.matrix("BASIS")
-    return pca_mod.Subspace(kind, mean, basis)
+    return pca_mod.Subspace(mean, basis)
 
 
 def _read_config(reader: _Reader) -> PipelineConfig:
@@ -682,10 +676,7 @@ def _read_model(reader: _Reader) -> SystemModel:
     face = _read_subspace(reader, "FACE")
 
     reader.expect_section("GALLERY")
-    (k,) = reader.fields("K", int)
-    points = reader.matrix("POINTS")
-    labels = reader.ints("LABELS")
-    face_gallery = knn_mod.KnnModel(points, labels, k=k)
+    face_gallery = _gallery(reader.matrix("POINTS"), reader.ints("LABELS"), config.knn_k)
 
     voice_lda = _read_subspace(reader, "VOICE_LDA")
 
@@ -710,7 +701,8 @@ def _read_model(reader: _Reader) -> SystemModel:
 
     reader.expect_section("THRESHOLDS")
     (tau_dist,) = reader.fields("TAU_DIST", float)
-    (tau_fused,) = reader.fields("TAU_FUSED", float)
+    if reader.pos != len(reader.lines):
+        raise FormatError(f"unexpected line after TAU_DIST: {reader.next()!r}")
 
     return SystemModel(
         face=face,
@@ -718,7 +710,7 @@ def _read_model(reader: _Reader) -> SystemModel:
         voice_lda=voice_lda,
         voice_svm=voice_svm,
         class_names=class_names,
-        thresholds=Thresholds(tau_dist, tau_fused),
+        tau_dist=tau_dist,
         config=config,
         sample_rate=sample_rate,
         face_size=face_size,

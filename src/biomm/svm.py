@@ -60,18 +60,6 @@ class KernelSpec:
             raise DomainError("rbf kernel requires gamma > 0")
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """k(x, y): dot product for linear, exp(-gamma*||x-y||^2) for rbf."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionError(f"kernel operands differ in shape ({x.shape} vs {y.shape})")
-    if spec.kind == "linear":
-        return float(x @ y)
-    diff = x - y
-    return float(np.exp(-spec.gamma * (diff * diff).sum()))
-
-
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise kernel values between the columns of a and b.
 

@@ -9,6 +9,19 @@ from biomm import svm
 from biomm.errors import ConvergenceError, DimensionError, DomainError
 
 
+def kernel_eval(spec: svm.KernelSpec, x, y) -> float:
+    """k(x, y) of one pair of points, the definition `svm.kernel_matrix` is
+    checked against: dot product for linear, exp(-gamma*||x-y||^2) for rbf."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise DimensionError(f"kernel operands differ in shape ({x.shape} vs {y.shape})")
+    if spec.kind == "linear":
+        return float(x @ y)
+    diff = x - y
+    return float(np.exp(-spec.gamma * (diff * diff).sum()))
+
+
 def reconstruct_alphas(machine, x_train):
     """Per-training-point alpha magnitudes, matched positionally.
 

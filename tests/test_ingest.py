@@ -160,46 +160,6 @@ class TestVectorize:
         np.testing.assert_array_equal(vec.astype(np.uint8), gray)
 
 
-def _toy_dataset(per_class=4, classes=5, dim=3, seed=0):
-    rng = np.random.RandomState(seed)
-    features = rng.standard_normal((dim, per_class * classes))
-    labels = np.repeat(np.arange(classes), per_class)
-    return LabeledDataset(features, labels, tuple(f"c{i}" for i in range(classes)))
-
-
-class TestSplit:
-    def test_half_split_counts(self):
-        ds = _toy_dataset()
-        train, test = ingest.split(ds, 0.5, seed=1)
-        assert train.num_samples == test.num_samples == 10
-        assert np.bincount(train.labels).tolist() == [2] * 5
-        assert np.bincount(test.labels).tolist() == [2] * 5
-
-    def test_deterministic(self):
-        ds = _toy_dataset()
-        a = ingest.split(ds, 0.5, seed=7)
-        b = ingest.split(ds, 0.5, seed=7)
-        np.testing.assert_array_equal(a[0].labels, b[0].labels)
-        np.testing.assert_array_equal(a[0].features, b[0].features)
-        assert a[0].sample_ids == b[0].sample_ids
-
-    def test_three_one(self):
-        ds = _toy_dataset()
-        train, test = ingest.split(ds, 0.75, seed=2)
-        assert np.bincount(train.labels).tolist() == [3] * 5
-        assert np.bincount(test.labels).tolist() == [1] * 5
-
-    def test_singleton_class_rejected(self):
-        features = np.arange(6.0).reshape(2, 3)
-        ds = LabeledDataset(features, [0, 0, 1], ("a", "b"))
-        with pytest.raises(DatasetError, match="stratification"):
-            ingest.split(ds, 0.5, seed=0)
-
-    def test_bad_fraction(self):
-        with pytest.raises(DomainError):
-            ingest.split(_toy_dataset(), 1.5, seed=0)
-
-
 class TestRecordInvariants:
     def test_audio_rejects_weird_rate(self):
         with pytest.raises(DomainError):

@@ -143,6 +143,16 @@ class TestFitLda:
         with pytest.raises(RankError):
             lda.fit_lda(ds, retained=3)
 
+    def test_default_width_is_the_informative_rank(self):
+        # five class means in the plane span at most two discriminants
+        rng = np.random.RandomState(11)
+        ds = random_labeled(rng, dim=2, classes=5, per_class=4)
+        s = lda.fit_lda(ds)
+        assert s.retained == 2
+        np.testing.assert_array_equal(s.basis, lda.fit_lda(ds, retained=2).basis)
+        with pytest.raises(RankError):
+            lda.fit_lda(ds, retained=3)
+
     def test_singular_sw_without_reg(self):
         # two samples per class at identical points: s_w = 0
         features = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
@@ -172,7 +182,7 @@ class TestFitLda:
         rng = np.random.RandomState(7)
         ds = random_labeled(rng, dim=5, classes=3, per_class=5)
         perm = rng.permutation(ds.num_samples)
-        shuffled = ds.subset(perm)
+        shuffled = LabeledDataset(ds.features[:, perm], ds.labels[perm], ds.class_names)
         s1 = lda.fit_lda(ds)
         s2 = lda.fit_lda(shuffled)
         np.testing.assert_array_equal(s1.basis, s2.basis)

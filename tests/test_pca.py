@@ -162,12 +162,12 @@ class TestProject:
 
     def test_identity_basis_truncates(self):
         basis = np.eye(4)[:, :2]
-        s = pca.Subspace("pca", np.zeros(4), basis)
+        s = pca.Subspace(np.zeros(4), basis)
         np.testing.assert_array_equal(
             pca.project(s, np.array([1.0, 2.0, 3.0, 4.0])), [1.0, 2.0]
         )
 
     def test_dimension_mismatch(self):
-        s = pca.Subspace("pca", np.zeros(3), np.eye(3))
+        s = pca.Subspace(np.zeros(3), np.eye(3))
         with pytest.raises(DimensionError):
             pca.project(s, np.zeros(4))

@@ -147,6 +147,27 @@ def world20():
     return gallery, prototypes, rng, pipeline.enroll_and_fit(gallery)
 
 
+def test_more_clients_than_voice_summary_values(tmp_path):
+    # 26 clients have 25 discriminants, but a 2 * 12-value MFCC summary has
+    # at most 24 informative ones; the voice LDA keeps the 24, the face 25
+    gallery, prototypes, profiles, rng = synth.make_enrollment_data(num_clients=26, seed=6)
+    model = pipeline.enroll_and_fit(gallery)
+    assert model.face.retained == 25
+    assert model.voice_lda.retained == 2 * model.config.mfcc.num_ceps
+    path = tmp_path / "c26.biomm"
+    pipeline.save_model(model, path)
+    loaded = pipeline.load_model(path)
+    names = list(gallery)
+    for c in range(0, 26, 5):
+        face, voice = synth.render_face(prototypes[c], rng), synth.synth_utterance(profiles[c], rng)
+        d = pipeline.identify(model, face, voice)
+        assert d.face_id == names[c]
+        assert pipeline.identify(loaded, face, voice) == d
+        for claim in (names[c], names[(c + 1) % 26]):
+            d = pipeline.verify(model, face, voice, claim)
+            assert pipeline.verify(loaded, face, voice, claim) == d
+
+
 class TestFisherfaceMap:
     """The face chain is one pixel -> Fisher-space projection, the product
     of the PCA and LDA maps it is fitted as."""
@@ -166,7 +187,6 @@ class TestFisherfaceMap:
 
     def test_basis_shape_and_unit_columns(self, world, world20):
         for model in (world.model, world20[3]):
-            assert model.face.kind == pca.KIND_LDA
             assert model.face.basis.shape == (256, model.num_classes - 1)
             np.testing.assert_allclose(
                 np.linalg.norm(model.face.basis, axis=0), 1.0, rtol=0, atol=1e-12
@@ -232,6 +252,17 @@ class TestModelFile:
             pipeline._emit_matrix(lines, "E", empty)
             assert pipeline._Reader(lines).matrix("E").shape == empty.shape
 
+    def test_tau_fused_recomputed_from_tau_dist_and_w_face(self, world, model_file, tmp_path):
+        fitted = world.model
+        w = fitted.config.w_face
+        expected = w * (1.0 / (1.0 + fitted.tau_dist)) + (1.0 - w)
+        assert fitted.tau_fused == pipeline.load_model(model_file).tau_fused == expected
+        edited = pipeline.load_model(
+            rewritten(model_file, tmp_path, _set_line("w_face ", "w_face 0.25"))
+        )
+        assert edited.tau_dist == fitted.tau_dist
+        assert edited.tau_fused == 0.25 * (1.0 / (1.0 + fitted.tau_dist)) + 0.75
+
     def test_save_load_save_is_byte_identical(self, model_file, tmp_path):
         again = tmp_path / "again.biomm"
         pipeline.save_model(pipeline.load_model(model_file), again)
@@ -261,9 +292,22 @@ class TestModelFile:
                       "svm_kernel", "svm_gamma", "svm_c", "svm_tol", "w_face"):
             assert getattr(config, field) != getattr(pipeline.PipelineConfig(), field)
         # num_ceps keeps its default: the fitted voice LDA takes 2 * 12 inputs
+        gallery = replace(world.model.face_gallery, k=3)
         path = tmp_path / "config.biomm"
-        pipeline.save_model(replace(world.model, config=config), path)
+        pipeline.save_model(replace(world.model, config=config, face_gallery=gallery), path)
         assert pipeline.load_model(path).config == config
+
+    def test_gallery_k_follows_knn_k(self, world):
+        # the file stores no k: the loader takes min(knn_k, points), so a
+        # model may hold no other, or it would decide otherwise once reloaded
+        three = replace(world.model.config, knn_k=3)
+        with pytest.raises(DomainError, match="knn_k"):
+            replace(world.model, config=three)
+        with pytest.raises(DomainError, match="knn_k"):
+            replace(world.model, face_gallery=replace(world.model.face_gallery, k=1))
+        many = replace(world.model.config, knn_k=10_000)
+        gallery = replace(world.model.face_gallery, k=world.model.face_gallery.labels.size)
+        assert replace(world.model, config=many, face_gallery=gallery).face_gallery.k == 20
 
     def test_loaded_machines_equal_fitted(self, world, model_file):
         fitted = world.model.voice_svm
@@ -404,16 +448,13 @@ MALFORMED_BODIES = {
     "magic-version-1": _set_line("BIOMM ", "BIOMM 1"),
     "magic-version-2": _set_line("BIOMM ", "BIOMM 2"),
     "magic-version-3": _set_line("BIOMM ", "BIOMM 3"),
+    "magic-version-4": _set_line("BIOMM ", "BIOMM 4"),
     "face-basis-column-dropped": _drop_face_basis_column,
     "sample-rate-unsupported": _set_line("SAMPLE_RATE ", "SAMPLE_RATE 12000"),
     "face-size-disagrees-with-basis": _set_line("FACE_SIZE ", "FACE_SIZE 16 15"),
     "points-rows-not-int": _set_line("POINTS ", "POINTS x2 20"),
     "points-negative-rows": _set_line("POINTS ", "POINTS -4 20"),
     "points-missing-cols": _set_line("POINTS ", "POINTS 4"),
-    "k-beyond-gallery": _set_line("K ", "K 9992"),
-    "k-missing": _set_line("K ", "K"),
-    "kind-missing": _set_line("KIND ", "KIND"),
-    "kind-unknown": _set_line("KIND ", "KIND ica"),
     "labels-too-few": _set_line("LABELS ", "LABELS 0 1"),
     "label-not-int": _set_line("LABELS ", "LABELS " + " ".join(["0.5"] * 20)),
     "classes-not-int": _set_line("CLASSES ", "CLASSES 5x"),
@@ -445,6 +486,9 @@ MALFORMED_BODIES = {
     "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
     "svm-gamma-inf": _set_line("svm_gamma ", "svm_gamma inf"),
     "w-face-out-of-range": _set_line("w_face ", "w_face 1.5"),
+    "knn-k-zero": _set_line("knn_k ", "knn_k 0"),
+    # a BIOMM 4 body ended in a TAU_FUSED line after TAU_DIST
+    "line-after-thresholds": lambda lines: lines.append("TAU_FUSED 0.5"),
     "num-ceps-disagrees-with-voice-lda": _set_line("num_ceps ", "num_ceps 10"),
 }
 
@@ -459,7 +503,7 @@ class TestMalformedBody:
 
     def test_chain_dimensions_must_agree(self, world):
         def narrowed(s):
-            return pca.Subspace(s.kind, s.mean, s.basis[:, :-1])
+            return pca.Subspace(s.mean, s.basis[:, :-1])
 
         # the face map takes the enrolled image's pixels, not a voice summary
         with pytest.raises(DimensionError):
