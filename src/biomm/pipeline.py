@@ -10,13 +10,17 @@ distance exceeds tau_dist AND its fused score falls below tau_fused.
 tau_dist is calibrated from the enrollment data; tau_fused is its image in
 score space under w_face, computed where it is used.
 
-The model file (magic "BIOMM 5", CRC32-checked text) stores the config,
-the enrollment sample rate and image size, the Fisherface map and the
-gallery points, the voice LDA, the packed one-vs-one SVM with each support
-vector once, the client names and tau_dist, each float matrix as its exact
-float64 bytes; see the format comment further down. It holds no value the
-loader can compute from the others: the gallery's k and tau_fused follow
-from the config and the gallery size. A probe whose rate or image size
+The fit settings are module constants (KNN_K, VOICE_MFCC, VOICE_KERNEL,
+SVM_C, SVM_TOL); PCA and LDA take their data-derived defaults. The one
+setting a caller chooses is the fusion weight w_face.
+
+The model file (magic "BIOMM 6", CRC32-checked text) stores the enrollment
+sample rate and image size, the Fisherface map and the gallery points, the
+voice LDA, the packed one-vs-one SVM with each support vector once, the
+client names, w_face and tau_dist, each float matrix as its exact float64
+bytes; see the format comment further down. It holds no value the loader
+can compute from the others: the gallery's k and tau_fused follow from the
+constants, w_face and the gallery size. A probe whose rate or image size
 differs from enrollment is refused.
 """
 
@@ -26,7 +30,6 @@ import base64
 import re
 import zlib
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,37 +52,23 @@ from .errors import (
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from .ingest import image_to_vector
 
-MAGIC = "BIOMM 5"
+MAGIC = "BIOMM 6"
 DIST_HEADROOM = 6.0
+
+# The fit settings. A model file records none of them: the loader rebuilds
+# the gallery's k, the MFCC front end and the SVM kernel from KNN_K,
+# VOICE_MFCC and VOICE_KERNEL, so changing one of those is a format change
+# and bumps MAGIC. SVM_C and SVM_TOL act only while a model is fitted.
+KNN_K = 2
+VOICE_MFCC = mfcc_mod.MfccConfig()
+VOICE_KERNEL = svm_mod.KernelSpec("rbf", 2.0)
+SVM_C = 10.0
+SVM_TOL = 1e-3
 
 MODE_IDENTIFY = "identification"
 MODE_VERIFY = "verification"
 VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Every tunable of both chains, with the module defaults."""
-
-    pca_retained: int | None = None     # default: samples - classes
-    lda_retained: int | None = None     # both chains; default: min(classes - 1, rank)
-    reg: float | None = None            # default: 1e-6 * trace(S_W)/d
-    knn_k: int = 2
-    mfcc: mfcc_mod.MfccConfig = mfcc_mod.MfccConfig()
-    svm_kernel: str = "rbf"
-    svm_gamma: float = 2.0
-    svm_c: float = 10.0
-    svm_tol: float = 1e-3
-    w_face: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
-            raise DomainError(f"w_face must lie in [0, 1], got {self.w_face}")
-
-    def kernel(self) -> svm_mod.KernelSpec:
-        gamma = self.svm_gamma if self.svm_kernel == "rbf" else None
-        return svm_mod.KernelSpec(self.svm_kernel, gamma)
 
 
 @dataclass(frozen=True)
@@ -111,12 +100,13 @@ def _valid_client_id(client_id: str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """A fitted or loaded system. Its parts must fit together: one distinct
-    client name per voice class (class c is class_names[c]), gallery labels
-    among those classes, a gallery voting among min(knn_k, points) neighbours
-    (the k that loading recomputes), and each stage's output dimension equal
-    to the next stage's input dimension, starting from the face_size =
-    (width, height) pixels of an enrolled image."""
+    """A fitted or loaded system. Its parts must fit together: a fusion
+    weight w_face in [0, 1], one distinct client name per voice class (class
+    c is class_names[c]), gallery labels among those classes, a gallery
+    voting among min(KNN_K, points) neighbours and an SVM with VOICE_KERNEL
+    (what loading rebuilds), and each stage's output dimension equal to the
+    next stage's input dimension, starting from the face_size = (width,
+    height) pixels of an enrolled image."""
 
     face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
@@ -124,11 +114,13 @@ class SystemModel:
     voice_svm: svm_mod.SvmModel
     class_names: tuple
     tau_dist: float
-    config: PipelineConfig
+    w_face: float
     sample_rate: int
     face_size: tuple
 
     def __post_init__(self):
+        if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
+            raise DomainError(f"w_face must lie in [0, 1], got {self.w_face}")
         if self.sample_rate not in VALID_SAMPLE_RATES:
             raise DomainError(f"unsupported enrollment sample rate {self.sample_rate}")
         width, height = self.face_size
@@ -146,15 +138,14 @@ class SystemModel:
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
-        if self.face_gallery.k != min(self.config.knn_k, labels.size):
-            raise DomainError(
-                f"gallery k {self.face_gallery.k} disagrees with knn_k {self.config.knn_k}"
-            )
+        if self.face_gallery.k != min(KNN_K, labels.size):
+            raise DomainError(f"gallery k {self.face_gallery.k} disagrees with KNN_K {KNN_K}")
+        if self.voice_svm.kernel != VOICE_KERNEL:
+            raise DomainError(f"SVM kernel {self.voice_svm.kernel} is not VOICE_KERNEL")
         for link, produced, consumed in (
             ("image -> face", width * height, self.face.ambient_dim),
             ("face -> gallery", self.face.retained, self.face_gallery.points.shape[0]),
-            ("MFCC summary -> voice LDA", 2 * self.config.mfcc.num_ceps,
-             self.voice_lda.ambient_dim),
+            ("MFCC summary -> voice LDA", 2 * VOICE_MFCC.num_ceps, self.voice_lda.ambient_dim),
             ("voice LDA -> SVM", self.voice_lda.retained,
              self.voice_svm.support_vectors.shape[0]),
         ):
@@ -169,7 +160,7 @@ class SystemModel:
     def tau_fused(self) -> float:
         """The distance gate mapped into score space under a unanimous voice
         vote: a probe farther than tau_dist scores below it."""
-        w = self.config.w_face
+        w = self.w_face
         return w * _distance_score(self.tau_dist) + (1.0 - w)
 
 
@@ -219,7 +210,7 @@ def _face_dataset(enrollment: Enrollment) -> tuple:
     return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), shape
 
 
-def _voice_dataset(enrollment: Enrollment, cfg: mfcc_mod.MfccConfig) -> tuple:
+def _voice_dataset(enrollment: Enrollment) -> tuple:
     """The MFCC summary columns and the sample rate that every recording shares."""
     columns, labels = [], []
     rate = None
@@ -232,7 +223,7 @@ def _voice_dataset(enrollment: Enrollment, cfg: mfcc_mod.MfccConfig) -> tuple:
                     f"client {client_id!r} recording is at {rec.sample_rate} Hz, "
                     f"expected {rate} Hz"
                 )
-            columns.append(mfcc_mod.extract(rec, cfg).summary)
+            columns.append(mfcc_mod.extract(rec, VOICE_MFCC).summary)
             labels.append(label)
     return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), rate
 
@@ -241,24 +232,25 @@ def _distance_score(distance: float) -> float:
     return 1.0 / (1.0 + distance)
 
 
-def _gallery(points: np.ndarray, labels, knn_k: int) -> knn_mod.KnnModel:
-    """A kNN gallery voting among knn_k neighbours, or all its points if fewer."""
-    return knn_mod.KnnModel(points, labels, k=min(knn_k, points.shape[1]))
+def _gallery(points: np.ndarray, labels) -> knn_mod.KnnModel:
+    """A kNN gallery voting among KNN_K neighbours, or all its points if fewer."""
+    return knn_mod.KnnModel(points, labels, k=min(KNN_K, points.shape[1]))
 
 
-def _loo_face_distances(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _loo_face_distances(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Leave-one-out mean distance of each gallery point vs the rest."""
     n = points.shape[1]
     out = np.zeros(n)
     for i in range(n):
         keep = np.arange(n) != i
-        model = _gallery(points[:, keep], labels[keep], k)
+        model = _gallery(points[:, keep], labels[keep])
         out[i] = knn_mod.classify(model, points[:, i]).mean_distance
     return out
 
 
-def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> SystemModel:
-    """Batch fit of both chains over everything enrolled so far.
+def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
+    """Batch fit of both chains over everything enrolled so far, fusing
+    them with weight w_face on the face score.
 
     Refits from scratch (PCA/LDA/SVM are batch learners) and calibrates the
     rejection threshold tau_dist from the genuine enrollment scores: the
@@ -268,15 +260,14 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
     product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the
     gallery is projected with that map, so fitted and reloaded models agree.
     """
-    config = config or PipelineConfig()
     if len(enrollment.client_ids) < 2:
         raise ClassError("at least two enrolled clients are required to fit")
 
     face_ds, face_size = _face_dataset(enrollment)
-    face_pca = pca_mod.fit_pca(face_ds, config.pca_retained)
+    face_pca = pca_mod.fit_pca(face_ds)
     pca_coords = pca_mod.project(face_pca, face_ds.features)
     pca_ds = LabeledDataset(pca_coords, face_ds.labels, face_ds.class_names)
-    face_lda = lda_mod.fit_lda(pca_ds, config.lda_retained, config.reg)
+    face_lda = lda_mod.fit_lda(pca_ds)
     # W_lda^T (W_pca^T (x - m_pca) - m_lda) = (W_pca W_lda)^T (x - m_pca - W_pca m_lda),
     # as W_pca^T W_pca = I; its columns keep the unit norm of the LDA basis
     face = pca_mod.Subspace(
@@ -284,21 +275,19 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
         face_pca.basis @ face_lda.basis,
     )
     gallery_coords = pca_mod.project(face, face_ds.features)
-    face_gallery = _gallery(gallery_coords, face_ds.labels, config.knn_k)
+    face_gallery = _gallery(gallery_coords, face_ds.labels)
 
-    voice_ds, sample_rate = _voice_dataset(enrollment, config.mfcc)
-    voice_lda = lda_mod.fit_lda(voice_ds, config.lda_retained, config.reg)
+    voice_ds, sample_rate = _voice_dataset(enrollment)
+    voice_lda = lda_mod.fit_lda(voice_ds)
     voice_coords = pca_mod.project(voice_lda, voice_ds.features)
     voice_proj_ds = LabeledDataset(voice_coords, voice_ds.labels, voice_ds.class_names)
-    voice_svm = svm_mod.train_multiclass(
-        voice_proj_ds, config.kernel(), config.svm_c, config.svm_tol
-    )
+    voice_svm = svm_mod.train_multiclass(voice_proj_ds, VOICE_KERNEL, SVM_C, SVM_TOL)
 
     # Threshold calibration from genuine enrollment data. The leave-one-out
     # distances are measured in a subspace fit on the full gallery, which
     # understates held-out genuine distances; the headroom factor compensates
     # (impostor distances sit more than an order of magnitude higher).
-    loo = _loo_face_distances(gallery_coords, face_ds.labels, config.knn_k)
+    loo = _loo_face_distances(gallery_coords, face_ds.labels)
     tau_dist = DIST_HEADROOM * float(np.percentile(loo, 99.0))
 
     return SystemModel(
@@ -308,18 +297,18 @@ def fit_system(enrollment: Enrollment, config: PipelineConfig | None = None) -> 
         voice_svm=voice_svm,
         class_names=face_ds.class_names,
         tau_dist=tau_dist,
-        config=config,
+        w_face=w_face,
         sample_rate=sample_rate,
         face_size=face_size,
     )
 
 
-def enroll_and_fit(gallery: dict, config: PipelineConfig | None = None) -> SystemModel:
+def enroll_and_fit(gallery: dict, w_face: float = 0.5) -> SystemModel:
     """Convenience: enroll {client_id: (faces, voices)} in dict order and fit."""
     enrollment = Enrollment()
     for client_id, (faces, voices) in gallery.items():
         enrollment.add(client_id, faces, voices)
-    return fit_system(enrollment, config)
+    return fit_system(enrollment, w_face)
 
 
 def _face_probe(m: SystemModel, face_image: ImageRecord):
@@ -333,7 +322,7 @@ def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
     rate = voice_recording.sample_rate
     if rate != m.sample_rate:
         raise DatasetError(f"probe voice is at {rate} Hz, enrolled ones at {m.sample_rate} Hz")
-    summary = mfcc_mod.extract(voice_recording, m.config.mfcc).summary
+    summary = mfcc_mod.extract(voice_recording, VOICE_MFCC).summary
     return pca_mod.project(m.voice_lda, summary)
 
 
@@ -354,7 +343,7 @@ def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioReco
     voice_label, votes = svm_mod.predict_multiclass(m.voice_svm, q_voice)
     voice_score = votes[voice_label] / (m.num_classes - 1)
 
-    w = m.config.w_face
+    w = m.w_face
     fused = w * face_score + (1.0 - w) * voice_score
     if w * face_score >= (1.0 - w) * voice_score:
         candidate = face_result.label
@@ -395,9 +384,7 @@ def verify(
 
     mask = m.face_gallery.labels == cid
     client_points = m.face_gallery.points[:, mask]
-    client_model = _gallery(
-        client_points, np.zeros(client_points.shape[1], dtype=np.int64), m.config.knn_k
-    )
+    client_model = _gallery(client_points, np.zeros(client_points.shape[1], dtype=np.int64))
     q_face = _face_probe(m, face_image)
     face_score = _distance_score(knn_mod.classify(client_model, q_face).mean_distance)
 
@@ -407,7 +394,7 @@ def verify(
     _, votes = svm_mod.predict_multiclass(m.voice_svm, q_voice)
     voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)
 
-    w = m.config.w_face
+    w = m.w_face
     fused = w * face_score + (1.0 - w) * voice_score
     accepted = fused >= m.tau_fused
     return Decision(
@@ -422,31 +409,28 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 5", then the sections CONFIG,
-# INPUTS, FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a
-# trailing CRC32 line over all prior bytes. A matrix is one line "NAME rows
-# cols payload", the payload the base64 of its 8 * rows * cols row-major
-# little-endian float64 bytes; integer lists sit on their keyword's line, and
-# other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
+# model file format: UTF-8 text, magic "BIOMM 6", then the sections INPUTS,
+# FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a trailing
+# CRC32 line over all prior bytes. The constants KNN_K, VOICE_MFCC and
+# VOICE_KERNEL are part of the format: no line records them. A matrix is one
+# line "NAME rows cols payload", the payload the base64 of its 8 * rows * cols
+# row-major little-endian float64 bytes; integer lists sit on their keyword's
+# line, and other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
 # FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
 # a pixels x (C-1) BASIS; VOICE_LDA is a MEAN and BASIS too. GALLERY is the
-# POINTS matrix and their LABELS; its k is min(knn_k, points), as at fit time.
+# POINTS matrix and their LABELS; its k is min(KNN_K, points), as at fit time.
 # VOICE_SVM holds the packed one-vs-one model as it is in memory: CLASSES,
 # the PAIRS flattened, the d x n SVS matrix of distinct support vectors, then
 # per entry SV_INDEX (column in SVS), MACHINE (index into PAIRS) and COEFS,
 # and one BIASES row with a bias per pair. CLIENTS is one NAMES line, the
-# client of class c in position c. THRESHOLDS is one TAU_DIST line, the last
-# of the body; tau_fused is computed from it and w_face. Files of other
-# versions (BIOMM 1 to 4) are refused.
+# client of class c in position c. THRESHOLDS is a W_FACE line and a TAU_DIST
+# line, the last of the body; tau_fused is computed from the two. Files of
+# other versions (BIOMM 1 to 5) are refused.
 # ---------------------------------------------------------------------------
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _optional(cast):
-    return lambda token: None if token == "-" else cast(token)
 
 
 def _emit_matrix(lines: list, name: str, matrix: np.ndarray) -> None:
@@ -466,45 +450,8 @@ def _emit_subspace(lines: list, section: str, s: pca_mod.Subspace) -> None:
     _emit_matrix(lines, "BASIS", s.basis)
 
 
-# The CONFIG section in file order: (attribute path in PipelineConfig,
-# parser). The file key is the last segment of the path.
-_CONFIG_FIELDS = (
-    ("mfcc.frame_ms", float),
-    ("mfcc.shift_ms", float),
-    ("mfcc.fft_size", _optional(int)),
-    ("mfcc.num_filters", int),
-    ("mfcc.num_ceps", int),
-    ("mfcc.fmin_hz", float),
-    ("mfcc.fmax_hz", _optional(float)),
-    ("pca_retained", _optional(int)),
-    ("lda_retained", _optional(int)),
-    ("reg", _optional(float)),
-    ("knn_k", int),
-    ("svm_kernel", str),
-    ("svm_gamma", float),
-    ("svm_c", float),
-    ("svm_tol", float),
-    ("w_face", float),
-)
-
-
-def _fmt_field(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
-
-
 def save_model(m: SystemModel, path) -> None:
-    lines = [MAGIC, "SECTION CONFIG"]
-    for attr, _ in _CONFIG_FIELDS:
-        value = attrgetter(attr)(m.config)
-        lines.append(f"{attr.rpartition('.')[2]} {_fmt_field(value)}")
-
-    lines.append("SECTION INPUTS")
+    lines = [MAGIC, "SECTION INPUTS"]
     lines.append(f"SAMPLE_RATE {m.sample_rate}")
     _emit_ints(lines, "FACE_SIZE", m.face_size)
 
@@ -530,6 +477,7 @@ def save_model(m: SystemModel, path) -> None:
     lines.append(" ".join(["NAMES", *m.class_names]))
 
     lines.append("SECTION THRESHOLDS")
+    lines.append(f"W_FACE {_fmt(m.w_face)}")
     lines.append(f"TAU_DIST {_fmt(m.tau_dist)}")
 
     body = "\n".join(lines) + "\n"
@@ -626,15 +574,6 @@ def _read_subspace(reader: _Reader, section: str) -> pca_mod.Subspace:
     return pca_mod.Subspace(mean, basis)
 
 
-def _read_config(reader: _Reader) -> PipelineConfig:
-    reader.expect_section("CONFIG")
-    top, mfcc = {}, {}
-    for attr, parse in _CONFIG_FIELDS:
-        owner, _, key = attr.rpartition(".")
-        (mfcc if owner else top)[key] = reader.fields(key, parse)[0]
-    return PipelineConfig(mfcc=mfcc_mod.MfccConfig(**mfcc), **top)
-
-
 def load_model(path) -> SystemModel:
     """Parse a model file; the CRC is verified before any section parsing.
 
@@ -667,7 +606,6 @@ def load_model(path) -> SystemModel:
 def _read_model(reader: _Reader) -> SystemModel:
     if reader.next() != MAGIC:
         raise FormatError(f"bad magic line (expected {MAGIC!r})")
-    config = _read_config(reader)
 
     reader.expect_section("INPUTS")
     (sample_rate,) = reader.fields("SAMPLE_RATE", int)
@@ -676,7 +614,7 @@ def _read_model(reader: _Reader) -> SystemModel:
     face = _read_subspace(reader, "FACE")
 
     reader.expect_section("GALLERY")
-    face_gallery = _gallery(reader.matrix("POINTS"), reader.ints("LABELS"), config.knn_k)
+    face_gallery = _gallery(reader.matrix("POINTS"), reader.ints("LABELS"))
 
     voice_lda = _read_subspace(reader, "VOICE_LDA")
 
@@ -693,13 +631,14 @@ def _read_model(reader: _Reader) -> SystemModel:
         machine=reader.ints("MACHINE"),
         dual_coefs=reader.vector("COEFS"),
         biases=reader.vector("BIASES"),
-        kernel=config.kernel(),
+        kernel=VOICE_KERNEL,
     )
 
     reader.expect_section("CLIENTS")
     class_names = tuple(reader.keyword("NAMES"))
 
     reader.expect_section("THRESHOLDS")
+    (w_face,) = reader.fields("W_FACE", float)
     (tau_dist,) = reader.fields("TAU_DIST", float)
     if reader.pos != len(reader.lines):
         raise FormatError(f"unexpected line after TAU_DIST: {reader.next()!r}")
@@ -711,7 +650,7 @@ def _read_model(reader: _Reader) -> SystemModel:
         voice_svm=voice_svm,
         class_names=class_names,
         tau_dist=tau_dist,
-        config=config,
+        w_face=w_face,
         sample_rate=sample_rate,
         face_size=face_size,
     )

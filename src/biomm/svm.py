@@ -142,10 +142,13 @@ class SvmModel:
             array = np.array(getattr(self, name), dtype=dtype, order="C")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        every_pair = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if (self.class_pairs.shape != (len(every_pair), 2)
-                or sorted(map(tuple, self.class_pairs.tolist())) != every_pair
-                or self.biases.shape != (len(every_pair),)):
+        num_pairs = n * (n - 1) // 2
+        # the shapes first: a class count from a file must not make the
+        # list of every pair unless the stored pairs are that many already
+        if (self.class_pairs.shape != (num_pairs, 2)
+                or self.biases.shape != (num_pairs,)
+                or sorted(map(tuple, self.class_pairs.tolist()))
+                != [(i, j) for i in range(n) for j in range(i + 1, n)]):
             raise DomainError(
                 f"need one machine and bias for each pair (i, j), i < j, of classes 0..{n - 1}"
             )
@@ -156,7 +159,7 @@ class SvmModel:
         ):
             raise DimensionError("need one column index, machine and dual coefficient per entry")
         for name, bound in (("sv_index", self.support_vectors.shape[1]),
-                            ("machine", len(every_pair))):
+                            ("machine", num_pairs)):
             values = getattr(self, name)
             if values.size and (values.min() < 0 or values.max() >= bound):
                 raise DomainError(f"{name} entries must lie in 0..{bound - 1}")

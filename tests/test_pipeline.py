@@ -2,6 +2,7 @@
 
 import base64
 import re
+import tracemalloc
 import zlib
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,8 +10,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from biomm import lda, mfcc, pca, pipeline, synth
-from biomm.errors import DatasetError, DimensionError, DomainError, FormatError
+from biomm import knn, lda, pca, pipeline, svm, synth
+from biomm.errors import (
+    ClassError,
+    DatasetError,
+    DimensionError,
+    DomainError,
+    EnrollmentError,
+    FormatError,
+)
 from biomm.ingest import AudioRecord, ImageRecord, LabeledDataset, image_to_vector
 
 NUM_CLIENTS = 5
@@ -100,6 +108,43 @@ def test_enrollment_mixing_sample_rates_is_refused():
         pipeline.enroll_and_fit(gallery)
 
 
+class TestEnrollmentRefusals:
+    """Enrollment.add refuses a client before anything is stored for it."""
+
+    @pytest.mark.parametrize(
+        "client_id", ["", "client 9", "client\t9"], ids=["empty", "space", "tab"]
+    )
+    def test_client_id_must_be_one_word(self, world, client_id):
+        faces, voices = world.gallery[world.names[0]]
+        enrollment = pipeline.Enrollment()
+        with pytest.raises(EnrollmentError, match="client id"):
+            enrollment.add(client_id, faces, voices)
+        assert enrollment.client_ids == ()
+
+    def test_client_enrolled_twice(self, world):
+        faces, voices = world.gallery[world.names[0]]
+        enrollment = pipeline.Enrollment().add(world.names[0], faces, voices)
+        with pytest.raises(EnrollmentError, match="already enrolled"):
+            enrollment.add(world.names[0], faces, voices)
+        assert enrollment.client_ids == (world.names[0],)
+
+    @pytest.mark.parametrize(
+        "num_faces, num_voices", [(1, 4), (4, 1)], ids=["one-face", "one-recording"]
+    )
+    def test_fewer_than_two_samples(self, world, num_faces, num_voices):
+        faces, voices = world.gallery[world.names[0]]
+        enrollment = pipeline.Enrollment()
+        with pytest.raises(EnrollmentError, match=">= 2"):
+            enrollment.add(world.names[0], faces[:num_faces], voices[:num_voices])
+        assert enrollment.client_ids == ()
+
+    def test_one_client_cannot_be_fitted(self, world):
+        faces, voices = world.gallery[world.names[0]]
+        enrollment = pipeline.Enrollment().add(world.names[0], faces, voices)
+        with pytest.raises(ClassError, match="two enrolled clients"):
+            pipeline.fit_system(enrollment)
+
+
 class TestProbeInputShape:
     """A probe must come at the enrollment sample rate and image size."""
 
@@ -153,7 +198,7 @@ def test_more_clients_than_voice_summary_values(tmp_path):
     gallery, prototypes, profiles, rng = synth.make_enrollment_data(num_clients=26, seed=6)
     model = pipeline.enroll_and_fit(gallery)
     assert model.face.retained == 25
-    assert model.voice_lda.retained == 2 * model.config.mfcc.num_ceps
+    assert model.voice_lda.retained == 2 * pipeline.VOICE_MFCC.num_ceps
     path = tmp_path / "c26.biomm"
     pipeline.save_model(model, path)
     loaded = pipeline.load_model(path)
@@ -204,7 +249,7 @@ class TestFisherfaceMap:
 
 class TestSingleModality:
     def test_w_face_one_is_face_only(self, world):
-        model = pipeline.enroll_and_fit(world.gallery, pipeline.PipelineConfig(w_face=1.0))
+        model = pipeline.enroll_and_fit(world.gallery, w_face=1.0)
         for face, voice in world.mixed:
             d = pipeline.identify(model, face, voice)
             assert d.face_id != d.voice_id
@@ -212,7 +257,7 @@ class TestSingleModality:
             assert d.fused_score == d.face_score
 
     def test_w_face_zero_is_voice_only(self, world):
-        model = pipeline.enroll_and_fit(world.gallery, pipeline.PipelineConfig(w_face=0.0))
+        model = pipeline.enroll_and_fit(world.gallery, w_face=0.0)
         for face, voice in world.mixed:
             d = pipeline.identify(model, face, voice)
             assert d.face_id != d.voice_id
@@ -220,9 +265,11 @@ class TestSingleModality:
             assert d.fused_score == d.voice_score
 
     @pytest.mark.parametrize("w_face", [-1.0, 1.5, float("nan")], ids=["negative", "above-one", "nan"])
-    def test_w_face_outside_unit_interval_refused(self, w_face):
+    def test_w_face_outside_unit_interval_refused(self, world, w_face):
         with pytest.raises(DomainError, match="w_face"):
-            pipeline.PipelineConfig(w_face=w_face)
+            replace(world.model, w_face=w_face)
+        with pytest.raises(DomainError, match="w_face"):
+            pipeline.enroll_and_fit(world.gallery, w_face=w_face)
 
 
 class TestModelFile:
@@ -254,11 +301,11 @@ class TestModelFile:
 
     def test_tau_fused_recomputed_from_tau_dist_and_w_face(self, world, model_file, tmp_path):
         fitted = world.model
-        w = fitted.config.w_face
+        w = fitted.w_face
         expected = w * (1.0 / (1.0 + fitted.tau_dist)) + (1.0 - w)
         assert fitted.tau_fused == pipeline.load_model(model_file).tau_fused == expected
         edited = pipeline.load_model(
-            rewritten(model_file, tmp_path, _set_line("w_face ", "w_face 0.25"))
+            rewritten(model_file, tmp_path, _set_line("W_FACE ", "W_FACE 0.25"))
         )
         assert edited.tau_dist == fitted.tau_dist
         assert edited.tau_fused == 0.25 * (1.0 / (1.0 + fitted.tau_dist)) + 0.75
@@ -268,46 +315,25 @@ class TestModelFile:
         pipeline.save_model(pipeline.load_model(model_file), again)
         assert again.read_bytes() == model_file.read_bytes()
 
-    def test_config_round_trip_every_field(self, world, tmp_path):
-        config = pipeline.PipelineConfig(
-            pca_retained=7,
-            lda_retained=3,
-            reg=2.5e-4,
-            knn_k=3,
-            mfcc=mfcc.MfccConfig(
-                frame_ms=20.0,
-                shift_ms=12.5,
-                fft_size=512,
-                num_filters=24,
-                fmin_hz=60.0,
-                fmax_hz=3600.0,
-            ),
-            svm_kernel="linear",
-            svm_gamma=0.75,
-            svm_c=3.0,
-            svm_tol=5e-4,
-            w_face=0.3,
-        )
-        for field in ("pca_retained", "lda_retained", "reg", "knn_k", "mfcc",
-                      "svm_kernel", "svm_gamma", "svm_c", "svm_tol", "w_face"):
-            assert getattr(config, field) != getattr(pipeline.PipelineConfig(), field)
-        # num_ceps keeps its default: the fitted voice LDA takes 2 * 12 inputs
-        gallery = replace(world.model.face_gallery, k=3)
-        path = tmp_path / "config.biomm"
-        pipeline.save_model(replace(world.model, config=config, face_gallery=gallery), path)
-        assert pipeline.load_model(path).config == config
+    def test_w_face_round_trip(self, world, tmp_path):
+        path = tmp_path / "w_face.biomm"
+        pipeline.save_model(replace(world.model, w_face=0.3), path)
+        assert pipeline.load_model(path).w_face == 0.3
 
     def test_gallery_k_follows_knn_k(self, world):
-        # the file stores no k: the loader takes min(knn_k, points), so a
+        # the file stores no k: the loader takes min(KNN_K, points), so a
         # model may hold no other, or it would decide otherwise once reloaded
-        three = replace(world.model.config, knn_k=3)
-        with pytest.raises(DomainError, match="knn_k"):
-            replace(world.model, config=three)
-        with pytest.raises(DomainError, match="knn_k"):
-            replace(world.model, face_gallery=replace(world.model.face_gallery, k=1))
-        many = replace(world.model.config, knn_k=10_000)
-        gallery = replace(world.model.face_gallery, k=world.model.face_gallery.labels.size)
-        assert replace(world.model, config=many, face_gallery=gallery).face_gallery.k == 20
+        gallery = world.model.face_gallery
+        with pytest.raises(DomainError, match="KNN_K"):
+            replace(world.model, face_gallery=replace(gallery, k=1))
+        one_point = knn.KnnModel(gallery.points[:, :1], gallery.labels[:1], k=1)
+        assert replace(world.model, face_gallery=one_point).face_gallery.k == 1
+
+    def test_svm_kernel_is_voice_kernel(self, world):
+        # the file stores no kernel: the loader gives the SVM VOICE_KERNEL
+        linear = replace(world.model.voice_svm, kernel=svm.KernelSpec("linear"))
+        with pytest.raises(DomainError, match="VOICE_KERNEL"):
+            replace(world.model, voice_svm=linear)
 
     def test_loaded_machines_equal_fitted(self, world, model_file):
         fitted = world.model.voice_svm
@@ -449,6 +475,7 @@ MALFORMED_BODIES = {
     "magic-version-2": _set_line("BIOMM ", "BIOMM 2"),
     "magic-version-3": _set_line("BIOMM ", "BIOMM 3"),
     "magic-version-4": _set_line("BIOMM ", "BIOMM 4"),
+    "magic-version-5": _set_line("BIOMM ", "BIOMM 5"),
     "face-basis-column-dropped": _drop_face_basis_column,
     "sample-rate-unsupported": _set_line("SAMPLE_RATE ", "SAMPLE_RATE 12000"),
     "face-size-disagrees-with-basis": _set_line("FACE_SIZE ", "FACE_SIZE 16 15"),
@@ -484,12 +511,9 @@ MALFORMED_BODIES = {
     "payload-missing": _edit_tokens("SVS ", lambda t: t[:2]),
     "sv-index-beyond-int64": _edit_tokens("SV_INDEX ", _replaced(0, "9" * 20)),
     "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
-    "svm-gamma-inf": _set_line("svm_gamma ", "svm_gamma inf"),
-    "w-face-out-of-range": _set_line("w_face ", "w_face 1.5"),
-    "knn-k-zero": _set_line("knn_k ", "knn_k 0"),
+    "w-face-out-of-range": _set_line("W_FACE ", "W_FACE 1.5"),
     # a BIOMM 4 body ended in a TAU_FUSED line after TAU_DIST
     "line-after-thresholds": lambda lines: lines.append("TAU_FUSED 0.5"),
-    "num-ceps-disagrees-with-voice-lda": _set_line("num_ceps ", "num_ceps 10"),
 }
 
 
@@ -512,10 +536,10 @@ class TestMalformedBody:
             replace(world.model, face=narrowed(world.model.face))
         with pytest.raises(DimensionError):
             replace(world.model, voice_lda=narrowed(world.model.voice_lda))
-        # the voice LDA takes the 2 * num_ceps summary of the stored MFCC config
-        ten_ceps = replace(world.model.config, mfcc=mfcc.MfccConfig(num_ceps=10))
-        with pytest.raises(DimensionError):
-            replace(world.model, config=ten_ceps)
+        # the voice LDA takes the 2 * num_ceps values of a VOICE_MFCC summary
+        voice = world.model.voice_lda
+        with pytest.raises(DimensionError, match="MFCC summary"):
+            replace(world.model, voice_lda=pca.Subspace(voice.mean[:-2], voice.basis[:-2]))
 
     @pytest.mark.parametrize(
         "names",
@@ -532,6 +556,19 @@ class TestMalformedBody:
     def test_raises_format_error(self, model_file, tmp_path, edit):
         with pytest.raises(FormatError):
             pipeline.load_model(rewritten(model_file, tmp_path, edit))
+
+    def test_class_count_refused_before_its_pairs_are_listed(self, model_file, tmp_path):
+        # 2000 classes have 1,999,000 pairs, whose list costs seconds and
+        # about 180 MiB; the file stores 10, so the shapes refuse it first
+        path = rewritten(model_file, tmp_path, _set_line("CLASSES ", "CLASSES 2000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="pair"):
+                pipeline.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024 * 1024
 
 
 @pytest.fixture(scope="module")
