@@ -49,10 +49,6 @@ class TooShortError(BiommError):
     """Audio is shorter than a single analysis frame."""
 
 
-class ResolutionError(BiommError):
-    """Filterbank is too fine for the available spectrum resolution."""
-
-
 class ClassError(BiommError):
     """Training was attempted with too few (or empty) classes."""
 

@@ -15,6 +15,7 @@ fixtures.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,14 @@ from .errors import (
 VALID_SAMPLE_RATES = (8000, 16000, 22050, 44100)
 
 
+def _integer(value, error, what: str) -> int:
+    """value as a Python int: NumPy integers qualify, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
     """Grayscale image; `gray` is row-major uint8, length width*height."""
@@ -42,13 +51,15 @@ class ImageRecord:
     gray: np.ndarray
 
     def __post_init__(self):
+        width = _integer(self.width, DimensionError, "image width")
+        height = _integer(self.height, DimensionError, "image height")
         gray = np.asarray(self.gray, dtype=np.uint8)
-        if self.width < 1 or self.height < 1:
+        if width < 1 or height < 1:
             raise DimensionError("image dimensions must be >= 1")
-        if gray.ndim != 1 or gray.size != self.width * self.height:
-            raise DimensionError(
-                f"gray length {gray.size} != width*height {self.width * self.height}"
-            )
+        if gray.ndim != 1 or gray.size != width * height:
+            raise DimensionError(f"gray length {gray.size} != width*height {width * height}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
         object.__setattr__(self, "gray", gray)
 
 
@@ -60,8 +71,9 @@ class AudioRecord:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate not in VALID_SAMPLE_RATES:
-            raise DomainError(f"unsupported sample rate {self.sample_rate}")
+        rate = _integer(self.sample_rate, DomainError, "sample rate")
+        if rate not in VALID_SAMPLE_RATES:
+            raise DomainError(f"unsupported sample rate {rate}")
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 1:
             raise DimensionError("samples must be a non-empty 1-D array")
@@ -69,6 +81,7 @@ class AudioRecord:
             raise DomainError("samples contain NaN or Inf")
         if np.abs(samples).max() > 1.0:
             raise DomainError("samples must lie in [-1, 1]")
+        object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "samples", samples)
 
 

@@ -78,41 +78,23 @@ def default_reg(s_w: np.ndarray) -> float:
     return DEFAULT_REG_SCALE * float(np.trace(s_w)) / s_w.shape[0]
 
 
-def fit_lda(
-    ds: LabeledDataset, retained: int | None = None, reg: float | None = None
-) -> Subspace:
+def fit_lda(ds: LabeledDataset) -> Subspace:
     """Fit the Fisher discriminant basis (top generalized eigenvectors).
 
-    retained defaults to min(C - 1, rank): the C - 1 discriminants that C
-    class means give at most (Belhumeur, Hespanha & Kriegman, "Eigenfaces
-    vs. Fisherfaces", IEEE TPAMI 19(7), 1997), fewer when the informative
-    rank, the count of generalized eigenvalues above LDA_RANK_RTOL of the
-    largest, is lower, as for data of fewer than C - 1 dimensions. A rank of
-    0, or an explicit retained above the rank, raises RankError. reg
-    defaults to 1e-6 * trace(S_W)/d; pass 0 to disable ridging (singular S_W
-    then raises SingularityError).
+    It keeps min(C - 1, rank) discriminants: the C - 1 that C class means
+    give at most (Belhumeur, Hespanha & Kriegman, "Eigenfaces vs.
+    Fisherfaces", IEEE TPAMI 19(7), 1997), fewer when the informative rank,
+    the count of generalized eigenvalues above LDA_RANK_RTOL of the largest,
+    is lower, as for data of fewer than C - 1 dimensions. A rank of 0 raises
+    RankError. S_W is ridged by default_reg(S_W) before inversion; scatter
+    refuses fewer than two classes.
     """
-    c = ds.num_classes
-    if c < 2:
-        raise ClassError("LDA needs at least two classes")
-    if retained is not None and not 1 <= retained <= c - 1:
-        raise RankError(f"retained must lie in [1, C-1] = [1, {c - 1}], got {retained}")
-
     pair = scatter(ds)
-    if reg is None:
-        reg = default_reg(pair.s_w)
-    if reg < 0:
-        raise DomainError("reg must be >= 0")
-
-    pairs = linalg.gen_eig(pair.s_b, pair.s_w, reg)
+    pairs = linalg.gen_eig(pair.s_b, pair.s_w, default_reg(pair.s_w))
     rank = _informative_rank(pairs.values)
-    if retained is None:
-        retained = min(c - 1, rank)
-    if not 1 <= retained <= rank:
-        raise RankError(
-            f"informative rank {rank}, {retained} discriminants wanted "
-            "(class means may coincide)"
-        )
+    if rank == 0:
+        raise RankError("informative rank 0: the class means coincide")
+    retained = min(ds.num_classes - 1, rank)
     basis = pairs.vectors[:, :retained].copy()
     return Subspace(pair.total_mean.copy(), basis)
 

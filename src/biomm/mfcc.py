@@ -7,28 +7,33 @@ the zeroth coefficient (it carries frame energy, not speaker identity).
 Each step is a public function that takes a matrix of frame columns, and
 `extract` is their composition.
 
-The Hamming window, the filterbank weights and the cosine-transform
-matrix depend only on the configuration and the sample rate, so each is
-built once per distinct frame length or (config, sample rate) and then
-shared, read-only, by every utterance.
+The analysis settings are fixed: FRAME_MS frames every SHIFT_MS, NUM_FILTERS
+mel filters spanning 0 Hz to half the sample rate, and NUM_CEPS cepstra.
+The frame length, hop and FFT size (the smallest power of two that holds a
+frame) follow from the sample rate, so the Hamming window and the
+filterbank weights are built once per rate in VALID_SAMPLE_RATES, and the
+cosine-transform matrix once; every utterance shares them, read-only.
 
 An utterance is summarized by the per-coefficient mean and standard
-deviation across frames, giving a fixed-length vector for LDA/SVM.
+deviation across frames, giving a fixed-length vector of 2 * NUM_CEPS
+values for LDA/SVM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ResolutionError, TooShortError
-from .ingest import AudioRecord
+from .errors import DimensionError, DomainError, TooShortError
+from .ingest import VALID_SAMPLE_RATES, AudioRecord
 
+FRAME_MS = 25.0
+SHIFT_MS = 10.0
+NUM_FILTERS = 20
+NUM_CEPS = 12
 ENERGY_FLOOR = 1e-10
-TABLE_CACHE_SIZE = 16  # distinct configurations whose tables stay built
 
 
 def mel(f):
@@ -40,65 +45,27 @@ def mel_inv(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-class _Params(NamedTuple):
-    frame_len: int
-    hop: int
-    fft_size: int
-    fmin: float
-    fmax: float
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    """Analysis parameters; fft_size and fmax_hz default from the sample rate."""
-
-    frame_ms: float = 25.0
-    shift_ms: float = 10.0
-    fft_size: int | None = None
-    num_filters: int = 20
-    num_ceps: int = 12
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None
-
-    def resolve(self, sample_rate: int) -> _Params:
-        if self.frame_ms <= 0 or self.shift_ms <= 0:
-            raise DomainError("frame_ms and shift_ms must be positive")
-        frame_len = int(round(self.frame_ms * sample_rate / 1000.0))
-        hop = int(round(self.shift_ms * sample_rate / 1000.0))
-        if frame_len < 2 or hop < 1:
-            raise DomainError("frame geometry too small for this sample rate")
-        fft_size = self.fft_size
-        if fft_size is None:
-            fft_size = 1
-            while fft_size < frame_len:
-                fft_size *= 2
-        if fft_size < frame_len or fft_size & (fft_size - 1) != 0:
-            raise DomainError(
-                f"fft_size must be a power of two >= frame length {frame_len}"
-            )
-        fmax = self.fmax_hz if self.fmax_hz is not None else sample_rate / 2.0
-        if not self.fmin_hz < fmax <= sample_rate / 2.0:
-            raise DomainError(
-                f"need fmin < fmax <= sample_rate/2, got [{self.fmin_hz}, {fmax}]"
-            )
-        if not 1 <= self.num_ceps < self.num_filters:
-            raise DomainError("num_ceps must satisfy 1 <= num_ceps < num_filters")
-        return _Params(frame_len, hop, fft_size, self.fmin_hz, fmax)
+@lru_cache(maxsize=len(VALID_SAMPLE_RATES))
+def frame_geometry(sample_rate: int) -> tuple:
+    """(frame length, hop, FFT size) in samples at this sample rate."""
+    frame_len = int(round(FRAME_MS * sample_rate / 1000.0))
+    hop = int(round(SHIFT_MS * sample_rate / 1000.0))
+    return frame_len, hop, 1 << (frame_len - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
 class MfccFeatures:
-    """Per-frame cepstra (num_ceps x frames) and the utterance summary.
+    """Per-frame cepstra (NUM_CEPS x frames) and the utterance summary.
 
     summary = per-coefficient mean across frames followed by the
-    per-coefficient standard deviation (length 2*num_ceps).
+    per-coefficient standard deviation (length 2 * NUM_CEPS).
     """
 
     frames: np.ndarray
     summary: np.ndarray
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
+@lru_cache(maxsize=len(VALID_SAMPLE_RATES))
 def hamming_window(length: int) -> np.ndarray:
     """Hamming window 0.54 - 0.46*cos(2*pi*n/(N-1)) for n = 0..N-1.
 
@@ -113,22 +80,22 @@ def hamming_window(length: int) -> np.ndarray:
     return window
 
 
-def frame_and_window(audio: AudioRecord, cfg: MfccConfig) -> np.ndarray:
+def frame_and_window(audio: AudioRecord) -> np.ndarray:
     """Slice audio into hop-spaced Hamming-windowed frames, zero-padded.
 
-    Returns a matrix with one frame per column (fft_size rows); the last
+    Returns a matrix with one frame per column (FFT-size rows); the last
     partial frame is dropped.
     """
-    params = cfg.resolve(audio.sample_rate)
+    frame_len, hop, fft_size = frame_geometry(audio.sample_rate)
     n = audio.samples.size
-    if n < params.frame_len:
+    if n < frame_len:
         raise TooShortError(
-            f"audio has {n} samples, need at least one {params.frame_len}-sample frame"
+            f"audio has {n} samples, need at least one {frame_len}-sample frame"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, params.frame_len)
-    frames = windows[:: params.hop].T
-    out = np.zeros((params.fft_size, frames.shape[1]))
-    np.multiply(frames, hamming_window(params.frame_len)[:, None], out=out[: params.frame_len])
+    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, frame_len)
+    frames = windows[::hop].T
+    out = np.zeros((fft_size, frames.shape[1]))
+    np.multiply(frames, hamming_window(frame_len)[:, None], out=out[:frame_len])
     return out
 
 
@@ -155,37 +122,34 @@ def power_spectrum(frames) -> np.ndarray:
     return re + im
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def filter_weights(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
+@lru_cache(maxsize=len(VALID_SAMPLE_RATES))
+def filter_weights(sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank weights, one filter per row (read-only).
 
-    Filter centers are equally spaced on the mel scale between fmin and
-    fmax; filter i rises from center i-1 to peak 1 at center i and falls
-    to center i+1 (fmin/fmax act as the outermost edges). Built once per
-    (cfg, sample_rate); every later call returns the same array.
+    Filter centers are equally spaced on the mel scale between 0 Hz and
+    half the sample rate; filter i rises from center i-1 to peak 1 at
+    center i and falls to center i+1 (the band edges act as the outermost
+    centers). Built once per sample rate; every later call returns the same
+    array. At every rate in VALID_SAMPLE_RATES each filter covers at least
+    one FFT bin.
     """
-    params = cfg.resolve(sample_rate)
-    n_bins = params.fft_size // 2 + 1
-    bin_freqs = np.arange(n_bins) * sample_rate / params.fft_size
-    grid = mel_inv(np.linspace(mel(params.fmin), mel(params.fmax), cfg.num_filters + 2))
-    weights = np.zeros((cfg.num_filters, n_bins))
-    for i in range(cfg.num_filters):
+    fft_size = frame_geometry(sample_rate)[2]
+    bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    grid = mel_inv(np.linspace(mel(0.0), mel(sample_rate / 2.0), NUM_FILTERS + 2))
+    weights = np.zeros((NUM_FILTERS, bin_freqs.size))
+    for i in range(NUM_FILTERS):
         left, center, right = grid[i], grid[i + 1], grid[i + 2]
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[i] = np.clip(np.minimum(rising, falling), 0.0, None)
-        if not np.any(weights[i] > 0.0):
-            raise ResolutionError(
-                f"filter {i} covers no FFT bin; lower num_filters or raise fft_size"
-            )
     weights.flags.writeable = False
     return weights
 
 
-def mel_filterbank(power_spectrum, cfg: MfccConfig, sample_rate: int) -> np.ndarray:
+def mel_filterbank(power_spectrum, sample_rate: int) -> np.ndarray:
     """Apply the triangular filterbank; energies are floored at 1e-10."""
     spectrum = np.asarray(power_spectrum, dtype=np.float64)
-    weights = filter_weights(cfg, sample_rate)
+    weights = filter_weights(sample_rate)
     if spectrum.shape[0] != weights.shape[1]:
         raise DimensionError(
             f"power spectrum length {spectrum.shape[0]} != fft_size/2+1 = {weights.shape[1]}"
@@ -195,33 +159,33 @@ def mel_filterbank(power_spectrum, cfg: MfccConfig, sample_rate: int) -> np.ndar
     return np.maximum(weights @ spectrum, ENERGY_FLOOR)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _dct_matrix(num_ceps: int, num_filters: int) -> np.ndarray:
-    n = np.arange(1, num_ceps + 1)[:, None]
-    k = np.arange(1, num_filters + 1)[None, :]
-    table = np.cos(n * (k - 0.5) * np.pi / num_filters)
+def _dct_matrix() -> np.ndarray:
+    n = np.arange(1, NUM_CEPS + 1)[:, None]
+    k = np.arange(1, NUM_FILTERS + 1)[None, :]
+    table = np.cos(n * (k - 0.5) * np.pi / NUM_FILTERS)
     table.flags.writeable = False
     return table
 
 
-def dct_cepstra(log_energies, num_ceps: int) -> np.ndarray:
-    """Cepstra c_1..c_num_ceps from log filterbank energies.
+DCT_MATRIX = _dct_matrix()
+
+
+def dct_cepstra(log_energies) -> np.ndarray:
+    """Cepstra c_1..c_NUM_CEPS from NUM_FILTERS log filterbank energies.
 
     c_n = sum_k logS_k * cos[n (k - 1/2) pi / K]; c_0 (the mean log
     energy) is excluded.
     """
     log_s = np.asarray(log_energies, dtype=np.float64)
-    k = log_s.shape[0]
-    if not 1 <= num_ceps <= k - 1:
-        raise DomainError(f"num_ceps must lie in [1, K-1] = [1, {k - 1}]")
-    return _dct_matrix(num_ceps, k) @ log_s
+    if log_s.shape[:1] != (NUM_FILTERS,):
+        raise DimensionError(f"need {NUM_FILTERS} log energies per frame, got {log_s.shape}")
+    return DCT_MATRIX @ log_s
 
 
-def extract(audio: AudioRecord, cfg: MfccConfig | None = None) -> MfccFeatures:
+def extract(audio: AudioRecord) -> MfccFeatures:
     """Run the full MFCC chain on one utterance."""
-    cfg = cfg or MfccConfig()
-    power = power_spectrum(frame_and_window(audio, cfg))
-    log_e = np.log(mel_filterbank(power, cfg, audio.sample_rate))
-    cepstra = dct_cepstra(log_e, cfg.num_ceps)
+    power = power_spectrum(frame_and_window(audio))
+    log_e = np.log(mel_filterbank(power, audio.sample_rate))
+    cepstra = dct_cepstra(log_e)
     summary = np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])
     return MfccFeatures(cepstra, summary)

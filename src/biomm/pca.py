@@ -71,28 +71,23 @@ def default_retained(num_samples: int, num_classes: int) -> int:
     return max(1, min(num_samples - num_classes, num_samples - 1))
 
 
-def fit_pca(ds: LabeledDataset, retained: int | None = None) -> Subspace:
-    """Fit the top principal components of the centered sample columns.
+def fit_pca(ds: LabeledDataset) -> Subspace:
+    """Fit the top min(p - C, d) principal components of the centered
+    sample columns (at least 1, at most p - 1; see default_retained).
 
-    retained defaults to p - C so that a subsequent LDA sees a nonsingular
-    within-class scatter. Raises RankError when the data cannot support the
-    requested number of components.
+    p - C components leave a subsequent LDA a nonsingular within-class
+    scatter. Raises RankError when the data cannot support that many
+    components.
     """
     p = ds.num_samples
-    d = ds.dim
     if p < 2:
         raise DomainError("PCA needs at least two samples")
-    if retained is None:
-        retained = min(default_retained(p, ds.num_classes), d)
-    if retained < 1 or retained > min(d, p - 1):
-        raise DomainError(
-            f"retained must lie in [1, {min(d, p - 1)}], got {retained}"
-        )
+    retained = min(default_retained(p, ds.num_classes), ds.dim)
 
     m = mean_vector(ds)
     x = center(ds, m)
     # Gram trick when p < d: the nonzero spectrum of X X^T equals that of X^T X
-    gram = p < d
+    gram = p < ds.dim
     pairs = linalg.sym_eig(x.T @ x if gram else x @ x.T)
     rank = usable_rank(pairs.values)
     if rank == 0:

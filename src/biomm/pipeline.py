@@ -10,9 +10,10 @@ distance exceeds tau_dist AND its fused score falls below tau_fused.
 tau_dist is calibrated from the enrollment data; tau_fused is its image in
 score space under w_face, computed where it is used.
 
-The fit settings are module constants (KNN_K, VOICE_MFCC, VOICE_KERNEL,
-SVM_C, SVM_TOL); PCA and LDA take their data-derived defaults. The one
-setting a caller chooses is the fusion weight w_face.
+The fit settings are module constants (KNN_K, VOICE_KERNEL, SVM_C, SVM_TOL,
+and the MFCC analysis constants of the mfcc module); PCA and LDA fix their
+widths from the data. The one setting a caller chooses is the fusion weight
+w_face.
 
 The model file (magic "BIOMM 6", CRC32-checked text) stores the enrollment
 sample rate and image size, the Fisherface map and the gallery points, the
@@ -56,11 +57,11 @@ MAGIC = "BIOMM 6"
 DIST_HEADROOM = 6.0
 
 # The fit settings. A model file records none of them: the loader rebuilds
-# the gallery's k, the MFCC front end and the SVM kernel from KNN_K,
-# VOICE_MFCC and VOICE_KERNEL, so changing one of those is a format change
-# and bumps MAGIC. SVM_C and SVM_TOL act only while a model is fitted.
+# the gallery's k and the SVM kernel from KNN_K and VOICE_KERNEL, and serves
+# probes with the mfcc module's fixed front end, so changing one of those
+# (or an mfcc constant) is a format change and bumps MAGIC. SVM_C and SVM_TOL
+# act only while a model is fitted.
 KNN_K = 2
-VOICE_MFCC = mfcc_mod.MfccConfig()
 VOICE_KERNEL = svm_mod.KernelSpec("rbf", 2.0)
 SVM_C = 10.0
 SVM_TOL = 1e-3
@@ -102,7 +103,8 @@ def _valid_client_id(client_id: str) -> bool:
 class SystemModel:
     """A fitted or loaded system. Its parts must fit together: a fusion
     weight w_face in [0, 1], one distinct client name per voice class (class
-    c is class_names[c]), gallery labels among those classes, a gallery
+    c is class_names[c]), gallery labels that cover exactly those classes
+    (so a claimed client always has points to verify against), a gallery
     voting among min(KNN_K, points) neighbours and an SVM with VOICE_KERNEL
     (what loading rebuilds), and each stage's output dimension equal to the
     next stage's input dimension, starting from the face_size = (width,
@@ -138,6 +140,8 @@ class SystemModel:
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
+        if np.unique(labels).size != classes:
+            raise DomainError("every client needs at least one gallery point")
         if self.face_gallery.k != min(KNN_K, labels.size):
             raise DomainError(f"gallery k {self.face_gallery.k} disagrees with KNN_K {KNN_K}")
         if self.voice_svm.kernel != VOICE_KERNEL:
@@ -145,7 +149,7 @@ class SystemModel:
         for link, produced, consumed in (
             ("image -> face", width * height, self.face.ambient_dim),
             ("face -> gallery", self.face.retained, self.face_gallery.points.shape[0]),
-            ("MFCC summary -> voice LDA", 2 * VOICE_MFCC.num_ceps, self.voice_lda.ambient_dim),
+            ("MFCC summary -> voice LDA", 2 * mfcc_mod.NUM_CEPS, self.voice_lda.ambient_dim),
             ("voice LDA -> SVM", self.voice_lda.retained,
              self.voice_svm.support_vectors.shape[0]),
         ):
@@ -223,7 +227,7 @@ def _voice_dataset(enrollment: Enrollment) -> tuple:
                     f"client {client_id!r} recording is at {rec.sample_rate} Hz, "
                     f"expected {rate} Hz"
                 )
-            columns.append(mfcc_mod.extract(rec, VOICE_MFCC).summary)
+            columns.append(mfcc_mod.extract(rec).summary)
             labels.append(label)
     return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), rate
 
@@ -322,7 +326,7 @@ def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
     rate = voice_recording.sample_rate
     if rate != m.sample_rate:
         raise DatasetError(f"probe voice is at {rate} Hz, enrolled ones at {m.sample_rate} Hz")
-    summary = mfcc_mod.extract(voice_recording, VOICE_MFCC).summary
+    summary = mfcc_mod.extract(voice_recording).summary
     return pca_mod.project(m.voice_lda, summary)
 
 
@@ -411,21 +415,23 @@ def verify(
 # ---------------------------------------------------------------------------
 # model file format: UTF-8 text, magic "BIOMM 6", then the sections INPUTS,
 # FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a trailing
-# CRC32 line over all prior bytes. The constants KNN_K, VOICE_MFCC and
-# VOICE_KERNEL are part of the format: no line records them. A matrix is one
-# line "NAME rows cols payload", the payload the base64 of its 8 * rows * cols
-# row-major little-endian float64 bytes; integer lists sit on their keyword's
-# line, and other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
+# CRC32 line over all prior bytes. The constants KNN_K and VOICE_KERNEL and
+# the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS and NUM_CEPS are part of
+# the format: no line records them. A matrix is one line "NAME rows cols
+# payload", the payload the base64 of its 8 * rows * cols row-major
+# little-endian float64 bytes; integer lists sit on their keyword's line, and
+# other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
 # FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
 # a pixels x (C-1) BASIS; VOICE_LDA is a MEAN and BASIS too. GALLERY is the
-# POINTS matrix and their LABELS; its k is min(KNN_K, points), as at fit time.
-# VOICE_SVM holds the packed one-vs-one model as it is in memory: CLASSES,
-# the PAIRS flattened, the d x n SVS matrix of distinct support vectors, then
-# per entry SV_INDEX (column in SVS), MACHINE (index into PAIRS) and COEFS,
-# and one BIASES row with a bias per pair. CLIENTS is one NAMES line, the
-# client of class c in position c. THRESHOLDS is a W_FACE line and a TAU_DIST
-# line, the last of the body; tau_fused is computed from the two. Files of
-# other versions (BIOMM 1 to 5) are refused.
+# POINTS matrix and their LABELS, at least one point per client; its k is
+# min(KNN_K, points), as at fit time. VOICE_SVM holds the packed one-vs-one
+# model as it is in memory: CLASSES, the PAIRS flattened, the d x n SVS matrix
+# of distinct support vectors, then per entry SV_INDEX (column in SVS),
+# MACHINE (index into PAIRS) and COEFS, and one BIASES row with a bias per
+# pair. CLIENTS is one NAMES line, the client of class c in position c.
+# THRESHOLDS is a W_FACE line and a TAU_DIST line, the last of the body;
+# tau_fused is computed from the two. Files of other versions (BIOMM 1 to 5)
+# are refused.
 # ---------------------------------------------------------------------------
 
 

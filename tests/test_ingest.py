@@ -4,6 +4,7 @@ import pytest
 from biomm import ingest
 from biomm.errors import (
     DatasetError,
+    DimensionError,
     DomainError,
     FormatError,
     ManifestError,
@@ -164,6 +165,25 @@ class TestRecordInvariants:
     def test_audio_rejects_weird_rate(self):
         with pytest.raises(DomainError):
             AudioRecord(12345, np.zeros(10))
+
+    @pytest.mark.parametrize("rate", [8000.0, np.float64(16000.0)], ids=["float", "numpy-float"])
+    def test_audio_rate_must_be_an_integer(self, rate):
+        # 8000.0 == 8000, but a model file stores the rate as an integer
+        # and a float one would be written as "8000.0", which no loader reads
+        with pytest.raises(DomainError, match="integer"):
+            AudioRecord(rate, np.zeros(10))
+
+    @pytest.mark.parametrize("size", [(16.0, 16), (16, 16.0)], ids=["width", "height"])
+    def test_image_size_must_be_integers(self, size):
+        with pytest.raises(DimensionError, match="integer"):
+            ImageRecord(*size, np.zeros(256, dtype=np.uint8))
+
+    def test_numpy_integers_are_stored_as_int(self):
+        audio = AudioRecord(np.int64(16000), np.zeros(10))
+        image = ImageRecord(np.int32(4), np.uint8(3), np.zeros(12, dtype=np.uint8))
+        assert type(audio.sample_rate) is int and audio.sample_rate == 16000
+        assert (type(image.width), type(image.height)) == (int, int)
+        assert (image.width, image.height) == (4, 3)
 
     def test_dataset_requires_contiguous_labels(self):
         with pytest.raises(DatasetError):

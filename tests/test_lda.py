@@ -90,6 +90,8 @@ class TestScatter:
         ds = LabeledDataset(np.ones((2, 3)), [0, 0, 0], ("only",))
         with pytest.raises(ClassError):
             lda.scatter(ds)
+        with pytest.raises(ClassError):
+            lda.fit_lda(ds)
 
 
 class TestFitLda:
@@ -99,7 +101,8 @@ class TestFitLda:
             ds = random_labeled(rng, dim=rng.randint(2, 6), classes=2, per_class=6)
             pair = lda.scatter(ds)
             reg = lda.default_reg(pair.s_w)
-            s = lda.fit_lda(ds, retained=1, reg=reg)
+            s = lda.fit_lda(ds)
+            assert s.retained == 1
             m_diff = pair.class_means[:, 0] - pair.class_means[:, 1]
             closed = np.linalg.solve(
                 pair.s_w + reg * np.eye(ds.dim), m_diff
@@ -112,7 +115,7 @@ class TestFitLda:
         features = np.array([[1.0, -1.0, 2.0, -2.0], [1.0, -1.0, -1.0, 1.0]])
         ds = make_ds(features, [0, 0, 1, 1])
         with pytest.raises(RankError):
-            lda.fit_lda(ds, retained=1)
+            lda.fit_lda(ds)
 
     def test_well_separated_clusters(self):
         rng = np.random.RandomState(4)
@@ -124,7 +127,8 @@ class TestFitLda:
                 features.append(mu + rng.standard_normal(8) * 0.5)
                 labels.append(c)
         ds = make_ds(np.column_stack(features), labels)
-        s = lda.fit_lda(ds, retained=4)
+        s = lda.fit_lda(ds)
+        assert s.retained == 4
         coords = pca.project(s, ds.features)
         means = np.column_stack(
             [coords[:, ds.labels == c].mean(axis=1) for c in range(5)]
@@ -137,35 +141,28 @@ class TestFitLda:
                 gap = np.linalg.norm(means[:, i] - means[:, j])
                 assert gap >= 10 * within_std
 
-    def test_retained_beyond_c_minus_1(self):
-        rng = np.random.RandomState(5)
-        ds = random_labeled(rng, dim=4, classes=3, per_class=4)
-        with pytest.raises(RankError):
-            lda.fit_lda(ds, retained=3)
-
     def test_default_width_is_the_informative_rank(self):
         # five class means in the plane span at most two discriminants
         rng = np.random.RandomState(11)
         ds = random_labeled(rng, dim=2, classes=5, per_class=4)
         s = lda.fit_lda(ds)
         assert s.retained == 2
-        np.testing.assert_array_equal(s.basis, lda.fit_lda(ds, retained=2).basis)
-        with pytest.raises(RankError):
-            lda.fit_lda(ds, retained=3)
 
     def test_singular_sw_without_reg(self):
-        # two samples per class at identical points: s_w = 0
+        # two samples per class at identical points: s_w = 0, so the
+        # default ridge 1e-6 * trace(s_w) / d is 0 as well
         features = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
         ds = make_ds(features, [0, 0, 1, 1])
+        assert lda.default_reg(lda.scatter(ds).s_w) == 0.0
         with pytest.raises(SingularityError):
-            lda.fit_lda(ds, retained=1, reg=0.0)
+            lda.fit_lda(ds)
 
     def test_fisher_optimality_random_probes(self):
         rng = np.random.RandomState(6)
         ds = random_labeled(rng, dim=4, classes=2, per_class=8)
         pair = lda.scatter(ds)
         reg = lda.default_reg(pair.s_w)
-        s = lda.fit_lda(ds, retained=1, reg=reg)
+        s = lda.fit_lda(ds)
         v = s.basis[:, 0]
         m = pair.s_w + reg * np.eye(ds.dim)
 
@@ -211,7 +208,7 @@ class TestLdaProject:
     def test_one_dimensional_separation(self):
         features = np.array([[0.0, 2.0, 5.0, 7.0], [0.0, 0.0, 1.0, 1.0]])
         ds = make_ds(features, [0, 0, 1, 1])
-        s = lda.fit_lda(ds, retained=1)
+        s = lda.fit_lda(ds)
         scores = pca.project(s, ds.features)[0]
         assert max(scores[:2]) < min(scores[2:]) or min(scores[:2]) > max(scores[2:])
 

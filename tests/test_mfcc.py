@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from biomm import mfcc
-from biomm.errors import DimensionError, DomainError, ResolutionError, TooShortError
-from biomm.ingest import AudioRecord
+from biomm.errors import DimensionError, DomainError, TooShortError
+from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord
 
 
 def naive_dft(x):
@@ -51,48 +51,43 @@ class TestHamming:
 class TestFraming:
     def test_frame_count_8khz(self):
         audio = AudioRecord(8000, np.random.RandomState(0).uniform(-0.5, 0.5, 8000))
-        frames = mfcc.frame_and_window(audio, mfcc.MfccConfig())
+        frames = mfcc.frame_and_window(audio)
         assert frames.shape[1] == 98  # floor((8000-200)/80) + 1
 
     def test_constant_signal_gives_window(self):
         audio = AudioRecord(8000, np.full(400, 1.0))
-        cfg = mfcc.MfccConfig()
-        frames = mfcc.frame_and_window(audio, cfg)
-        params = cfg.resolve(8000)
-        np.testing.assert_allclose(
-            frames[: params.frame_len, 0], mfcc.hamming_window(params.frame_len)
-        )
-        np.testing.assert_array_equal(frames[params.frame_len :, 0], 0.0)
+        frames = mfcc.frame_and_window(audio)
+        frame_len = mfcc.frame_geometry(8000)[0]
+        np.testing.assert_allclose(frames[:frame_len, 0], mfcc.hamming_window(frame_len))
+        np.testing.assert_array_equal(frames[frame_len:, 0], 0.0)
 
     def test_matches_loop_oracle(self):
         samples = np.random.RandomState(7).uniform(-0.5, 0.5, 1000)
-        cfg = mfcc.MfccConfig()
-        params = cfg.resolve(8000)
-        frames = mfcc.frame_and_window(AudioRecord(8000, samples), cfg)
-        window = mfcc.hamming_window(params.frame_len)
+        frame_len, hop, fft_size = mfcc.frame_geometry(8000)
+        frames = mfcc.frame_and_window(AudioRecord(8000, samples))
+        window = mfcc.hamming_window(frame_len)
         for i in range(frames.shape[1]):
-            start = i * params.hop
-            expected = np.zeros(params.fft_size)
-            expected[: params.frame_len] = samples[start : start + params.frame_len] * window
+            start = i * hop
+            expected = np.zeros(fft_size)
+            expected[:frame_len] = samples[start : start + frame_len] * window
             np.testing.assert_array_equal(frames[:, i], expected)
 
     def test_zero_audio_zero_frames(self):
         audio = AudioRecord(8000, np.zeros(1000))
-        frames = mfcc.frame_and_window(audio, mfcc.MfccConfig())
+        frames = mfcc.frame_and_window(audio)
         assert np.all(frames == 0.0)
 
     def test_too_short(self):
         audio = AudioRecord(8000, np.zeros(100))
         with pytest.raises(TooShortError):
-            mfcc.frame_and_window(audio, mfcc.MfccConfig())
+            mfcc.frame_and_window(audio)
 
     def test_hop_shift_drops_one_frame(self):
         rng = np.random.RandomState(1)
         samples = rng.uniform(-0.5, 0.5, 4000)
-        cfg = mfcc.MfccConfig()
-        hop = cfg.resolve(8000).hop
-        full = mfcc.extract(AudioRecord(8000, samples), cfg)
-        shifted = mfcc.extract(AudioRecord(8000, samples[hop:]), cfg)
+        hop = mfcc.frame_geometry(8000)[1]
+        full = mfcc.extract(AudioRecord(8000, samples))
+        shifted = mfcc.extract(AudioRecord(8000, samples[hop:]))
         assert shifted.frames.shape[1] == full.frames.shape[1] - 1
         np.testing.assert_array_equal(shifted.frames, full.frames[:, 1:])
 
@@ -156,64 +151,52 @@ class TestDft:
 
 class TestFilterbank:
     def test_zero_spectrum_floored(self):
-        cfg = mfcc.MfccConfig()
-        n_bins = cfg.resolve(8000).fft_size // 2 + 1
-        out = mfcc.mel_filterbank(np.zeros(n_bins), cfg, 8000)
-        np.testing.assert_array_equal(out, np.full(cfg.num_filters, 1e-10))
+        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
+        out = mfcc.mel_filterbank(np.zeros(n_bins), 8000)
+        np.testing.assert_array_equal(out, np.full(mfcc.NUM_FILTERS, 1e-10))
 
     def test_flat_spectrum_positive(self):
-        cfg = mfcc.MfccConfig()
-        n_bins = cfg.resolve(8000).fft_size // 2 + 1
-        out = mfcc.mel_filterbank(np.ones(n_bins), cfg, 8000)
+        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
+        out = mfcc.mel_filterbank(np.ones(n_bins), 8000)
         assert np.all(out > 1e-10)
+
+    def test_spectrum_length_and_sign_checked(self):
+        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
+        with pytest.raises(DimensionError):
+            mfcc.mel_filterbank(np.ones(n_bins - 1), 8000)
+        with pytest.raises(DomainError):
+            mfcc.mel_filterbank(-np.ones(n_bins), 8000)
 
     def test_mel_of_1khz(self):
         assert abs(mfcc.mel(1000.0) - 999.9855371396244) < 1e-9
 
     def test_partition_bound_and_coverage(self):
-        cfg = mfcc.MfccConfig()
-        params = cfg.resolve(16000)
-        weights = mfcc.filter_weights(cfg, 16000)
-        bin_freqs = np.arange(params.fft_size // 2 + 1) * 16000 / params.fft_size
-        interior = (bin_freqs > params.fmin) & (bin_freqs < params.fmax)
+        fft_size = mfcc.frame_geometry(16000)[2]
+        weights = mfcc.filter_weights(16000)
+        bin_freqs = np.arange(fft_size // 2 + 1) * 16000 / fft_size
+        interior = (bin_freqs > 0.0) & (bin_freqs < 8000.0)
         sums = weights.sum(axis=0)
         assert np.all(sums[interior] <= 1.0 + 1e-9)
         assert np.all(weights[:, interior].max(axis=0) >= 0.0)
         assert np.all((weights[:, interior] > 0.0).any(axis=0))
 
-    def test_resolution_error(self):
-        # a failed build is not cached: every call raises again
-        cfg = mfcc.MfccConfig(num_filters=200, num_ceps=12, fft_size=256)
-        for _ in range(3):
-            with pytest.raises(ResolutionError):
-                mfcc.filter_weights(cfg, 8000)
-
 
 class TestTableCache:
     def test_tables_are_shared_and_read_only(self):
-        cfg = mfcc.MfccConfig()
-        weights = mfcc.filter_weights(cfg, 8000)
-        assert mfcc.filter_weights(mfcc.MfccConfig(), 8000) is weights
-        dct = mfcc._dct_matrix(cfg.num_ceps, cfg.num_filters)
-        for table in (weights, dct):
+        weights = mfcc.filter_weights(8000)
+        assert mfcc.filter_weights(8000) is weights
+        for table in (weights, mfcc.DCT_MATRIX):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
             with pytest.raises(ValueError):
                 table *= 2.0
-        np.testing.assert_array_equal(weights, mfcc.filter_weights.__wrapped__(cfg, 8000))
+        np.testing.assert_array_equal(weights, mfcc.filter_weights.__wrapped__(8000))
+        np.testing.assert_array_equal(mfcc.DCT_MATRIX, mfcc._dct_matrix())
 
-    def test_distinct_configs_and_rates_get_their_own_tables(self):
-        base_cfg = mfcc.MfccConfig()
-        variants = [
-            (base_cfg, 8000),
-            (base_cfg, 16000),
-            (mfcc.MfccConfig(num_filters=24), 8000),
-            (mfcc.MfccConfig(fmax_hz=3000.0), 8000),
-            (mfcc.MfccConfig(fft_size=512), 8000),
-        ]
-        tables = [mfcc.filter_weights(cfg, rate) for cfg, rate in variants]
-        for (cfg, rate), table in zip(variants, tables):
-            np.testing.assert_array_equal(table, mfcc.filter_weights.__wrapped__(cfg, rate))
+    def test_distinct_rates_get_their_own_tables(self):
+        tables = [mfcc.filter_weights(rate) for rate in VALID_SAMPLE_RATES]
+        for rate, table in zip(VALID_SAMPLE_RATES, tables):
+            np.testing.assert_array_equal(table, mfcc.filter_weights.__wrapped__(rate))
         for a in range(len(tables)):
             for b in range(a + 1, len(tables)):
                 assert tables[a].shape != tables[b].shape or not np.array_equal(
@@ -223,22 +206,29 @@ class TestTableCache:
 
 class TestDctCepstra:
     def test_constant_input_vanishes(self):
-        out = mfcc.dct_cepstra(np.full(20, 3.7), 12)
+        out = mfcc.dct_cepstra(np.full(20, 3.7))
         np.testing.assert_allclose(out, np.zeros(12), atol=1e-12)
 
-    def test_two_filter_hand_expansion(self):
-        a, b = 1.3, -0.4
-        out = mfcc.dct_cepstra(np.array([a, b]), 1)
-        np.testing.assert_allclose(out, [(a - b) * np.cos(np.pi / 4)], atol=1e-12)
+    def test_matches_loop_oracle(self):
+        # c_n = sum_k logS_k cos[n (k - 1/2) pi / K], k = 1..K, for n = 1..12
+        log_s = np.random.RandomState(9).uniform(-5.0, 5.0, (20, 3))
+        expected = np.zeros((12, 3))
+        for j in range(3):
+            for n in range(1, 13):
+                for k in range(1, 21):
+                    expected[n - 1, j] += log_s[k - 1, j] * np.cos(n * (k - 0.5) * np.pi / 20)
+        np.testing.assert_allclose(mfcc.dct_cepstra(log_s), expected, atol=1e-12)
+        np.testing.assert_allclose(mfcc.dct_cepstra(log_s[:, 0]), expected[:, 0], atol=1e-12)
 
     def test_output_length(self):
-        for num_ceps in (1, 5, 12, 19):
-            out = mfcc.dct_cepstra(np.arange(20.0), num_ceps)
-            assert out.shape == (num_ceps,)
+        assert mfcc.dct_cepstra(np.arange(20.0)).shape == (12,)
+        for frames in (1, 7):
+            assert mfcc.dct_cepstra(np.ones((20, frames))).shape == (12, frames)
 
-    def test_num_ceps_bound(self):
-        with pytest.raises(DomainError):
-            mfcc.dct_cepstra(np.arange(20.0), 20)
+    def test_filter_count_checked(self):
+        for rows in (19, 21):
+            with pytest.raises(DimensionError):
+                mfcc.dct_cepstra(np.zeros(rows))
 
 
 class TestExtract:
@@ -246,19 +236,17 @@ class TestExtract:
         fs = 8000
         t = np.arange(fs) / fs
         audio = AudioRecord(fs, 0.5 * np.sin(2 * np.pi * 1000.0 * t))
-        cfg = mfcc.MfccConfig()
-        params = cfg.resolve(fs)
         grid = mfcc.mel_inv(
-            np.linspace(mfcc.mel(params.fmin), mfcc.mel(params.fmax), cfg.num_filters + 2)
+            np.linspace(mfcc.mel(0.0), mfcc.mel(fs / 2.0), mfcc.NUM_FILTERS + 2)
         )
         centers = grid[1:-1]
         expected_filter = int(np.argmin(np.abs(centers - 1000.0)))
 
-        frames = mfcc.frame_and_window(audio, cfg)
+        frames = mfcc.frame_and_window(audio)
         spectrum = np.fft.rfft(frames, axis=0)
         power = spectrum.real**2 + spectrum.imag**2
         np.testing.assert_array_equal(mfcc.power_spectrum(frames), power)
-        weights = mfcc.filter_weights(cfg, fs)
+        weights = mfcc.filter_weights(fs)
         energies = weights @ power
         dominant = np.argmax(energies, axis=0)
         assert np.all(np.abs(dominant - expected_filter) <= 1)
@@ -304,15 +292,14 @@ class TestExtract:
     def test_matches_uncached_composition(self):
         rng = np.random.RandomState(7)
         audio = AudioRecord(8000, rng.uniform(-0.8, 0.8, 6000))
-        cfg = mfcc.MfccConfig(num_filters=22, num_ceps=11)
-        frames = mfcc.frame_and_window(audio, cfg)
+        frames = mfcc.frame_and_window(audio)
         spectrum = np.fft.rfft(frames, axis=0)
         power = spectrum.real**2 + spectrum.imag**2
-        weights = mfcc.filter_weights.__wrapped__(cfg, audio.sample_rate)
+        weights = mfcc.filter_weights.__wrapped__(audio.sample_rate)
         log_e = np.log(np.maximum(weights @ power, mfcc.ENERGY_FLOOR))
-        cepstra = mfcc._dct_matrix.__wrapped__(cfg.num_ceps, cfg.num_filters) @ log_e
+        cepstra = mfcc._dct_matrix() @ log_e
         for _ in range(2):  # the first call may build the tables, the second reuses them
-            feats = mfcc.extract(audio, cfg)
+            feats = mfcc.extract(audio)
             np.testing.assert_array_equal(feats.frames, cepstra)
             np.testing.assert_array_equal(
                 feats.summary, np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biomm import linalg, pca
-from biomm.errors import DimensionError, DomainError, RankError
+from biomm.errors import DimensionError, RankError
 from biomm.ingest import LabeledDataset
 
 
@@ -56,17 +56,19 @@ class TestFitPca:
         x1 = np.array([1.0, 0.0, 0.0])
         x2 = np.array([0.0, 1.0, 1.0])
         ds = make_ds(np.column_stack([x1, x2]))
-        s = pca.fit_pca(ds, retained=1)
+        s = pca.fit_pca(ds)
         expected = (x1 - x2) / np.linalg.norm(x1 - x2)
         cos = abs(s.basis[:, 0] @ expected)
         assert cos >= 1 - 1e-10
 
     def test_axis_aligned_data(self):
+        # three samples of two classes: p - C = 1 component, the one axis of spread
         rng = np.random.RandomState(1)
-        spread = np.zeros((3, 8))
-        spread[1] = rng.standard_normal(8) * 5
+        spread = np.zeros((3, 3))
+        spread[1] = rng.standard_normal(3) * 5
         ds = make_ds(spread)
-        s = pca.fit_pca(ds, retained=1)
+        s = pca.fit_pca(ds)
+        assert s.retained == 1
         np.testing.assert_allclose(np.abs(s.basis[:, 0]), [0.0, 1.0, 0.0], atol=1e-9)
 
     def test_gram_trick_matches_direct(self):
@@ -87,7 +89,7 @@ class TestFitPca:
         rng = np.random.RandomState(3)
         features = rng.standard_normal((20, 8))  # p < d: gram path
         ds = make_ds(features)
-        s = pca.fit_pca(ds, retained=5)
+        s = pca.fit_pca(ds)
         # coordinates computed two ways must agree
         coords = pca.project(s, ds.features)
         for i in range(ds.num_samples):
@@ -98,15 +100,16 @@ class TestFitPca:
     def test_orthonormal_basis(self):
         rng = np.random.RandomState(4)
         ds = make_ds(rng.standard_normal((30, 9)))
-        s = pca.fit_pca(ds, retained=6)
+        s = pca.fit_pca(ds)
+        assert s.retained == 9 - 2
         np.testing.assert_allclose(
-            s.basis.T @ s.basis, np.eye(6), atol=1e-8
+            s.basis.T @ s.basis, np.eye(7), atol=1e-8
         )
 
     def test_energy_ordering(self):
         rng = np.random.RandomState(5)
         ds = make_ds(rng.standard_normal((12, 10)))
-        s = pca.fit_pca(ds, retained=6)
+        s = pca.fit_pca(ds)
         coords = pca.project(s, ds.features)
         variances = coords.var(axis=1)
         assert np.all(np.diff(variances) <= 1e-10)
@@ -114,7 +117,7 @@ class TestFitPca:
     def test_projection_is_contraction(self):
         rng = np.random.RandomState(6)
         ds = make_ds(rng.standard_normal((10, 8)))
-        s = pca.fit_pca(ds, retained=4)
+        s = pca.fit_pca(ds)
         for i in range(ds.num_samples):
             centered = ds.features[:, i] - s.mean
             assert np.linalg.norm(s.basis @ (s.basis.T @ centered)) <= (
@@ -124,7 +127,7 @@ class TestFitPca:
     def test_rank_error_on_identical_samples(self):
         ds = make_ds(np.ones((4, 6)))
         with pytest.raises(RankError):
-            pca.fit_pca(ds, retained=1)
+            pca.fit_pca(ds)
 
     def test_rank_error_reports_usable_rank(self):
         # rank-2 data in 5-D: columns cycle through 3 distinct points
@@ -132,23 +135,15 @@ class TestFitPca:
         points[0, 0] = 1.0
         points[1, 1] = 1.0
         points[2, 2] = 1.0
-        ds = make_ds(points[:, [0, 1, 2, 0, 1, 2]])
+        ds = make_ds(points[:, [0, 1, 2, 0, 1, 2]])  # p - C = 4 components wanted
         with pytest.raises(RankError, match="rank 2"):
-            pca.fit_pca(ds, retained=3)
-
-    def test_retained_out_of_range(self):
-        rng = np.random.RandomState(7)
-        ds = make_ds(rng.standard_normal((4, 6)))
-        with pytest.raises(DomainError):
-            pca.fit_pca(ds, retained=0)
-        with pytest.raises(DomainError):
-            pca.fit_pca(ds, retained=6)
+            pca.fit_pca(ds)
 
     def test_deterministic(self):
         rng = np.random.RandomState(8)
         ds = make_ds(rng.standard_normal((15, 9)))
-        s1 = pca.fit_pca(ds, retained=4)
-        s2 = pca.fit_pca(ds, retained=4)
+        s1 = pca.fit_pca(ds)
+        s2 = pca.fit_pca(ds)
         np.testing.assert_array_equal(s1.basis, s2.basis)
         np.testing.assert_array_equal(s1.mean, s2.mean)
 
@@ -157,8 +152,8 @@ class TestProject:
     def test_mean_projects_to_zero(self):
         rng = np.random.RandomState(9)
         ds = make_ds(rng.standard_normal((6, 8)))
-        s = pca.fit_pca(ds, retained=3)
-        np.testing.assert_allclose(pca.project(s, s.mean), np.zeros(3), atol=1e-12)
+        s = pca.fit_pca(ds)
+        np.testing.assert_allclose(pca.project(s, s.mean), np.zeros(s.retained), atol=1e-12)
 
     def test_identity_basis_truncates(self):
         basis = np.eye(4)[:, :2]

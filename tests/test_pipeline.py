@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from biomm import knn, lda, pca, pipeline, svm, synth
+from biomm import lda, mfcc, pca, pipeline, svm, synth
 from biomm.errors import (
     ClassError,
     DatasetError,
@@ -19,7 +19,8 @@ from biomm.errors import (
     EnrollmentError,
     FormatError,
 )
-from biomm.ingest import AudioRecord, ImageRecord, LabeledDataset, image_to_vector
+from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
+from biomm.ingest import image_to_vector
 
 NUM_CLIENTS = 5
 
@@ -198,7 +199,7 @@ def test_more_clients_than_voice_summary_values(tmp_path):
     gallery, prototypes, profiles, rng = synth.make_enrollment_data(num_clients=26, seed=6)
     model = pipeline.enroll_and_fit(gallery)
     assert model.face.retained == 25
-    assert model.voice_lda.retained == 2 * pipeline.VOICE_MFCC.num_ceps
+    assert model.voice_lda.retained == 2 * mfcc.NUM_CEPS
     path = tmp_path / "c26.biomm"
     pipeline.save_model(model, path)
     loaded = pipeline.load_model(path)
@@ -209,6 +210,48 @@ def test_more_clients_than_voice_summary_values(tmp_path):
         assert d.face_id == names[c]
         assert pipeline.identify(loaded, face, voice) == d
         for claim in (names[c], names[(c + 1) % 26]):
+            d = pipeline.verify(model, face, voice, claim)
+            assert pipeline.verify(loaded, face, voice, claim) == d
+
+
+# (frame length, hop, FFT size): 25 ms and 10 ms rounded half to even, so
+# 220.5 samples give a hop of 220 and 1102.5 a frame of 1102
+FRAME_GEOMETRY = {
+    8000: (200, 80, 256),
+    16000: (400, 160, 512),
+    22050: (551, 220, 1024),
+    44100: (1102, 441, 2048),
+}
+
+
+@pytest.mark.parametrize("rate", VALID_SAMPLE_RATES)
+def test_every_valid_sample_rate(rate, tmp_path):
+    frame_len, hop, fft_size = mfcc.frame_geometry(rate)
+    assert (frame_len, hop, fft_size) == FRAME_GEOMETRY[rate]
+    weights = mfcc.filter_weights(rate)
+    assert weights.shape == (mfcc.NUM_FILTERS, fft_size // 2 + 1)
+    assert np.all((weights > 0.0).any(axis=1)), "a filter covers no FFT bin"
+    window = mfcc.hamming_window(frame_len)
+    assert mfcc.filter_weights(rate) is weights and mfcc.hamming_window(frame_len) is window
+    for table in (weights, window, mfcc.DCT_MATRIX):
+        assert not table.flags.writeable
+
+    gallery, prototypes, profiles, rng = synth.make_enrollment_data(
+        num_clients=3, seed=12, sample_rate=rate
+    )
+    model = pipeline.enroll_and_fit(gallery)
+    path = tmp_path / "model.biomm"
+    pipeline.save_model(model, path)
+    loaded = pipeline.load_model(path)
+    assert loaded.sample_rate == model.sample_rate == rate
+    names = list(gallery)
+    for c, name in enumerate(names):
+        face = synth.render_face(prototypes[c], rng)
+        voice = synth.synth_utterance(profiles[c], rng, sample_rate=rate)
+        d = pipeline.identify(model, face, voice)
+        assert d.face_id == d.voice_id == name
+        assert pipeline.identify(loaded, face, voice) == d
+        for claim in (name, names[(c + 1) % 3]):
             d = pipeline.verify(model, face, voice, claim)
             assert pipeline.verify(loaded, face, voice, claim) == d
 
@@ -326,8 +369,27 @@ class TestModelFile:
         gallery = world.model.face_gallery
         with pytest.raises(DomainError, match="KNN_K"):
             replace(world.model, face_gallery=replace(gallery, k=1))
-        one_point = knn.KnnModel(gallery.points[:, :1], gallery.labels[:1], k=1)
-        assert replace(world.model, face_gallery=one_point).face_gallery.k == 1
+        # a client left with one point is verified against that point alone
+        first = np.flatnonzero(gallery.labels == 0)[0]
+        keep = (gallery.labels != 0) | (np.arange(gallery.labels.size) == first)
+        model = replace(
+            world.model, face_gallery=pipeline._gallery(gallery.points[:, keep], gallery.labels[keep])
+        )
+        name, face, voice = world.genuine[0]
+        distance = np.linalg.norm(
+            pca.project(model.face, image_to_vector(face)) - gallery.points[:, first]
+        )
+        d = pipeline.verify(model, face, voice, name)
+        assert d.face_score == pytest.approx(1.0 / (1.0 + distance), rel=1e-12)
+
+    def test_every_client_keeps_a_gallery_point(self, world):
+        # verify(claimed client) needs that client's points; a gallery
+        # without any is refused, whether built or loaded
+        gallery = world.model.face_gallery
+        keep = gallery.labels != NUM_CLIENTS - 1
+        without_last = pipeline._gallery(gallery.points[:, keep], gallery.labels[keep])
+        with pytest.raises(DomainError, match="gallery point"):
+            replace(world.model, face_gallery=without_last)
 
     def test_svm_kernel_is_voice_kernel(self, world):
         # the file stores no kernel: the loader gives the SVM VOICE_KERNEL
@@ -489,6 +551,9 @@ MALFORMED_BODIES = {
     "fewer-names-than-classes": _edit_tokens("NAMES", lambda names: names[:-1]),
     "name-repeated": _edit_tokens("NAMES", _replaced(1, "client0")),
     "label-beyond-classes": _set_line("LABELS ", "LABELS " + " ".join(["0"] * 19 + ["5"])),
+    "client-without-gallery-point": _edit_tokens(
+        "LABELS ", lambda t: ["3" if label == "4" else label for label in t]
+    ),
     "tau-not-float": _set_line("TAU_DIST ", "TAU_DIST abc"),
     "svs-rows-differ": _drop_sv_row,
     "coefs-shorter-than-svs": _drop_last_value("COEFS"),
@@ -536,7 +601,7 @@ class TestMalformedBody:
             replace(world.model, face=narrowed(world.model.face))
         with pytest.raises(DimensionError):
             replace(world.model, voice_lda=narrowed(world.model.voice_lda))
-        # the voice LDA takes the 2 * num_ceps values of a VOICE_MFCC summary
+        # the voice LDA takes the 2 * NUM_CEPS values of an MFCC summary
         voice = world.model.voice_lda
         with pytest.raises(DimensionError, match="MFCC summary"):
             replace(world.model, voice_lda=pca.Subspace(voice.mean[:-2], voice.basis[:-2]))
