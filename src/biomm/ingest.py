@@ -2,6 +2,9 @@
 
 `ImageRecord` and `AudioRecord` are the raw inputs that enrollment and
 probes take; `LabeledDataset` is the feature matrix the subspace fits read.
+An enrollment holds its records until the batch fit, so they are kept
+compact: pixels as uint8 and audio as float32, which holds every 16-bit PCM
+sample exactly.
 
 Supported carriers are deliberately minimal: binary PGM (P5, maxval <= 255)
 for images, 16-bit mono PCM WAV for audio, and TAB-separated UTF-8
@@ -65,7 +68,15 @@ class ImageRecord:
 
 @dataclass(frozen=True, eq=False)
 class AudioRecord:
-    """Mono audio; samples are float64 in [-1, 1] scaled from int16."""
+    """Mono audio at one of VALID_SAMPLE_RATES; samples lie in [-1, 1].
+
+    The given samples are checked as float64 values (finite, within
+    [-1, 1]) and stored as a float32 copy, which halves the memory an
+    enrollment holds until its fit. A 16-bit PCM value scaled by 1/32768,
+    as `load_wav` gives, is exact in float32; other float64 audio is
+    rounded once to the nearest float32 (a relative error of at most 2**-24
+    for magnitudes of 2**-126 and more).
+    """
 
     sample_rate: int
     samples: np.ndarray
@@ -82,7 +93,7 @@ class AudioRecord:
         if np.abs(samples).max() > 1.0:
             raise DomainError("samples must lie in [-1, 1]")
         object.__setattr__(self, "sample_rate", rate)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", samples.astype(np.float32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +189,11 @@ def write_pgm(path, img: ImageRecord) -> None:
 
 
 def load_wav(path) -> AudioRecord:
-    """Load a 16-bit mono PCM RIFF/WAVE file; samples scaled by 1/32768."""
+    """Load a 16-bit mono PCM RIFF/WAVE file; samples scaled by 1/32768.
+
+    Every scaled value is a float32 value, so the record holds the file's
+    samples exactly.
+    """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE file")

@@ -5,7 +5,10 @@ numpy's pocketfft, over all frames of the utterance at once) ->
 triangular mel filterbank -> natural log -> cosine transform, dropping
 the zeroth coefficient (it carries frame energy, not speaker identity).
 Each step is a public function that takes a matrix of frame columns, and
-`extract` is their composition.
+`extract` is their composition. The frames are float64 whatever the record
+holds: windowing multiplies the (float32) samples by the float64 window into
+a float64 matrix, so the whole chain computes in float64 from its first
+product.
 
 The analysis settings are fixed: FRAME_MS frames every SHIFT_MS, NUM_FILTERS
 mel filters spanning 0 Hz to half the sample rate, and NUM_CEPS cepstra.
@@ -83,8 +86,8 @@ def hamming_window(length: int) -> np.ndarray:
 def frame_and_window(audio: AudioRecord) -> np.ndarray:
     """Slice audio into hop-spaced Hamming-windowed frames, zero-padded.
 
-    Returns a matrix with one frame per column (FFT-size rows); the last
-    partial frame is dropped.
+    Returns a float64 matrix with one frame per column (FFT-size rows); the
+    last partial frame is dropped.
     """
     frame_len, hop, fft_size = frame_geometry(audio.sample_rate)
     n = audio.samples.size

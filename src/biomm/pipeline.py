@@ -51,7 +51,7 @@ from .errors import (
     IdentityError,
 )
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
-from .ingest import image_to_vector
+from .ingest import _integer, image_to_vector
 
 MAGIC = "BIOMM 6"
 DIST_HEADROOM = 6.0
@@ -108,7 +108,9 @@ class SystemModel:
     voting among min(KNN_K, points) neighbours and an SVM with VOICE_KERNEL
     (what loading rebuilds), and each stage's output dimension equal to the
     next stage's input dimension, starting from the face_size = (width,
-    height) pixels of an enrolled image."""
+    height) pixels of an enrolled image. The sample rate and face_size are
+    integers, as the records hold them and the file stores them; NumPy
+    integers are kept as int."""
 
     face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
@@ -123,9 +125,15 @@ class SystemModel:
     def __post_init__(self):
         if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
             raise DomainError(f"w_face must lie in [0, 1], got {self.w_face}")
-        if self.sample_rate not in VALID_SAMPLE_RATES:
-            raise DomainError(f"unsupported enrollment sample rate {self.sample_rate}")
-        width, height = self.face_size
+        rate = _integer(self.sample_rate, DomainError, "enrollment sample rate")
+        if rate not in VALID_SAMPLE_RATES:
+            raise DomainError(f"unsupported enrollment sample rate {rate}")
+        try:
+            width, height = self.face_size
+        except (TypeError, ValueError):
+            raise DimensionError(f"face_size must be (width, height), got {self.face_size!r}") from None
+        width = _integer(width, DimensionError, "enrolled image width")
+        height = _integer(height, DimensionError, "enrolled image height")
         if width < 1 or height < 1:
             raise DimensionError(f"enrolled image size {width}x{height} is empty")
         classes = self.voice_svm.num_classes
@@ -155,6 +163,8 @@ class SystemModel:
         ):
             if produced != consumed:
                 raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
+        object.__setattr__(self, "sample_rate", rate)
+        object.__setattr__(self, "face_size", (width, height))
 
     @property
     def num_classes(self) -> int:
@@ -169,7 +179,12 @@ class SystemModel:
 
 
 class Enrollment:
-    """Accumulates per-client raw biometrics until the batch fit."""
+    """Accumulates per-client raw biometrics until the batch fit.
+
+    It holds every record it is given, not features, until `fit_system`
+    reads them, so an enrollment's memory is that of its records: a
+    second of 8 kHz audio is 32 KB as an AudioRecord keeps it (float32).
+    """
 
     def __init__(self):
         self._clients: dict[str, tuple[list, list]] = {}

@@ -94,11 +94,13 @@ class TestWav:
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.RandomState(0)
-        ints = rng.randint(-32768, 32768, size=500)
+        # every 16-bit code too: each scaled code is exact in the record's float32
+        ints = np.concatenate([rng.randint(-32768, 32768, size=500), np.arange(-32768, 32768)])
         samples = ints / 32768.0
         p = tmp_path / "rt.wav"
         ingest.write_wav(p, samples, 16000)
         back = ingest.load_wav(p)
+        assert back.samples.dtype == np.float32
         np.testing.assert_array_equal(back.samples, samples)
 
 
@@ -177,6 +179,32 @@ class TestRecordInvariants:
     def test_image_size_must_be_integers(self, size):
         with pytest.raises(DimensionError, match="integer"):
             ImageRecord(*size, np.zeros(256, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_audio_is_held_as_a_float32_copy(self, dtype):
+        given = np.zeros(8000, dtype=dtype)
+        samples = AudioRecord(8000, given).samples
+        assert samples.dtype == np.float32 and samples.nbytes == 32_000
+        assert not np.shares_memory(samples, given)
+
+    # the checks run on the values as given: just above 1 in magnitude
+    # rounds to 1.0 in float32, yet is refused
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            (np.nextafter(1.0, 2.0), r"\[-1, 1\]"),
+            (-np.nextafter(1.0, 2.0), r"\[-1, 1\]"),
+            (np.nan, "NaN"),
+            (np.inf, "Inf"),
+            (-np.inf, "Inf"),
+        ],
+        ids=["above-one", "below-minus-one", "nan", "inf", "minus-inf"],
+    )
+    def test_audio_values_checked_before_rounding(self, value, match):
+        samples = np.zeros(10)
+        samples[3] = value
+        with pytest.raises(DomainError, match=match):
+            AudioRecord(8000, samples)
 
     def test_numpy_integers_are_stored_as_int(self):
         audio = AudioRecord(np.int64(16000), np.zeros(10))

@@ -62,9 +62,12 @@ class TestFraming:
         np.testing.assert_array_equal(frames[frame_len:, 0], 0.0)
 
     def test_matches_loop_oracle(self):
-        samples = np.random.RandomState(7).uniform(-0.5, 0.5, 1000)
+        record = AudioRecord(8000, np.random.RandomState(7).uniform(-0.5, 0.5, 1000))
+        # the oracle frames the values the record holds, in float64
+        samples = record.samples.astype(np.float64)
         frame_len, hop, fft_size = mfcc.frame_geometry(8000)
-        frames = mfcc.frame_and_window(AudioRecord(8000, samples))
+        frames = mfcc.frame_and_window(record)
+        assert frames.dtype == np.float64
         window = mfcc.hamming_window(frame_len)
         for i in range(frames.shape[1]):
             start = i * hop

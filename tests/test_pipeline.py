@@ -391,6 +391,36 @@ class TestModelFile:
         with pytest.raises(DomainError, match="gallery point"):
             replace(world.model, face_gallery=without_last)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("sample_rate", 8000.0, DomainError),
+            ("sample_rate", np.float64(8000.0), DomainError),
+            ("face_size", (16.0, 16.0), DimensionError),
+            ("face_size", (16, np.float32(16.0)), DimensionError),
+        ],
+        ids=["rate-float", "rate-numpy-float", "size-float", "height-numpy-float"],
+    )
+    def test_rate_and_size_must_be_integers(self, world, field, value, error):
+        # 8000.0 == 8000, but save_model would write "8000.0", which load_model refuses
+        assert (world.model.sample_rate, world.model.face_size) == (8000, (16, 16))
+        with pytest.raises(error, match="integer"):
+            replace(world.model, **{field: value})
+
+    @pytest.mark.parametrize("size", [(16, 16, 1), (16,), 16], ids=["three", "one", "scalar"])
+    def test_size_must_be_a_pair(self, world, size):
+        with pytest.raises(DimensionError, match="width, height"):
+            replace(world.model, face_size=size)
+
+    def test_numpy_integer_rate_and_size_are_stored_as_int(self, world, tmp_path):
+        model = replace(world.model, sample_rate=np.int64(8000), face_size=[np.int32(16), np.uint8(16)])
+        assert type(model.sample_rate) is int and model.sample_rate == 8000
+        assert model.face_size == (16, 16) and all(type(v) is int for v in model.face_size)
+        path = tmp_path / "integers.biomm"
+        pipeline.save_model(model, path)
+        loaded = pipeline.load_model(path)
+        assert (loaded.sample_rate, loaded.face_size) == (8000, (16, 16))
+
     def test_svm_kernel_is_voice_kernel(self, world):
         # the file stores no kernel: the loader gives the SVM VOICE_KERNEL
         linear = replace(world.model.voice_svm, kernel=svm.KernelSpec("linear"))
