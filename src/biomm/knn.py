@@ -3,7 +3,9 @@
 Galleries are small (a few hundred points of dimension <= C-1 after LDA),
 so a linear scan is used. Vote ties break by smaller mean distance among
 the tied classes, then by smaller class id, which makes the result
-independent of gallery ordering.
+independent of gallery ordering. `vote` holds that rule once: `classify`
+applies it to one query's distances, `leave_one_out` to every gallery point
+against the rest, and verification to the distances from one client's points.
 """
 
 from __future__ import annotations
@@ -15,32 +17,67 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
+BLOCK_BYTES = 1 << 18  # the most difference bytes `leave_one_out` forms at once
+
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    """Gallery of projected training vectors (one column each) plus k."""
+    """Gallery of projected training vectors (one column each) plus k.
+
+    It holds read-only copies of the points and labels it is given, in the
+    memory layout they came in, so nothing derived from them goes stale.
+    """
 
     points: np.ndarray
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        points = np.array(self.points, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64)
         if points.ndim != 2 or points.shape[1] < 1:
             raise DimensionError("gallery must be a non-empty matrix")
         if labels.shape != (points.shape[1],):
             raise DimensionError("labels length must equal the gallery size")
         if not 1 <= self.k <= points.shape[1]:
             raise DomainError(f"k must lie in [1, {points.shape[1]}], got {self.k}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
+        for name, array in (("points", points), ("labels", labels)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 class KnnResult(NamedTuple):
     label: int
     confidence: float   # winning votes / k
     mean_distance: float  # mean distance of the winning class's neighbors
+
+
+def distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance from q to every column of points."""
+    diff = points - q[:, None]
+    return np.sqrt((diff * diff).sum(axis=0))
+
+
+def vote(labels: np.ndarray, dists: np.ndarray, k: int) -> KnnResult:
+    """Majority vote among the k nearest of the gallery points labelled
+    `labels`, at distances `dists` from the query."""
+    # distance first, class id second: equal-distance neighbors enter in a
+    # fixed class order regardless of how the gallery was assembled
+    order = np.lexsort((labels, dists))[:k]
+    near_labels = labels[order]
+    near_dists = dists[order]
+
+    votes = np.bincount(near_labels)
+    top = votes.max()
+    tied = (votes == top).nonzero()[0]
+    # each tied class has `top` neighbors: its mean distance is their sum / top
+    if tied.size == 1:
+        winner = tied[0]
+    else:
+        means = [near_dists[near_labels == c].sum() / top for c in tied]
+        winner = tied[np.argmin(means)]  # argmin takes the smaller id on ties
+    mean_distance = float(near_dists[near_labels == winner].sum() / top)
+    return KnnResult(int(winner), float(top) / k, mean_distance)
 
 
 def classify(m: KnnModel, q) -> KnnResult:
@@ -50,21 +87,32 @@ def classify(m: KnnModel, q) -> KnnResult:
         raise DimensionError(
             f"query dimension {q.shape} != gallery dimension {m.points.shape[0]}"
         )
-    diff = m.points - q[:, None]
-    dists = np.sqrt((diff * diff).sum(axis=0))
-    # distance first, class id second: equal-distance neighbors enter in a
-    # fixed class order regardless of how the gallery was assembled
-    order = np.lexsort((m.labels, dists))[: m.k]
-    near_labels = m.labels[order]
-    near_dists = dists[order]
+    return vote(m.labels, distances(m.points, q), m.k)
 
-    votes = np.bincount(near_labels)
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
-    if tied.size == 1:
-        winner = int(tied[0])
-    else:
-        means = np.array([near_dists[near_labels == c].mean() for c in tied])
-        winner = int(tied[np.argmin(means)])  # argmin takes the smaller id on ties
-    mean_distance = float(near_dists[near_labels == winner].mean())
-    return KnnResult(winner, float(top) / m.k, mean_distance)
+
+def leave_one_out(m: KnnModel) -> tuple:
+    """Each gallery point classified by the other points, with
+    k = min(m.k, points - 1): one KnnResult per point, in gallery order.
+
+    The distances of a block of points to the whole gallery are formed at
+    once, each summed along one contiguous row of squared differences. That
+    is the order in which `distances` sums them over a gallery of selected
+    columns (a masked copy is column-major), so each result equals
+    `classify` on a gallery built without the point, bit for bit; the point
+    itself sorts last, at an infinite distance, and never votes.
+    """
+    dim, n = m.points.shape
+    if n < 2:
+        raise DomainError("leave-one-out needs at least two gallery points")
+    k = min(m.k, n - 1)
+    rows = np.ascontiguousarray(m.points.T)
+    per_block = max(1, BLOCK_BYTES // max(1, 8 * n * dim))
+    results = []
+    for start in range(0, n, per_block):
+        block = rows[start:start + per_block]
+        diff = rows[None, :, :] - block[:, None, :]
+        np.square(diff, out=diff)
+        dists = np.sqrt(diff.sum(axis=2))
+        dists[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
+        results += [vote(m.labels, row, k) for row in dists]
+    return tuple(results)

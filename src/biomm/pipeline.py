@@ -23,6 +23,13 @@ bytes; see the format comment further down. It holds no value the loader
 can compute from the others: the gallery's k and tau_fused follow from the
 constants, w_face and the gallery size. A probe whose rate or image size
 differs from enrollment is refused.
+
+What a probe only reads is derived once per model, when it is built (fitted,
+loaded or replaced), and never stored: each client's gallery columns
+(SystemModel.client_points) and the SVM's row-major support vectors with
+their squared norms. Verification is 1:1 and touches only those: the face
+against the claimed client's columns, the voice by the claimed client's
+share of the machines' decision values, with no gallery built per claim.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import base64
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +117,13 @@ class SystemModel:
     next stage's input dimension, starting from the face_size = (width,
     height) pixels of an enrolled image. The sample rate and face_size are
     integers, as the records hold them and the file stores them; NumPy
-    integers are kept as int."""
+    integers are kept as int.
+
+    Verification reads one client's gallery columns at a time, so the
+    model derives client_points once, when it is built: entry c holds the
+    gallery columns of class c, selected with points[:, labels == c]. They
+    are read-only, like the gallery they come from, and not stored in the
+    model file."""
 
     face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
@@ -121,6 +134,7 @@ class SystemModel:
     w_face: float
     sample_rate: int
     face_size: tuple
+    client_points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
@@ -165,6 +179,10 @@ class SystemModel:
                 raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
         object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "face_size", (width, height))
+        client_points = tuple(self.face_gallery.points[:, labels == c] for c in range(classes))
+        for points in client_points:
+            points.flags.writeable = False
+        object.__setattr__(self, "client_points", client_points)
 
     @property
     def num_classes(self) -> int:
@@ -256,24 +274,15 @@ def _gallery(points: np.ndarray, labels) -> knn_mod.KnnModel:
     return knn_mod.KnnModel(points, labels, k=min(KNN_K, points.shape[1]))
 
 
-def _loo_face_distances(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Leave-one-out mean distance of each gallery point vs the rest."""
-    n = points.shape[1]
-    out = np.zeros(n)
-    for i in range(n):
-        keep = np.arange(n) != i
-        model = _gallery(points[:, keep], labels[keep])
-        out[i] = knn_mod.classify(model, points[:, i]).mean_distance
-    return out
-
-
 def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     """Batch fit of both chains over everything enrolled so far, fusing
     them with weight w_face on the face score.
 
     Refits from scratch (PCA/LDA/SVM are batch learners) and calibrates the
     rejection threshold tau_dist from the genuine enrollment scores: the
-    99th percentile of leave-one-out gallery distances, times DIST_HEADROOM.
+    99th percentile of leave-one-out gallery distances (every gallery point
+    against the rest, in one pass of `knn.leave_one_out`), times
+    DIST_HEADROOM.
 
     The face PCA and the LDA fitted in its coordinates are kept only as their
     product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the
@@ -306,7 +315,7 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     # distances are measured in a subspace fit on the full gallery, which
     # understates held-out genuine distances; the headroom factor compensates
     # (impostor distances sit more than an order of magnitude higher).
-    loo = _loo_face_distances(gallery_coords, face_ds.labels)
+    loo = [result.mean_distance for result in knn_mod.leave_one_out(face_gallery)]
     tau_dist = DIST_HEADROOM * float(np.percentile(loo, 99.0))
 
     return SystemModel(
@@ -392,26 +401,27 @@ def verify(
 ) -> Decision:
     """Accept or reject a claimed identity: fused score against tau_fused.
 
-    The face score uses only the claimed client's gallery points; the voice
-    score is the fraction of the claimed client's pairwise machines that
-    vote for it.
+    The face score uses only the claimed client's gallery points, the
+    model's client_points of that client, voted on by the gallery's rule;
+    the voice score is the fraction of the claimed client's pairwise
+    machines that vote for it, counted from every machine's decision value.
+    Neither builds a gallery or runs the one-vs-one vote.
     """
     names = m.class_names
     if claimed_id not in names:
         raise IdentityError(f"claimed id {claimed_id!r} is not enrolled")
     cid = names.index(claimed_id)
 
-    mask = m.face_gallery.labels == cid
-    client_points = m.face_gallery.points[:, mask]
-    client_model = _gallery(client_points, np.zeros(client_points.shape[1], dtype=np.int64))
-    q_face = _face_probe(m, face_image)
-    face_score = _distance_score(knn_mod.classify(client_model, q_face).mean_distance)
+    dists = knn_mod.distances(m.client_points[cid], _face_probe(m, face_image))
+    nearest = knn_mod.vote(np.full(dists.size, cid), dists, min(KNN_K, dists.size))
+    face_score = _distance_score(nearest.mean_distance)
 
     q_voice = _voice_probe(m, voice_recording)
     # a class can win only the C-1 machines it takes part in, so its vote
     # count is the number of those that vote for it
-    _, votes = svm_mod.predict_multiclass(m.voice_svm, q_voice)
-    voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)
+    scores = svm_mod.decision_values(m.voice_svm, q_voice)
+    won = np.count_nonzero(svm_mod.machine_winners(m.voice_svm, scores) == cid)
+    voice_score = int(won) / (m.voice_svm.num_classes - 1)
 
     w = m.w_face
     fused = w * face_score + (1.0 - w) * voice_score

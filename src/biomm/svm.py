@@ -22,13 +22,15 @@ matrix over all training points, so training computes that once and packs
 the model straight from the support vectors' point indices (the tests keep
 `pack`, which packs trained machines by value, as its reference). A probe
 costs one kernel row against the deduplicated matrix and one segmented sum
-that gives every machine's decision value. Single machines
+that gives every machine's decision value. The model derives the row-major
+copy of that matrix and its squared norms once, when it is built, and the
+row shares `kernel_matrix`'s arithmetic bit for bit. Single machines
 (`SvmModel.machines`) are views rebuilt from the packed arrays on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,12 +74,24 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] != b.shape[0]:
         raise DimensionError("kernel operands differ in dimension")
     a_rows = np.array(a.T, order="C")  # a copy, never the buffer of b
+    return _kernel_rows(spec, a_rows, _squared_norms(a_rows), b)
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row, summed along the contiguous row."""
+    return (rows * rows).sum(axis=1)
+
+
+def _kernel_rows(spec: KernelSpec, a_rows: np.ndarray, sq_a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """The kernel values between the rows of the C-ordered a_rows, whose
+    squared norms are sq_a, and the columns of b: the arithmetic of
+    `kernel_matrix`, for callers that keep a_rows and sq_a."""
     gram = a_rows @ b
     if spec.kind == "linear":
         return gram
-    sq_a = (a_rows * a_rows).sum(axis=1)[:, None]
     sq_b = np.ascontiguousarray((b * b).T).sum(axis=1)[None, :]
-    sq = np.maximum(sq_a + sq_b - 2.0 * gram, 0.0)
+    sq = np.maximum(sq_a[:, None] + sq_b - 2.0 * gram, 0.0)
     return np.exp(-spec.gamma * sq)
 
 
@@ -123,6 +137,10 @@ class SvmModel:
     the C(C-1)/2 pairs exactly once. Entry e is one support vector of
     machine machine[e]: the column sv_index[e] of support_vectors, with
     dual coefficient dual_coefs[e].
+
+    A probe reads the support vectors as rows: sv_rows (n x d, C-ordered)
+    and their squared norms sv_sq_norms are derived from support_vectors
+    when the model is built, read-only, and stored nowhere.
     """
 
     num_classes: int
@@ -133,6 +151,8 @@ class SvmModel:
     dual_coefs: np.ndarray       # per entry: a_i * y_i
     biases: np.ndarray           # per machine
     kernel: KernelSpec
+    sv_rows: np.ndarray = field(init=False, repr=False)      # support_vectors.T, C-ordered
+    sv_sq_norms: np.ndarray = field(init=False, repr=False)  # per row of sv_rows
 
     def __post_init__(self):
         n = self.num_classes
@@ -163,6 +183,10 @@ class SvmModel:
             values = getattr(self, name)
             if values.size and (values.min() < 0 or values.max() >= bound):
                 raise DomainError(f"{name} entries must lie in 0..{bound - 1}")
+        rows = np.array(self.support_vectors.T, order="C")
+        for name, array in (("sv_rows", rows), ("sv_sq_norms", _squared_norms(rows))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def machines(self) -> tuple:
@@ -349,8 +373,11 @@ def train_multiclass(
 def decision_values(m: SvmModel, x) -> np.ndarray:
     """Every machine's decision value at x, in m.class_pairs order.
 
-    One kernel row against the deduplicated support vectors, then one
-    segmented sum of dual coefficient times kernel value per machine.
+    One kernel row against the deduplicated support vectors, formed from
+    the model's sv_rows and sv_sq_norms by `kernel_matrix`'s arithmetic (so
+    it equals kernel_matrix(m.kernel, m.support_vectors, x[:, None]) bit for
+    bit), then one segmented sum of dual coefficient times kernel value per
+    machine.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.support_vectors.shape[0],):
@@ -358,9 +385,15 @@ def decision_values(m: SvmModel, x) -> np.ndarray:
             f"input dimension {x.shape} != support vector dimension "
             f"{m.support_vectors.shape[0]}"
         )
-    row = kernel_matrix(m.kernel, m.support_vectors, x[:, None])[:, 0]
+    row = _kernel_rows(m.kernel, m.sv_rows, m.sv_sq_norms, x[:, None])[:, 0]
     sums = np.bincount(m.machine, weights=m.dual_coefs * row[m.sv_index], minlength=m.biases.size)
     return sums + m.biases
+
+
+def machine_winners(m: SvmModel, scores: np.ndarray) -> np.ndarray:
+    """The class each machine votes for, given its decision value: the
+    positive class at a score >= 0, the negative class below."""
+    return np.where(scores >= 0, m.class_pairs[:, 0], m.class_pairs[:, 1])
 
 
 def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
@@ -371,7 +404,7 @@ def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
     won, then by the smaller class id.
     """
     scores = decision_values(m, x)
-    winners = np.where(scores >= 0, m.class_pairs[:, 0], m.class_pairs[:, 1])
+    winners = machine_winners(m, scores)
     votes = np.bincount(winners, minlength=m.num_classes)
     strengths = np.bincount(winners, weights=np.abs(scores), minlength=m.num_classes)
     top = votes.max()

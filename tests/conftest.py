@@ -5,7 +5,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from biomm import svm
+from biomm import knn, pipeline, svm
 from biomm.errors import ConvergenceError, DimensionError, DomainError
 
 
@@ -166,3 +166,42 @@ def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.S
             keep = np.flatnonzero(a[:y.size] > svm.PRUNE_TOL)
             machines.append(svm.BinarySvm(x[:, keep], (a[:y.size] * y)[keep], float(bias), kernel))
     return pack(ds.num_classes, pairs, machines)
+
+
+def reference_loo_distances(points, labels) -> np.ndarray:
+    """Leave-one-out mean distance of each gallery point, the long way: a
+    gallery built without point i, with k = min(KNN_K, points - 1), and
+    `knn.classify` of point i. `knn.leave_one_out` must give the same bits."""
+    n = points.shape[1]
+    out = np.zeros(n)
+    for i in range(n):
+        keep = np.arange(n) != i
+        gallery = knn.KnnModel(points[:, keep], labels[keep], k=min(pipeline.KNN_K, n - 1))
+        out[i] = knn.classify(gallery, points[:, i]).mean_distance
+    return out
+
+
+def reference_verify(m, face_image, voice_recording, claimed_id) -> pipeline.Decision:
+    """`pipeline.verify` computed the long way: a one-client gallery of the
+    claimed client's columns built for the claim and `knn.classify` on it,
+    and the claimed client's vote count from the full one-vs-one vote of
+    `svm.predict_multiclass`. The served decision must equal it."""
+    cid = m.class_names.index(claimed_id)
+    points = m.face_gallery.points[:, m.face_gallery.labels == cid]
+    client = knn.KnnModel(points, np.zeros(points.shape[1], dtype=np.int64),
+                          k=min(pipeline.KNN_K, points.shape[1]))
+    nearest = knn.classify(client, pipeline._face_probe(m, face_image))
+    face_score = pipeline._distance_score(nearest.mean_distance)
+    _, votes = svm.predict_multiclass(m.voice_svm, pipeline._voice_probe(m, voice_recording))
+    voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)
+    fused = m.w_face * face_score + (1.0 - m.w_face) * voice_score
+    accepted = fused >= m.tau_fused
+    return pipeline.Decision(
+        mode=pipeline.MODE_VERIFY,
+        claimed_id=claimed_id,
+        face_score=face_score,
+        voice_score=voice_score,
+        fused_score=fused,
+        verdict=pipeline.VERDICT_ACCEPT if accepted else pipeline.VERDICT_REJECT,
+        client_id=claimed_id if accepted else None,
+    )

@@ -3,6 +3,7 @@ import pytest
 
 from biomm import knn
 from biomm.errors import DimensionError, DomainError
+from conftest import reference_loo_distances
 
 
 def brute_classify(points, labels, k, q):
@@ -108,3 +109,58 @@ class TestClassify:
         m = knn.KnnModel(np.ones((2, 3)), [0, 1, 2], k=1)
         with pytest.raises(DimensionError):
             knn.classify(m, np.ones(3))
+
+
+
+class TestGalleryArrays:
+    def test_read_only(self):
+        m = knn.KnnModel(np.ones((2, 3)), [0, 1, 2], k=1)
+        for array in (m.points, m.labels):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_own_copies(self):
+        points, labels = np.zeros((2, 3)), np.array([0, 1, 1])
+        m = knn.KnnModel(points, labels, k=1)
+        points[:] = 5.0
+        labels[:] = 0
+        assert m.points.sum() == 0.0 and m.labels.tolist() == [0, 1, 1]
+
+class TestLeaveOneOut:
+    def random_gallery(self, rng, dim, n, classes):
+        points = rng.standard_normal((dim, n))
+        # duplicated columns put equal distances in every point's ranking
+        points[:, n // 2:] = points[:, : n - n // 2]
+        return points, rng.randint(0, classes, size=n)
+
+    @pytest.mark.parametrize("dim", [1, 3, 19, 150])
+    def test_equals_a_gallery_built_without_each_point(self, dim):
+        rng = np.random.RandomState(dim)
+        for n, classes in ((4, 2), (9, 3), (40, 5)):
+            points, labels = self.random_gallery(rng, dim, n, classes)
+            for k in (1, 2, 3):
+                results = knn.leave_one_out(knn.KnnModel(points, labels, k=k))
+                assert len(results) == n
+                for i, got in enumerate(results):
+                    keep = np.arange(n) != i
+                    alone = knn.KnnModel(points[:, keep], labels[keep], k=min(k, n - 1))
+                    assert got == knn.classify(alone, points[:, i])
+
+    def test_mean_distances_match_the_per_point_reference(self):
+        rng = np.random.RandomState(7)
+        points, labels = self.random_gallery(rng, 19, 80, 20)
+        got = [r.mean_distance for r in knn.leave_one_out(knn.KnnModel(points, labels, k=2))]
+        np.testing.assert_array_equal(got, reference_loo_distances(points, labels))
+
+    def test_blocks_do_not_change_the_results(self, monkeypatch):
+        rng = np.random.RandomState(8)
+        m = knn.KnnModel(*self.random_gallery(rng, 5, 30, 4), k=2)
+        whole = knn.leave_one_out(m)
+        monkeypatch.setattr(knn, "BLOCK_BYTES", 8 * 30 * 5 * 7)  # blocks of 7 points
+        assert knn.leave_one_out(m) == whole
+        monkeypatch.setattr(knn, "BLOCK_BYTES", 1)  # one point at a time
+        assert knn.leave_one_out(m) == whole
+
+    def test_needs_two_points(self):
+        with pytest.raises(DomainError):
+            knn.leave_one_out(knn.KnnModel(np.ones((2, 1)), [0], k=1))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from biomm import lda, mfcc, pca, pipeline, svm, synth
+from biomm import knn, lda, mfcc, pca, pipeline, svm, synth
 from biomm.errors import (
     ClassError,
     DatasetError,
@@ -21,6 +21,7 @@ from biomm.errors import (
 )
 from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from biomm.ingest import image_to_vector
+from conftest import reference_loo_distances, reference_verify
 
 NUM_CLIENTS = 5
 
@@ -684,3 +685,104 @@ def test_models_holding_arrays_compare_by_identity(world, refit, part):
     assert fitted == fitted
     assert not fitted == again
     assert fitted != again
+
+
+def claims(world):
+    """Every probe of the world (genuine, unknown and mixed) with every claim."""
+    probes = [(face, voice) for _, face, voice in world.genuine] + world.unknown + world.mixed
+    return [(face, voice, name) for face, voice in probes for name in world.names]
+
+
+def with_client_columns(model, client, change):
+    """The model whose gallery columns of `client` are replaced by change(columns)."""
+    gallery = model.face_gallery
+    points = np.array(gallery.points)
+    cols = np.flatnonzero(gallery.labels == client)
+    points[:, cols] = change(points[:, cols])
+    return replace(model, face_gallery=pipeline._gallery(points, gallery.labels))
+
+
+class TestVerifyFromClientTables:
+    """verify reads the claimed client's columns and every machine's value;
+    its decisions equal the ones a per-claim gallery and the full vote give."""
+
+    def assert_as_reference(self, model, world):
+        served = [pipeline.verify(model, *claim) for claim in claims(world)]
+        assert served == [reference_verify(model, *claim) for claim in claims(world)]
+        return served
+
+    def test_every_claim_of_the_world(self, world):
+        decisions = self.assert_as_reference(world.model, world)
+        assert len(decisions) == 90
+        assert {d.verdict for d in decisions} == {pipeline.VERDICT_ACCEPT, pipeline.VERDICT_REJECT}
+
+    def test_client_with_one_gallery_point(self, world):
+        # k falls to 1 for that client; the others still vote among KNN_K
+        gallery = world.model.face_gallery
+        first = np.flatnonzero(gallery.labels == 0)[0]
+        keep = (gallery.labels != 0) | (np.arange(gallery.labels.size) == first)
+        model = replace(world.model, face_gallery=pipeline._gallery(gallery.points[:, keep],
+                                                                    gallery.labels[keep]))
+        assert model.client_points[0].shape[1] == 1
+        self.assert_as_reference(model, world)
+
+    @pytest.mark.parametrize("change", [
+        lambda cols: cols[:, [0, 0, 1, 1]],
+        lambda cols: cols[:, [2, 2, 2, 2]],
+    ], ids=["two-pairs", "all-equal"])
+    def test_equal_distance_ties(self, world, change):
+        model = with_client_columns(world.model, 0, change)
+        dists = knn.distances(model.client_points[0],
+                              pipeline._face_probe(model, world.genuine[0][1]))
+        assert np.unique(dists).size < dists.size
+        self.assert_as_reference(model, world)
+
+    def test_every_claim_at_twenty_clients(self, world20):
+        # 19-dimensional points: numpy sums 8 or more squared differences in
+        # an order set by the memory layout of the client's columns
+        gallery, prototypes, _, model = world20
+        rng = np.random.default_rng(20)
+        probes = [(synth.render_face(prototype, rng), voices[0])
+                  for prototype, (_, voices) in zip(prototypes, gallery.values())]
+        served = [pipeline.verify(model, face, voice, name)
+                  for face, voice in probes for name in gallery]
+        assert served == [reference_verify(model, face, voice, name)
+                          for face, voice in probes for name in gallery]
+
+    def test_reloaded_and_replaced_models(self, world, model_file):
+        self.assert_as_reference(pipeline.load_model(model_file), world)
+        self.assert_as_reference(replace(world.model, w_face=0.3), world)
+
+    def test_client_points_follow_the_gallery(self, world, model_file):
+        for model in (world.model, pipeline.load_model(model_file),
+                      with_client_columns(world.model, 1, lambda cols: cols + 1.0)):
+            gallery = model.face_gallery
+            assert len(model.client_points) == NUM_CLIENTS
+            for c, points in enumerate(model.client_points):
+                np.testing.assert_array_equal(points, gallery.points[:, gallery.labels == c])
+                with pytest.raises(ValueError):
+                    points[0, 0] = 0.0
+
+
+def test_verify_builds_no_gallery_and_a_fit_builds_one(world, monkeypatch):
+    built = []
+
+    class CountingKnnModel(knn.KnnModel):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(knn, "KnnModel", CountingKnnModel)
+    for claim in claims(world)[:10]:
+        pipeline.verify(world.model, *claim)
+    assert built == []
+    model = pipeline.enroll_and_fit(world.gallery)
+    assert built == [model.face_gallery]
+
+
+def test_calibration_distances_equal_per_point_galleries(world):
+    gallery = world.model.face_gallery
+    loo = [r.mean_distance for r in knn.leave_one_out(gallery)]
+    reference = reference_loo_distances(gallery.points, gallery.labels)
+    np.testing.assert_array_equal(loo, reference)
+    assert world.model.tau_dist == pipeline.DIST_HEADROOM * float(np.percentile(reference, 99.0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -590,6 +592,48 @@ class TestPackedDecisions:
         model = random_shared_model(np.random.RandomState(20), 4, RBF2)
         with pytest.raises(DimensionError):
             svm.decision_values(model, np.zeros(4))
+
+
+def kernel_matrix_values(model, x):
+    """Every machine's decision value from a kernel_matrix row, the way
+    decision_values formed it before the model kept its rows and norms."""
+    row = svm.kernel_matrix(model.kernel, model.support_vectors, x[:, None])[:, 0]
+    sums = np.bincount(model.machine, weights=model.dual_coefs * row[model.sv_index],
+                       minlength=model.biases.size)
+    return sums + model.biases
+
+
+class TestStoredRows:
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF2], ids=["linear", "rbf"])
+    def test_decision_values_equal_kernel_matrix_bit_for_bit(self, kernel):
+        rng = np.random.RandomState(21)
+        ds = gaussian_clusters(rng, classes=6, per_class=5, dim=5, gap=2.0)
+        models = [svm.train_multiclass(ds, kernel, c=10.0)]
+        models += [random_shared_model(rng, 3 + n % 4, kernel, dim=5) for n in range(10)]
+        for model in models:
+            queries = [model.support_vectors[:, 0], np.zeros(5)]
+            queries += [rng.standard_normal(5) * 3.0 for _ in range(10)]
+            for q in queries:
+                np.testing.assert_array_equal(svm.decision_values(model, q),
+                                              kernel_matrix_values(model, q))
+
+    def test_rows_and_norms_are_derived_and_read_only(self):
+        model = random_shared_model(np.random.RandomState(22), 4, RBF2)
+        for current in (model, replace(model, support_vectors=model.support_vectors * 2.0)):
+            rows = current.sv_rows
+            assert rows.flags.c_contiguous
+            np.testing.assert_array_equal(rows, current.support_vectors.T)
+            np.testing.assert_array_equal(current.sv_sq_norms, (rows * rows).sum(axis=1))
+            for array in (rows, current.sv_sq_norms):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_winners_follow_the_sign_of_each_score(self):
+        model = random_shared_model(np.random.RandomState(23), 4, RBF2)
+        scores = np.linspace(-1.0, 1.0, model.biases.size)
+        scores[0] = 0.0  # exactly 0 votes for the positive class
+        expected = [i if s >= 0 else j for (i, j), s in zip(model.class_pairs, scores)]
+        assert svm.machine_winners(model, scores).tolist() == expected
 
 
 def assert_views_equal_trained_machines(ds):

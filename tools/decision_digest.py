@@ -1,0 +1,76 @@
+"""Digest every decision the benchmark's galleries give, to compare two checkouts.
+
+    python3 tools/decision_digest.py --seeds 1 2 3
+
+Run it from the root of a source checkout: biomm is imported from ./src
+and the galleries come from ./perfbench/harness.py, as perfbench/run.py
+does. For each seed it fits the benchmark's three galleries
+(`harness.make_inputs` at `harness.gallery_seed(seed, g)`), saves and
+reloads each model, and serves every identification and verification
+probe from the fitted and from the reloaded model. It prints one line per
+seed: the seed, the number of decisions (720 per seed at the benchmark's
+scale), the sha256 over each decision's repr in serving order, and the
+sha256 over the three model files. Two checkouts that print the same line
+decide alike on those probes, to the last bit of every score.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def digest(seed: int, work_dir: Path) -> tuple:
+    """(decision count, decision sha256, model file sha256) of one seed."""
+    import harness
+    from biomm import pipeline
+
+    decisions, models = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for g in range(harness.FULL.galleries):
+        inputs = harness.make_inputs(harness.gallery_seed(seed, g), harness.FULL)
+        path = work_dir / f"model{g}.txt"
+        fitted, loaded, _ = harness.fit_save_load(inputs.gallery, path)
+        models.update(path.read_bytes())
+        for model in (fitted, loaded):
+            for p in inputs.identify:
+                decisions.update(repr(pipeline.identify(model, p.face, p.voice)).encode())
+                count += 1
+            for p in inputs.verify:
+                decisions.update(repr(pipeline.verify(model, p.face, p.voice, p.claim)).encode())
+                count += 1
+    return count, decisions.hexdigest(), models.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+
+    # one BLAS thread, as the benchmark runs: a matrix product may round
+    # differently when it is split across threads
+    for var in BLAS_ENV:
+        os.environ[var] = "1"
+    root = Path.cwd().resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import biomm
+
+    if root / "src" not in Path(biomm.__file__).resolve().parents:
+        print(f"biomm was imported from {biomm.__file__}, not from {root / 'src'}",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work_dir:
+        for seed in args.seeds:
+            count, decisions, models = digest(seed, Path(work_dir))
+            print(seed, count, decisions, models, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
