@@ -72,12 +72,14 @@ def default_retained(num_samples: int, num_classes: int) -> int:
 
 
 def fit_pca(ds: LabeledDataset) -> Subspace:
-    """Fit the top min(p - C, d) principal components of the centered
+    """Fit the top min(p - C, d, rank) principal components of the centered
     sample columns (at least 1, at most p - 1; see default_retained).
 
-    p - C components leave a subsequent LDA a nonsingular within-class
-    scatter. Raises RankError when the data cannot support that many
-    components.
+    p - C is the most components that leave a subsequent LDA a nonsingular
+    within-class scatter (Belhumeur, Hespanha & Kriegman, 1997), not a
+    required count: centered data of lower usable rank, such as a pixel
+    that never varies or a sample enrolled twice, keeps its rank instead,
+    and the LDA's ridge covers the rest. Raises RankError on rank 0.
     """
     p = ds.num_samples
     if p < 2:
@@ -92,8 +94,7 @@ def fit_pca(ds: LabeledDataset) -> Subspace:
     rank = usable_rank(pairs.values)
     if rank == 0:
         raise RankError("degenerate dataset: all samples identical (rank 0)")
-    if retained > rank:
-        raise RankError(f"retained {retained} exceeds usable rank {rank}")
+    retained = min(retained, rank)
     if gram:
         lifted = x @ pairs.vectors[:, :retained]
         basis = lifted / np.sqrt((lifted * lifted).sum(axis=0))

@@ -265,6 +265,19 @@ def _voice_dataset(enrollment: Enrollment) -> tuple:
     return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), rate
 
 
+def _require_within_class_variation(ds: LabeledDataset, what: str) -> None:
+    """Refuse a dataset in which every class repeats one sample: its
+    within-class scatter is zero, so no discriminant can be fitted."""
+    for c in range(ds.num_classes):
+        block = ds.features[:, ds.labels == c]
+        if (block != block[:, :1]).any():
+            return
+    raise DatasetError(
+        f"no client enrolled two different {what}, so there is no within-class "
+        f"variation to fit a discriminant against"
+    )
+
+
 def _distance_score(distance: float) -> float:
     return 1.0 / (1.0 + distance)
 
@@ -287,11 +300,15 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     The face PCA and the LDA fitted in its coordinates are kept only as their
     product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the
     gallery is projected with that map, so fitted and reloaded models agree.
+
+    Raises DatasetError when no client enrolled two different faces, or two
+    different recordings: that modality has no within-class variation.
     """
     if len(enrollment.client_ids) < 2:
         raise ClassError("at least two enrolled clients are required to fit")
 
     face_ds, face_size = _face_dataset(enrollment)
+    _require_within_class_variation(face_ds, "faces")
     face_pca = pca_mod.fit_pca(face_ds)
     pca_coords = pca_mod.project(face_pca, face_ds.features)
     pca_ds = LabeledDataset(pca_coords, face_ds.labels, face_ds.class_names)
@@ -306,6 +323,7 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     face_gallery = _gallery(gallery_coords, face_ds.labels)
 
     voice_ds, sample_rate = _voice_dataset(enrollment)
+    _require_within_class_variation(voice_ds, "recordings")
     voice_lda = lda_mod.fit_lda(voice_ds)
     voice_coords = pca_mod.project(voice_lda, voice_ds.features)
     voice_proj_ds = LabeledDataset(voice_coords, voice_ds.labels, voice_ds.class_names)

@@ -136,8 +136,13 @@ class TestFitPca:
         points[1, 1] = 1.0
         points[2, 2] = 1.0
         ds = make_ds(points[:, [0, 1, 2, 0, 1, 2]])  # p - C = 4 components wanted
-        with pytest.raises(RankError, match="rank 2"):
-            pca.fit_pca(ds)
+        # the width falls to the usable rank, and those components span the
+        # data: every centered column is reproduced from its coordinates
+        s = pca.fit_pca(ds)
+        assert s.retained == 2
+        np.testing.assert_allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-12)
+        centered = pca.center(ds, s.mean)
+        np.testing.assert_allclose(s.basis @ pca.project(s, ds.features), centered, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.RandomState(8)

@@ -147,6 +147,69 @@ class TestEnrollmentRefusals:
             pipeline.fit_system(enrollment)
 
 
+def _first_pixel_zeroed(image):
+    gray = image.gray.copy()
+    gray[0] = 0
+    return ImageRecord(image.width, image.height, gray)
+
+
+class TestRankDeficientFaces:
+    """Galleries whose centered faces have lower rank than p - C still fit:
+    the face PCA keeps min(p - C, d, rank) components."""
+
+    def _fits_saves_loads_and_identifies(self, gallery, probes, tmp_path):
+        model = pipeline.enroll_and_fit(gallery)
+        path = tmp_path / "model.biomm"
+        pipeline.save_model(model, path)
+        loaded = pipeline.load_model(path)
+        names = list(gallery)
+        for c, (face, voice) in probes:
+            fitted = pipeline.identify(model, face, voice)
+            assert fitted.face_id == names[c]
+            assert pipeline.identify(loaded, face, voice) == fitted
+
+    @pytest.mark.parametrize("num_clients", [86, 100])
+    def test_constant_first_pixel(self, num_clients, tmp_path):
+        # a border or a mask: the faces span 255 of 256 pixels, while
+        # p - C = 3 C reaches 256 from 86 clients
+        gallery, prototypes, profiles, rng = synth.make_enrollment_data(
+            num_clients=num_clients, seed=21
+        )
+        gallery = {
+            name: ([_first_pixel_zeroed(face) for face in faces], voices)
+            for name, (faces, voices) in gallery.items()
+        }
+        probes = [
+            (c, (_first_pixel_zeroed(synth.render_face(prototypes[c], rng)),
+                 synth.synth_utterance(profiles[c], rng)))
+            for c in range(num_clients)
+        ]
+        self._fits_saves_loads_and_identifies(gallery, probes, tmp_path)
+
+    def test_one_image_enrolled_twice(self, world, tmp_path):
+        # 5 clients of 2 distinct images, one of them enrolled twice: the 15
+        # centered faces have rank 9, while p - C = 10
+        gallery = {
+            name: ([faces[0], faces[1], faces[0]], voices)
+            for name, (faces, voices) in world.gallery.items()
+        }
+        probes = [(world.names.index(name), (face, voice))
+                  for name, face, voice in world.genuine]
+        self._fits_saves_loads_and_identifies(gallery, probes, tmp_path)
+
+    @pytest.mark.parametrize("modality", ["faces", "recordings"])
+    def test_no_within_class_variation_is_refused(self, world, modality):
+        # every client enrolls one sample twice: the within-class scatter is
+        # zero and no discriminant can be fitted
+        gallery = {
+            name: ([faces[0], faces[0]] if modality == "faces" else faces,
+                   [voices[0], voices[0]] if modality == "recordings" else voices)
+            for name, (faces, voices) in world.gallery.items()
+        }
+        with pytest.raises(DatasetError, match=f"no client enrolled two different {modality}"):
+            pipeline.enroll_and_fit(gallery)
+
+
 class TestProbeInputShape:
     """A probe must come at the enrollment sample rate and image size."""
 
