@@ -1,11 +1,13 @@
 """Euclidean k-nearest-neighbor classification over projected features.
 
 Galleries are small (a few hundred points of dimension <= C-1 after LDA),
-so a linear scan is used. Vote ties break by smaller mean distance among
-the tied classes, then by smaller class id, which makes the result
-independent of gallery ordering. `vote` holds that rule once: `classify`
-applies it to one query's distances, `leave_one_out` to every gallery point
-against the rest, and verification to the distances from one client's points.
+so a linear scan is used. A gallery holds one point per C-ordered row, and
+a distance sums its row's squared differences along the row, so a query
+and a point have one distance whichever rows are scanned. Vote ties break
+by smaller mean distance, then by smaller class id, whatever the gallery's
+order. `vote` holds that rule once: `classify` applies it to one query's
+distances, `leave_one_out` to every gallery point against the rest, and
+verification to the distances from one client's rows.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ BLOCK_BYTES = 1 << 18  # the most difference bytes `leave_one_out` forms at once
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    """Gallery of projected training vectors (one column each) plus k.
+    """Gallery of projected training vectors (one row each) plus k.
 
-    It holds read-only copies of the points and labels it is given, in the
-    memory layout they came in, so nothing derived from them goes stale.
+    It holds read-only C-ordered copies of the points and labels it is
+    given, so an F-ordered or transposed input never changes a distance.
     """
 
     points: np.ndarray
@@ -33,14 +35,14 @@ class KnnModel:
     k: int
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
+        points = np.array(self.points, dtype=np.float64, order="C")
         labels = np.array(self.labels, dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] < 1:
+        if points.ndim != 2 or points.shape[0] < 1:
             raise DimensionError("gallery must be a non-empty matrix")
-        if labels.shape != (points.shape[1],):
+        if labels.shape != (points.shape[0],):
             raise DimensionError("labels length must equal the gallery size")
-        if not 1 <= self.k <= points.shape[1]:
-            raise DomainError(f"k must lie in [1, {points.shape[1]}], got {self.k}")
+        if not 1 <= self.k <= points.shape[0]:
+            raise DomainError(f"k must lie in [1, {points.shape[0]}], got {self.k}")
         for name, array in (("points", points), ("labels", labels)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -52,10 +54,10 @@ class KnnResult(NamedTuple):
     mean_distance: float  # mean distance of the winning class's neighbors
 
 
-def distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distance from q to every column of points."""
-    diff = points - q[:, None]
-    return np.sqrt((diff * diff).sum(axis=0))
+def distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance from q to each row, summed along the contiguous row."""
+    diff = rows - q
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def vote(labels: np.ndarray, dists: np.ndarray, k: int) -> KnnResult:
@@ -83,10 +85,8 @@ def vote(labels: np.ndarray, dists: np.ndarray, k: int) -> KnnResult:
 def classify(m: KnnModel, q) -> KnnResult:
     """Majority vote among the k nearest gallery points."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (m.points.shape[0],):
-        raise DimensionError(
-            f"query dimension {q.shape} != gallery dimension {m.points.shape[0]}"
-        )
+    if q.shape != (m.points.shape[1],):
+        raise DimensionError(f"query dimension {q.shape} != gallery dimension {m.points.shape[1]}")
     return vote(m.labels, distances(m.points, q), m.k)
 
 
@@ -94,23 +94,20 @@ def leave_one_out(m: KnnModel) -> tuple:
     """Each gallery point classified by the other points, with
     k = min(m.k, points - 1): one KnnResult per point, in gallery order.
 
-    The distances of a block of points to the whole gallery are formed at
-    once, each summed along one contiguous row of squared differences. That
-    is the order in which `distances` sums them over a gallery of selected
-    columns (a masked copy is column-major), so each result equals
+    A block of points' distances to the whole gallery is formed at once,
+    each summed along its row as `distances` sums it, so each result equals
     `classify` on a gallery built without the point, bit for bit; the point
     itself sorts last, at an infinite distance, and never votes.
     """
-    dim, n = m.points.shape
+    n, dim = m.points.shape
     if n < 2:
         raise DomainError("leave-one-out needs at least two gallery points")
     k = min(m.k, n - 1)
-    rows = np.ascontiguousarray(m.points.T)
     per_block = max(1, BLOCK_BYTES // max(1, 8 * n * dim))
     results = []
     for start in range(0, n, per_block):
-        block = rows[start:start + per_block]
-        diff = rows[None, :, :] - block[:, None, :]
+        block = m.points[start:start + per_block]
+        diff = m.points[None, :, :] - block[:, None, :]
         np.square(diff, out=diff)
         dists = np.sqrt(diff.sum(axis=2))
         dists[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf

@@ -15,21 +15,19 @@ and the MFCC analysis constants of the mfcc module); PCA and LDA fix their
 widths from the data. The one setting a caller chooses is the fusion weight
 w_face.
 
-The model file (magic "BIOMM 6", CRC32-checked text) stores the enrollment
-sample rate and image size, the Fisherface map and the gallery points, the
-voice LDA, the packed one-vs-one SVM with each support vector once, the
-client names, w_face and tau_dist, each float matrix as its exact float64
-bytes; see the format comment further down. It holds no value the loader
-can compute from the others: the gallery's k and tau_fused follow from the
-constants, w_face and the gallery size. A probe whose rate or image size
-differs from enrollment is refused.
+The model file (magic "BIOMM 7", CRC32-checked text) stores the enrollment
+sample rate and image size, the Fisherface map and the gallery points (n x d,
+one row per point, grouped by client), the voice LDA, the packed one-vs-one
+SVM with each support vector once, the client names, w_face and tau_dist,
+each float matrix as its exact float64 bytes; see the format comment further
+down. It holds no value the loader can compute from the others: the
+gallery's k and tau_fused follow from the constants, w_face and the gallery
+size. A probe whose rate or image size differs from enrollment is refused.
 
-What a probe only reads is derived once per model, when it is built (fitted,
-loaded or replaced), and never stored: each client's gallery columns
-(SystemModel.client_points) and the SVM's row-major support vectors with
-their squared norms. Verification is 1:1 and touches only those: the face
-against the claimed client's columns, the voice by the claimed client's
-share of the machines' decision values, with no gallery built per claim.
+Verification is 1:1, with no gallery built per claim: the face against the
+claimed client's slice of gallery rows, the voice by the claimed client's
+share of the machines' decision values, from the row-major support vectors
+the SVM derives once when it is built.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import base64
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +58,7 @@ from .errors import (
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from .ingest import _integer, image_to_vector
 
-MAGIC = "BIOMM 6"
+MAGIC = "BIOMM 7"
 DIST_HEADROOM = 6.0
 
 # The fit settings. A model file records none of them: the loader rebuilds
@@ -110,20 +108,14 @@ def _valid_client_id(client_id: str) -> bool:
 class SystemModel:
     """A fitted or loaded system. Its parts must fit together: a fusion
     weight w_face in [0, 1], one distinct client name per voice class (class
-    c is class_names[c]), gallery labels that cover exactly those classes
-    (so a claimed client always has points to verify against), a gallery
-    voting among min(KNN_K, points) neighbours and an SVM with VOICE_KERNEL
-    (what loading rebuilds), and each stage's output dimension equal to the
-    next stage's input dimension, starting from the face_size = (width,
-    height) pixels of an enrolled image. The sample rate and face_size are
-    integers, as the records hold them and the file stores them; NumPy
-    integers are kept as int.
-
-    Verification reads one client's gallery columns at a time, so the
-    model derives client_points once, when it is built: entry c holds the
-    gallery columns of class c, selected with points[:, labels == c]. They
-    are read-only, like the gallery they come from, and not stored in the
-    model file."""
+    c is class_names[c]), non-decreasing gallery labels that cover exactly
+    those classes (so a claimed client's points are one non-empty slice of
+    rows), a gallery voting among min(KNN_K, points) neighbours and an SVM
+    with VOICE_KERNEL (what loading rebuilds), and each stage's output
+    dimension equal to the next stage's input dimension, starting from the
+    face_size = (width, height) pixels of an enrolled image. The sample rate
+    and face_size are integers, as the records hold them and the file stores
+    them; NumPy integers are kept as int."""
 
     face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
@@ -134,7 +126,6 @@ class SystemModel:
     w_face: float
     sample_rate: int
     face_size: tuple
-    client_points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
@@ -162,6 +153,8 @@ class SystemModel:
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
+        if (np.diff(labels) < 0).any():
+            raise DomainError("gallery rows must be grouped by client, in class order")
         if np.unique(labels).size != classes:
             raise DomainError("every client needs at least one gallery point")
         if self.face_gallery.k != min(KNN_K, labels.size):
@@ -170,7 +163,7 @@ class SystemModel:
             raise DomainError(f"SVM kernel {self.voice_svm.kernel} is not VOICE_KERNEL")
         for link, produced, consumed in (
             ("image -> face", width * height, self.face.ambient_dim),
-            ("face -> gallery", self.face.retained, self.face_gallery.points.shape[0]),
+            ("face -> gallery", self.face.retained, self.face_gallery.points.shape[1]),
             ("MFCC summary -> voice LDA", 2 * mfcc_mod.NUM_CEPS, self.voice_lda.ambient_dim),
             ("voice LDA -> SVM", self.voice_lda.retained,
              self.voice_svm.support_vectors.shape[0]),
@@ -179,10 +172,6 @@ class SystemModel:
                 raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
         object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "face_size", (width, height))
-        client_points = tuple(self.face_gallery.points[:, labels == c] for c in range(classes))
-        for points in client_points:
-            points.flags.writeable = False
-        object.__setattr__(self, "client_points", client_points)
 
     @property
     def num_classes(self) -> int:
@@ -218,6 +207,7 @@ class Enrollment:
             raise EnrollmentError(
                 f"client {client_id!r} needs >= 2 face images and >= 2 recordings"
             )
+        _require_records(EnrollmentError, f"client {client_id!r}", faces, voices)
         self._clients[client_id] = (faces, voices)
         return self
 
@@ -227,6 +217,14 @@ class Enrollment:
 
     def items(self):
         return self._clients.items()
+
+
+def _require_records(error: type, whose: str, faces, voices) -> None:
+    """Refuse a face or recording that is not an ImageRecord or AudioRecord, before any work."""
+    for records, kind, what in ((faces, ImageRecord, "face"), (voices, AudioRecord, "recording")):
+        for record in records:
+            if not isinstance(record, kind):
+                raise error(f"{whose} {what} must be an {kind.__name__}, got {type(record).__name__}")
 
 
 def _face_dataset(enrollment: Enrollment) -> tuple:
@@ -282,9 +280,9 @@ def _distance_score(distance: float) -> float:
     return 1.0 / (1.0 + distance)
 
 
-def _gallery(points: np.ndarray, labels) -> knn_mod.KnnModel:
-    """A kNN gallery voting among KNN_K neighbours, or all its points if fewer."""
-    return knn_mod.KnnModel(points, labels, k=min(KNN_K, points.shape[1]))
+def _gallery(rows: np.ndarray, labels) -> knn_mod.KnnModel:
+    """A kNN gallery of rows voting among KNN_K neighbours, or all its points if fewer."""
+    return knn_mod.KnnModel(rows, labels, k=min(KNN_K, rows.shape[0]))
 
 
 def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
@@ -319,8 +317,8 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
         face_pca.mean + face_pca.basis @ face_lda.mean,
         face_pca.basis @ face_lda.basis,
     )
-    gallery_coords = pca_mod.project(face, face_ds.features)
-    face_gallery = _gallery(gallery_coords, face_ds.labels)
+    # one row per enrolled face, in enrollment order: grouped by client
+    face_gallery = _gallery(pca_mod.project(face, face_ds.features).T, face_ds.labels)
 
     voice_ds, sample_rate = _voice_dataset(enrollment)
     _require_within_class_variation(voice_ds, "recordings")
@@ -381,6 +379,7 @@ def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioReco
     unknown when the face distance exceeds tau_dist AND the fused score
     falls below tau_fused.
     """
+    _require_records(DatasetError, "probe", [face_image], [voice_recording])
     q_face = _face_probe(m, face_image)
     face_result = knn_mod.classify(m.face_gallery, q_face)
     face_score = _distance_score(face_result.mean_distance)
@@ -419,19 +418,22 @@ def verify(
 ) -> Decision:
     """Accept or reject a claimed identity: fused score against tau_fused.
 
-    The face score uses only the claimed client's gallery points, the
-    model's client_points of that client, voted on by the gallery's rule;
-    the voice score is the fraction of the claimed client's pairwise
-    machines that vote for it, counted from every machine's decision value.
-    Neither builds a gallery or runs the one-vs-one vote.
+    The face score uses only the claimed client's gallery rows, one slice
+    of the gallery since its labels are grouped by client, voted on by the
+    gallery's rule; the voice score is the fraction of the claimed client's
+    pairwise machines that vote for it, counted from every machine's
+    decision value. Neither builds a gallery or runs the one-vs-one vote.
     """
     names = m.class_names
     if claimed_id not in names:
         raise IdentityError(f"claimed id {claimed_id!r} is not enrolled")
     cid = names.index(claimed_id)
+    _require_records(DatasetError, "probe", [face_image], [voice_recording])
 
-    dists = knn_mod.distances(m.client_points[cid], _face_probe(m, face_image))
-    nearest = knn_mod.vote(np.full(dists.size, cid), dists, min(KNN_K, dists.size))
+    gallery = m.face_gallery
+    lo, hi = np.searchsorted(gallery.labels, (cid, cid + 1))
+    dists = knn_mod.distances(gallery.points[lo:hi], _face_probe(m, face_image))
+    nearest = knn_mod.vote(gallery.labels[lo:hi], dists, min(KNN_K, hi - lo))
     face_score = _distance_score(nearest.mean_distance)
 
     q_voice = _voice_probe(m, voice_recording)
@@ -456,7 +458,7 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 6", then the sections INPUTS,
+# model file format: UTF-8 text, magic "BIOMM 7", then the sections INPUTS,
 # FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a trailing
 # CRC32 line over all prior bytes. The constants KNN_K and VOICE_KERNEL and
 # the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS and NUM_CEPS are part of
@@ -466,14 +468,15 @@ def verify(
 # other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
 # FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
 # a pixels x (C-1) BASIS; VOICE_LDA is a MEAN and BASIS too. GALLERY is the
-# POINTS matrix and their LABELS, at least one point per client; its k is
-# min(KNN_K, points), as at fit time. VOICE_SVM holds the packed one-vs-one
+# n x d POINTS matrix, one row per point, and their LABELS, non-decreasing
+# (rows grouped by client, in class order), at least one point per client;
+# its k is min(KNN_K, points), as at fit time. VOICE_SVM holds the packed one-vs-one
 # model as it is in memory: CLASSES, the PAIRS flattened, the d x n SVS matrix
 # of distinct support vectors, then per entry SV_INDEX (column in SVS),
 # MACHINE (index into PAIRS) and COEFS, and one BIASES row with a bias per
 # pair. CLIENTS is one NAMES line, the client of class c in position c.
 # THRESHOLDS is a W_FACE line and a TAU_DIST line, the last of the body;
-# tau_fused is computed from the two. Files of other versions (BIOMM 1 to 5)
+# tau_fused is computed from the two. Files of other versions (BIOMM 1 to 6)
 # are refused.
 # ---------------------------------------------------------------------------
 

@@ -172,24 +172,25 @@ def reference_loo_distances(points, labels) -> np.ndarray:
     """Leave-one-out mean distance of each gallery point, the long way: a
     gallery built without point i, with k = min(KNN_K, points - 1), and
     `knn.classify` of point i. `knn.leave_one_out` must give the same bits."""
-    n = points.shape[1]
+    n = points.shape[0]
     out = np.zeros(n)
     for i in range(n):
         keep = np.arange(n) != i
-        gallery = knn.KnnModel(points[:, keep], labels[keep], k=min(pipeline.KNN_K, n - 1))
-        out[i] = knn.classify(gallery, points[:, i]).mean_distance
+        gallery = knn.KnnModel(points[keep], labels[keep], k=min(pipeline.KNN_K, n - 1))
+        out[i] = knn.classify(gallery, points[i]).mean_distance
     return out
 
 
 def reference_verify(m, face_image, voice_recording, claimed_id) -> pipeline.Decision:
     """`pipeline.verify` computed the long way: a one-client gallery of the
-    claimed client's columns built for the claim and `knn.classify` on it,
-    and the claimed client's vote count from the full one-vs-one vote of
-    `svm.predict_multiclass`. The served decision must equal it."""
+    claimed client's rows, selected by mask and built for the claim, and
+    `knn.classify` on it, and the claimed client's vote count from the full
+    one-vs-one vote of `svm.predict_multiclass`. The served decision must
+    equal it."""
     cid = m.class_names.index(claimed_id)
-    points = m.face_gallery.points[:, m.face_gallery.labels == cid]
-    client = knn.KnnModel(points, np.zeros(points.shape[1], dtype=np.int64),
-                          k=min(pipeline.KNN_K, points.shape[1]))
+    points = m.face_gallery.points[m.face_gallery.labels == cid]
+    client = knn.KnnModel(points, np.zeros(points.shape[0], dtype=np.int64),
+                          k=min(pipeline.KNN_K, points.shape[0]))
     nearest = knn.classify(client, pipeline._face_probe(m, face_image))
     face_score = pipeline._distance_score(nearest.mean_distance)
     _, votes = svm.predict_multiclass(m.voice_svm, pipeline._voice_probe(m, voice_recording))

@@ -9,10 +9,10 @@ from conftest import reference_loo_distances
 def brute_classify(points, labels, k, q):
     """Full-sort oracle with the documented tie rules, written independently."""
     dists = []
-    for i in range(points.shape[1]):
+    for i in range(points.shape[0]):
         acc = 0.0
-        for j in range(points.shape[0]):
-            acc += (points[j, i] - q[j]) ** 2
+        for j in range(points.shape[1]):
+            acc += (points[i, j] - q[j]) ** 2
         dists.append(acc ** 0.5)
     ranked = sorted(range(len(dists)), key=lambda i: (dists[i], labels[i]))[:k]
     counts = {}
@@ -31,7 +31,7 @@ def brute_classify(points, labels, k, q):
 
 class TestClassify:
     def test_exact_gallery_hit(self):
-        points = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         m = knn.KnnModel(points, [0, 1, 2], k=1)
         result = knn.classify(m, np.array([1.0, 1.0]))
         assert result.label == 1
@@ -39,7 +39,7 @@ class TestClassify:
         assert result.mean_distance == 0.0
 
     def test_majority_two_of_three(self):
-        points = np.array([[0.0, 0.1, 5.0]])
+        points = np.array([[0.0], [0.1], [5.0]])
         m = knn.KnnModel(points, [0, 0, 1], k=3)
         result = knn.classify(m, np.array([0.0]))
         assert result.label == 0
@@ -48,7 +48,7 @@ class TestClassify:
     def test_oracle_agreement_random(self):
         rng = np.random.RandomState(2)
         for trial in range(5):
-            points = rng.standard_normal((3, 60))
+            points = rng.standard_normal((60, 3))
             labels = rng.randint(0, 5, size=60)
             for k in (1, 2, 5, 10):
                 m = knn.KnnModel(points, labels, k=k)
@@ -60,7 +60,7 @@ class TestClassify:
 
     def test_scale_invariance(self):
         rng = np.random.RandomState(3)
-        points = rng.standard_normal((4, 30))
+        points = rng.standard_normal((30, 4))
         labels = rng.randint(0, 3, size=30)
         m = knn.KnnModel(points, labels, k=5)
         for _ in range(10):
@@ -72,14 +72,14 @@ class TestClassify:
 
     def test_gallery_permutation_invariance(self):
         rng = np.random.RandomState(4)
-        points = rng.standard_normal((2, 40))
+        points = rng.standard_normal((40, 2))
         labels = rng.randint(0, 4, size=40)
         m = knn.KnnModel(points, labels, k=7)
         for _ in range(10):
             q = rng.standard_normal(2)
             expected = knn.classify(m, q)
             perm = rng.permutation(40)
-            shuffled = knn.KnnModel(points[:, perm], labels[perm], k=7)
+            shuffled = knn.KnnModel(points[perm], labels[perm], k=7)
             got = knn.classify(shuffled, q)
             assert got.label == expected.label
             assert got.confidence == expected.confidence
@@ -87,7 +87,7 @@ class TestClassify:
 
     def test_even_k_tie_breaks_by_mean_distance(self):
         # k=2 forced tie: one vote each; class 1 is nearer on average
-        points = np.array([[0.0, 1.0, 10.0]])
+        points = np.array([[0.0], [1.0], [10.0]])
         m = knn.KnnModel(points, [1, 0, 0], k=2)
         result = knn.classify(m, np.array([0.25]))
         assert result.label == 1
@@ -95,18 +95,18 @@ class TestClassify:
 
     def test_full_tie_falls_back_to_smaller_id(self):
         # equidistant neighbors, one vote each, equal mean distance
-        points = np.array([[-1.0, 1.0]])
+        points = np.array([[-1.0], [1.0]])
         m = knn.KnnModel(points, [1, 0], k=2)
         assert knn.classify(m, np.array([0.0])).label == 0
 
     def test_k_bounds(self):
         with pytest.raises(DomainError):
-            knn.KnnModel(np.ones((2, 3)), [0, 1, 2], k=4)
+            knn.KnnModel(np.ones((3, 2)), [0, 1, 2], k=4)
         with pytest.raises(DomainError):
-            knn.KnnModel(np.ones((2, 3)), [0, 1, 2], k=0)
+            knn.KnnModel(np.ones((3, 2)), [0, 1, 2], k=0)
 
     def test_query_dimension_checked(self):
-        m = knn.KnnModel(np.ones((2, 3)), [0, 1, 2], k=1)
+        m = knn.KnnModel(np.ones((3, 2)), [0, 1, 2], k=1)
         with pytest.raises(DimensionError):
             knn.classify(m, np.ones(3))
 
@@ -114,23 +114,41 @@ class TestClassify:
 
 class TestGalleryArrays:
     def test_read_only(self):
-        m = knn.KnnModel(np.ones((2, 3)), [0, 1, 2], k=1)
+        m = knn.KnnModel(np.ones((3, 2)), [0, 1, 2], k=1)
         for array in (m.points, m.labels):
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_own_copies(self):
-        points, labels = np.zeros((2, 3)), np.array([0, 1, 1])
+        points, labels = np.zeros((3, 2)), np.array([0, 1, 1])
         m = knn.KnnModel(points, labels, k=1)
         points[:] = 5.0
         labels[:] = 0
         assert m.points.sum() == 0.0 and m.labels.tolist() == [0, 1, 1]
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda rows: rows.T.copy().T],
+                             ids=["f-ordered", "transposed"])
+    def test_input_layout_does_not_change_distances(self, layout):
+        # 19-dimensional rows: numpy sums 8 or more values in an order set by
+        # the memory layout, so the gallery keeps one layout, C order
+        rng = np.random.RandomState(6)
+        rows = rng.standard_normal((40, 19))
+        labels = rng.randint(0, 5, size=40)
+        c_ordered = knn.KnnModel(rows, labels, k=2)
+        other = knn.KnnModel(layout(rows), labels, k=2)
+        assert not layout(rows).flags.c_contiguous and other.points.flags.c_contiguous
+        for q in rng.standard_normal((10, 19)):
+            np.testing.assert_array_equal(knn.distances(other.points, q),
+                                          knn.distances(c_ordered.points, q))
+            assert knn.classify(other, q) == knn.classify(c_ordered, q)
+        assert knn.leave_one_out(other) == knn.leave_one_out(c_ordered)
+
+
 class TestLeaveOneOut:
     def random_gallery(self, rng, dim, n, classes):
-        points = rng.standard_normal((dim, n))
-        # duplicated columns put equal distances in every point's ranking
-        points[:, n // 2:] = points[:, : n - n // 2]
+        points = rng.standard_normal((n, dim))
+        # duplicated rows put equal distances in every point's ranking
+        points[n // 2:] = points[: n - n // 2]
         return points, rng.randint(0, classes, size=n)
 
     @pytest.mark.parametrize("dim", [1, 3, 19, 150])
@@ -143,8 +161,8 @@ class TestLeaveOneOut:
                 assert len(results) == n
                 for i, got in enumerate(results):
                     keep = np.arange(n) != i
-                    alone = knn.KnnModel(points[:, keep], labels[keep], k=min(k, n - 1))
-                    assert got == knn.classify(alone, points[:, i])
+                    alone = knn.KnnModel(points[keep], labels[keep], k=min(k, n - 1))
+                    assert got == knn.classify(alone, points[i])
 
     def test_mean_distances_match_the_per_point_reference(self):
         rng = np.random.RandomState(7)
@@ -163,4 +181,4 @@ class TestLeaveOneOut:
 
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
-            knn.leave_one_out(knn.KnnModel(np.ones((2, 1)), [0], k=1))
+            knn.leave_one_out(knn.KnnModel(np.ones((1, 2)), [0], k=1))

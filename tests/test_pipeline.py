@@ -237,6 +237,43 @@ class TestProbeInputShape:
         assert world.model.face_size == loaded.face_size == (16, 16)
 
 
+class TestRecordTypes:
+    """A face must be an ImageRecord and a recording an AudioRecord; a bare
+    array is refused where it is handed in, before any feature is computed."""
+
+    @pytest.mark.parametrize("modality", ["face", "recording"])
+    def test_enrollment_refuses_an_array(self, world, modality):
+        faces, voices = world.gallery[world.names[0]]
+        if modality == "face":
+            faces = [faces[0], faces[1].gray]
+        else:
+            voices = [voices[0], voices[1].samples]
+        enrollment = pipeline.Enrollment()
+        record = "ImageRecord" if modality == "face" else "AudioRecord"
+        with pytest.raises(EnrollmentError, match=f"'client0' {modality} must be an {record}"):
+            enrollment.add(world.names[0], faces, voices)
+        assert enrollment.client_ids == ()
+
+    @pytest.mark.parametrize("modality", ["face", "recording"])
+    def test_probe_refuses_an_array(self, world, monkeypatch, modality):
+        name, face, voice = world.genuine[0]
+        if modality == "face":
+            face = face.gray
+        else:
+            voice = voice.samples
+
+        def no_work(*args):
+            raise AssertionError("a feature was computed for a refused probe")
+
+        monkeypatch.setattr(pca, "project", no_work)
+        monkeypatch.setattr(mfcc, "extract", no_work)
+        record = "ImageRecord" if modality == "face" else "AudioRecord"
+        with pytest.raises(DatasetError, match=record):
+            pipeline.identify(world.model, face, voice)
+        with pytest.raises(DatasetError, match=record):
+            pipeline.verify(world.model, face, voice, name)
+
+
 def _two_step_fisherface(gallery, x):
     """Pixels -> PCA -> LDA as two projections, each fitted with its defaults."""
     faces = [(c, f) for c, (fs, _) in enumerate(gallery.values()) for f in fs]
@@ -437,11 +474,11 @@ class TestModelFile:
         first = np.flatnonzero(gallery.labels == 0)[0]
         keep = (gallery.labels != 0) | (np.arange(gallery.labels.size) == first)
         model = replace(
-            world.model, face_gallery=pipeline._gallery(gallery.points[:, keep], gallery.labels[keep])
+            world.model, face_gallery=pipeline._gallery(gallery.points[keep], gallery.labels[keep])
         )
         name, face, voice = world.genuine[0]
         distance = np.linalg.norm(
-            pca.project(model.face, image_to_vector(face)) - gallery.points[:, first]
+            pca.project(model.face, image_to_vector(face)) - gallery.points[first]
         )
         d = pipeline.verify(model, face, voice, name)
         assert d.face_score == pytest.approx(1.0 / (1.0 + distance), rel=1e-12)
@@ -451,7 +488,7 @@ class TestModelFile:
         # without any is refused, whether built or loaded
         gallery = world.model.face_gallery
         keep = gallery.labels != NUM_CLIENTS - 1
-        without_last = pipeline._gallery(gallery.points[:, keep], gallery.labels[keep])
+        without_last = pipeline._gallery(gallery.points[keep], gallery.labels[keep])
         with pytest.raises(DomainError, match="gallery point"):
             replace(world.model, face_gallery=without_last)
 
@@ -635,9 +672,9 @@ MALFORMED_BODIES = {
     "face-basis-column-dropped": _drop_face_basis_column,
     "sample-rate-unsupported": _set_line("SAMPLE_RATE ", "SAMPLE_RATE 12000"),
     "face-size-disagrees-with-basis": _set_line("FACE_SIZE ", "FACE_SIZE 16 15"),
-    "points-rows-not-int": _set_line("POINTS ", "POINTS x2 20"),
-    "points-negative-rows": _set_line("POINTS ", "POINTS -4 20"),
-    "points-missing-cols": _set_line("POINTS ", "POINTS 4"),
+    "points-rows-not-int": _set_line("POINTS ", "POINTS x2 4"),
+    "points-negative-rows": _set_line("POINTS ", "POINTS -20 4"),
+    "points-missing-cols": _set_line("POINTS ", "POINTS 20"),
     "labels-too-few": _set_line("LABELS ", "LABELS 0 1"),
     "label-not-int": _set_line("LABELS ", "LABELS " + " ".join(["0.5"] * 20)),
     "classes-not-int": _set_line("CLASSES ", "CLASSES 5x"),
@@ -756,18 +793,19 @@ def claims(world):
     return [(face, voice, name) for face, voice in probes for name in world.names]
 
 
-def with_client_columns(model, client, change):
-    """The model whose gallery columns of `client` are replaced by change(columns)."""
+def with_client_rows(model, client, change):
+    """The model whose gallery rows of `client` are replaced by change(rows)."""
     gallery = model.face_gallery
     points = np.array(gallery.points)
-    cols = np.flatnonzero(gallery.labels == client)
-    points[:, cols] = change(points[:, cols])
+    rows = np.flatnonzero(gallery.labels == client)
+    points[rows] = change(points[rows])
     return replace(model, face_gallery=pipeline._gallery(points, gallery.labels))
 
 
 class TestVerifyFromClientTables:
-    """verify reads the claimed client's columns and every machine's value;
-    its decisions equal the ones a per-claim gallery and the full vote give."""
+    """verify reads the claimed client's slice of gallery rows and every
+    machine's value; its decisions equal the ones a per-claim gallery and
+    the full vote give."""
 
     def assert_as_reference(self, model, world):
         served = [pipeline.verify(model, *claim) for claim in claims(world)]
@@ -784,25 +822,27 @@ class TestVerifyFromClientTables:
         gallery = world.model.face_gallery
         first = np.flatnonzero(gallery.labels == 0)[0]
         keep = (gallery.labels != 0) | (np.arange(gallery.labels.size) == first)
-        model = replace(world.model, face_gallery=pipeline._gallery(gallery.points[:, keep],
+        model = replace(world.model, face_gallery=pipeline._gallery(gallery.points[keep],
                                                                     gallery.labels[keep]))
-        assert model.client_points[0].shape[1] == 1
+        assert np.count_nonzero(model.face_gallery.labels == 0) == 1
         self.assert_as_reference(model, world)
 
     @pytest.mark.parametrize("change", [
-        lambda cols: cols[:, [0, 0, 1, 1]],
-        lambda cols: cols[:, [2, 2, 2, 2]],
+        lambda rows: rows[[0, 0, 1, 1]],
+        lambda rows: rows[[2, 2, 2, 2]],
     ], ids=["two-pairs", "all-equal"])
     def test_equal_distance_ties(self, world, change):
-        model = with_client_columns(world.model, 0, change)
-        dists = knn.distances(model.client_points[0],
+        model = with_client_rows(world.model, 0, change)
+        gallery = model.face_gallery
+        dists = knn.distances(gallery.points[gallery.labels == 0],
                               pipeline._face_probe(model, world.genuine[0][1]))
         assert np.unique(dists).size < dists.size
         self.assert_as_reference(model, world)
 
     def test_every_claim_at_twenty_clients(self, world20):
         # 19-dimensional points: numpy sums 8 or more squared differences in
-        # an order set by the memory layout of the client's columns
+        # an order set by the memory layout, so the served slice of rows and
+        # the reference's masked copy of them must be laid out alike
         gallery, prototypes, _, model = world20
         rng = np.random.default_rng(20)
         probes = [(synth.render_face(prototype, rng), voices[0])
@@ -816,15 +856,78 @@ class TestVerifyFromClientTables:
         self.assert_as_reference(pipeline.load_model(model_file), world)
         self.assert_as_reference(replace(world.model, w_face=0.3), world)
 
-    def test_client_points_follow_the_gallery(self, world, model_file):
-        for model in (world.model, pipeline.load_model(model_file),
-                      with_client_columns(world.model, 1, lambda cols: cols + 1.0)):
+
+class TestGalleryLayout:
+    """The face gallery is one C-ordered n x d matrix of rows grouped by
+    client, in memory and in the model file."""
+
+    def test_rows_grouped_by_client_fitted_and_loaded(self, world, model_file):
+        points = 4 * NUM_CLIENTS, NUM_CLIENTS - 1
+        for model in (world.model, pipeline.load_model(model_file)):
             gallery = model.face_gallery
-            assert len(model.client_points) == NUM_CLIENTS
-            for c, points in enumerate(model.client_points):
-                np.testing.assert_array_equal(points, gallery.points[:, gallery.labels == c])
-                with pytest.raises(ValueError):
-                    points[0, 0] = 0.0
+            assert gallery.points.shape == points and gallery.points.flags.c_contiguous
+            assert gallery.labels.tolist() == sorted(gallery.labels.tolist())
+        (line,) = [line for line in model_file.read_text().split("\n") if line.startswith("POINTS ")]
+        assert tuple(map(int, line.split()[1:3])) == points
+
+    def test_labels_out_of_order_refused(self, world):
+        gallery = world.model.face_gallery
+        order = np.argsort(-gallery.labels, kind="stable")  # the last client first
+        with pytest.raises(DomainError, match="grouped by client"):
+            replace(world.model,
+                    face_gallery=pipeline._gallery(gallery.points[order], gallery.labels[order]))
+
+    def test_file_with_labels_out_of_order_refused(self, model_file, tmp_path):
+        swapped = _edit_tokens("LABELS ", lambda t: t[-1:] + t[1:-1] + t[:1])
+        with pytest.raises(FormatError, match="grouped by client"):
+            pipeline.load_model(rewritten(model_file, tmp_path, swapped))
+
+    def test_biomm_6_file_refused(self, model_file, tmp_path):
+        # a BIOMM 6 file stored the gallery as a d x n matrix of columns
+        def as_biomm_6(lines):
+            _set_line("BIOMM ", "BIOMM 6")(lines)
+            _edit_matrix("POINTS", lambda points: points.T)(lines)
+
+        with pytest.raises(FormatError, match="magic"):
+            pipeline.load_model(rewritten(model_file, tmp_path, as_biomm_6))
+
+
+@pytest.fixture(scope="module")
+def benchmark_gallery():
+    """The first gallery of the benchmark at seed 1 (perfbench's
+    harness.gallery_seed(1, 0)), with one fresh face per client."""
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+    gallery, prototypes, _, rng = synth.make_enrollment_data(20, 4, 4, seed=seed)
+    return gallery, prototypes, rng, pipeline.enroll_and_fit(gallery)
+
+
+class TestOneDistanceOrder:
+    """identify and verify form one distance from a probe to a gallery point,
+    bit for bit, whether they scan the whole gallery or one client's rows."""
+
+    @pytest.mark.parametrize("fixture", ["world20", "benchmark_gallery"])
+    def test_identify_and_verify_agree_on_every_point(self, request, monkeypatch, fixture):
+        gallery, prototypes, _, model = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(18)
+        formed = []
+        distances = knn.distances
+
+        def recorded(points, q):
+            formed.append(distances(points, q))
+            return formed[-1]
+
+        monkeypatch.setattr(knn, "distances", recorded)
+        labels = model.face_gallery.labels
+        for prototype, (_, voices) in zip(prototypes, gallery.values()):
+            face = synth.render_face(prototype, rng)
+            pipeline.identify(model, face, voices[0])
+            (whole,) = formed
+            formed.clear()
+            for c, name in enumerate(model.class_names):
+                pipeline.verify(model, face, voices[0], name)
+                (claimed,) = formed
+                formed.clear()
+                np.testing.assert_array_equal(claimed, whole[labels == c])
 
 
 def test_verify_builds_no_gallery_and_a_fit_builds_one(world, monkeypatch):

@@ -9,9 +9,12 @@ does. For each seed it fits the benchmark's three galleries
 reloads each model, and serves every identification and verification
 probe from the fitted and from the reloaded model. It prints one line per
 seed: the seed, the number of decisions (720 per seed at the benchmark's
-scale), the sha256 over each decision's repr in serving order, and the
-sha256 over the three model files. Two checkouts that print the same line
-decide alike on those probes, to the last bit of every score.
+scale), the sha256 over each decision's repr in serving order, the sha256
+over the three model files, and the sha256 over each decision's verdict
+fields (VERDICT_FIELDS: no score). Two checkouts that print the same line
+decide alike on those probes, to the last bit of every score; two that
+print the same last digest give the same verdicts and ids, though a score
+may differ in its last bits.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ import tempfile
 from pathlib import Path
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+VERDICT_FIELDS = ("mode", "claimed_id", "verdict", "client_id", "face_id", "voice_id")
 
 
 def digest(seed: int, work_dir: Path) -> tuple:
-    """(decision count, decision sha256, model file sha256) of one seed."""
+    """(decision count, decision sha256, model file sha256, verdict sha256) of one seed."""
     import harness
     from biomm import pipeline
 
-    decisions, models = hashlib.sha256(), hashlib.sha256()
+    decisions, models, verdicts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
     for g in range(harness.FULL.galleries):
         inputs = harness.make_inputs(harness.gallery_seed(seed, g), harness.FULL)
@@ -39,13 +43,13 @@ def digest(seed: int, work_dir: Path) -> tuple:
         fitted, loaded, _ = harness.fit_save_load(inputs.gallery, path)
         models.update(path.read_bytes())
         for model in (fitted, loaded):
-            for p in inputs.identify:
-                decisions.update(repr(pipeline.identify(model, p.face, p.voice)).encode())
-                count += 1
-            for p in inputs.verify:
-                decisions.update(repr(pipeline.verify(model, p.face, p.voice, p.claim)).encode())
-                count += 1
-    return count, decisions.hexdigest(), models.hexdigest()
+            served = [pipeline.identify(model, p.face, p.voice) for p in inputs.identify]
+            served += [pipeline.verify(model, p.face, p.voice, p.claim) for p in inputs.verify]
+            for d in served:
+                decisions.update(repr(d).encode())
+                verdicts.update(repr(tuple(getattr(d, f) for f in VERDICT_FIELDS)).encode())
+            count += len(served)
+    return count, decisions.hexdigest(), models.hexdigest(), verdicts.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -67,8 +71,7 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as work_dir:
         for seed in args.seeds:
-            count, decisions, models = digest(seed, Path(work_dir))
-            print(seed, count, decisions, models, flush=True)
+            print(seed, *digest(seed, Path(work_dir)), flush=True)
     return 0
 
 
