@@ -15,14 +15,16 @@ and the MFCC analysis constants of the mfcc module); PCA and LDA fix their
 widths from the data. The one setting a caller chooses is the fusion weight
 w_face.
 
-The model file (magic "BIOMM 7", CRC32-checked text) stores the enrollment
+The model file (magic "BIOMM 8", CRC32-checked) stores the enrollment
 sample rate and image size, the Fisherface map and the gallery points (n x d,
 one row per point, grouped by client), the voice LDA, the packed one-vs-one
-SVM with each support vector once, the client names, w_face and tau_dist,
-each float matrix as its exact float64 bytes; see the format comment further
-down. It holds no value the loader can compute from the others: the
-gallery's k and tau_fused follow from the constants, w_face and the gallery
-size. A probe whose rate or image size differs from enrollment is refused.
+SVM with each support vector once, the client names, w_face and tau_dist.
+Names, integers and scalars are text lines; each float matrix is a text
+header line followed by its raw row-major little-endian float64 bytes, so it
+reloads bit-exact; see the format comment further down. It holds no value the
+loader can compute from the others: the gallery's k and tau_fused follow from
+the constants, w_face and the gallery size. A probe whose rate or image size
+differs from enrollment is refused.
 
 Verification is 1:1, with no gallery built per claim: the face against the
 claimed client's slice of gallery rows, the voice by the claimed client's
@@ -32,7 +34,6 @@ the SVM derives once when it is built.
 
 from __future__ import annotations
 
-import base64
 import re
 import zlib
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ from .errors import (
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from .ingest import _integer, image_to_vector
 
-MAGIC = "BIOMM 7"
+MAGIC = "BIOMM 8"
 DIST_HEADROOM = 6.0
 
 # The fit settings. A model file records none of them: the loader rebuilds
@@ -458,96 +459,120 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: UTF-8 text, magic "BIOMM 7", then the sections INPUTS,
-# FACE, GALLERY, VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a trailing
-# CRC32 line over all prior bytes. The constants KNN_K and VOICE_KERNEL and
-# the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS and NUM_CEPS are part of
-# the format: no line records them. A matrix is one line "NAME rows cols
-# payload", the payload the base64 of its 8 * rows * cols row-major
-# little-endian float64 bytes; integer lists sit on their keyword's line, and
-# other floats are 17-digit decimals. INPUTS is the enrollment SAMPLE_RATE and
-# FACE_SIZE (width height). FACE is the Fisherface map: a 1 x pixels MEAN and
-# a pixels x (C-1) BASIS; VOICE_LDA is a MEAN and BASIS too. GALLERY is the
-# n x d POINTS matrix, one row per point, and their LABELS, non-decreasing
-# (rows grouped by client, in class order), at least one point per client;
-# its k is min(KNN_K, points), as at fit time. VOICE_SVM holds the packed one-vs-one
-# model as it is in memory: CLASSES, the PAIRS flattened, the d x n SVS matrix
-# of distinct support vectors, then per entry SV_INDEX (column in SVS),
-# MACHINE (index into PAIRS) and COEFS, and one BIASES row with a bias per
-# pair. CLIENTS is one NAMES line, the client of class c in position c.
-# THRESHOLDS is a W_FACE line and a TAU_DIST line, the last of the body;
-# tau_fused is computed from the two. Files of other versions (BIOMM 1 to 6)
-# are refused.
+# model file format: magic "BIOMM 8", then the sections INPUTS, FACE, GALLERY,
+# VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a trailer of exactly 15
+# bytes, "CRC32 <8 lowercase hex digits>\n", over all prior bytes. The
+# constants KNN_K and VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS,
+# NUM_FILTERS and NUM_CEPS are part of the format: no line records them.
+# Every record starts with one UTF-8 header line ending in "\n". A matrix is
+# the header "NAME rows cols", then exactly 8 * rows * cols bytes, its
+# row-major little-endian float64 values, then "\n"; a payload may hold any
+# byte, so the loader finds its end from the stated shape, never by searching.
+# Integer lists sit on their keyword's line, and other floats are 17-digit
+# decimals. INPUTS is the enrollment SAMPLE_RATE and FACE_SIZE (width height).
+# FACE is the Fisherface map: a 1 x pixels MEAN and a pixels x (C-1) BASIS;
+# VOICE_LDA is a MEAN and BASIS too. GALLERY is the n x d POINTS matrix, one
+# row per point, and their LABELS, non-decreasing (rows grouped by client, in
+# class order), at least one point per client; its k is min(KNN_K, points),
+# as at fit time. VOICE_SVM holds the packed one-vs-one model as it is in
+# memory: CLASSES, the PAIRS flattened, the d x n SVS matrix of distinct
+# support vectors, then per entry SV_INDEX (column in SVS), MACHINE (index
+# into PAIRS) and COEFS, and one BIASES row with a bias per pair. CLIENTS is
+# one NAMES line, the client of class c in position c. THRESHOLDS is a W_FACE
+# line and a TAU_DIST line, the last of the body; tau_fused is computed from
+# the two. Files of other versions (BIOMM 1 to 7) are refused.
 # ---------------------------------------------------------------------------
+
+TRAILER_BYTES = len("CRC32 00000000\n")
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_matrix(lines: list, name: str, matrix: np.ndarray) -> None:
+def _emit_line(out: list, text: str) -> None:
+    out.append(text.encode("utf-8") + b"\n")
+
+
+def _emit_matrix(out: list, name: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(matrix)
     rows, cols = matrix.shape
-    payload = base64.b64encode(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-    lines.append(f"{name} {rows} {cols} {payload.decode('ascii')}")
+    _emit_line(out, f"{name} {rows} {cols}")
+    out.append(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    out.append(b"\n")
 
 
-def _emit_ints(lines: list, name: str, values) -> None:
-    lines.append(" ".join([name, *map(str, np.ravel(values).tolist())]))
+def _emit_ints(out: list, name: str, values) -> None:
+    _emit_line(out, " ".join([name, *map(str, np.ravel(values).tolist())]))
 
 
-def _emit_subspace(lines: list, section: str, s: pca_mod.Subspace) -> None:
-    lines.append(f"SECTION {section}")
-    _emit_matrix(lines, "MEAN", s.mean[None, :])
-    _emit_matrix(lines, "BASIS", s.basis)
+def _emit_subspace(out: list, section: str, s: pca_mod.Subspace) -> None:
+    _emit_line(out, f"SECTION {section}")
+    _emit_matrix(out, "MEAN", s.mean[None, :])
+    _emit_matrix(out, "BASIS", s.basis)
 
 
 def save_model(m: SystemModel, path) -> None:
-    lines = [MAGIC, "SECTION INPUTS"]
-    lines.append(f"SAMPLE_RATE {m.sample_rate}")
-    _emit_ints(lines, "FACE_SIZE", m.face_size)
+    out = []
+    _emit_line(out, MAGIC)
+    _emit_line(out, "SECTION INPUTS")
+    _emit_line(out, f"SAMPLE_RATE {m.sample_rate}")
+    _emit_ints(out, "FACE_SIZE", m.face_size)
 
-    _emit_subspace(lines, "FACE", m.face)
+    _emit_subspace(out, "FACE", m.face)
 
-    lines.append("SECTION GALLERY")
-    _emit_matrix(lines, "POINTS", m.face_gallery.points)
-    _emit_ints(lines, "LABELS", m.face_gallery.labels)
+    _emit_line(out, "SECTION GALLERY")
+    _emit_matrix(out, "POINTS", m.face_gallery.points)
+    _emit_ints(out, "LABELS", m.face_gallery.labels)
 
-    _emit_subspace(lines, "VOICE_LDA", m.voice_lda)
+    _emit_subspace(out, "VOICE_LDA", m.voice_lda)
 
     svm = m.voice_svm
-    lines.append("SECTION VOICE_SVM")
-    lines.append(f"CLASSES {svm.num_classes}")
-    _emit_ints(lines, "PAIRS", svm.class_pairs)
-    _emit_matrix(lines, "SVS", svm.support_vectors)
-    _emit_ints(lines, "SV_INDEX", svm.sv_index)
-    _emit_ints(lines, "MACHINE", svm.machine)
-    _emit_matrix(lines, "COEFS", svm.dual_coefs[None, :])
-    _emit_matrix(lines, "BIASES", svm.biases[None, :])
+    _emit_line(out, "SECTION VOICE_SVM")
+    _emit_line(out, f"CLASSES {svm.num_classes}")
+    _emit_ints(out, "PAIRS", svm.class_pairs)
+    _emit_matrix(out, "SVS", svm.support_vectors)
+    _emit_ints(out, "SV_INDEX", svm.sv_index)
+    _emit_ints(out, "MACHINE", svm.machine)
+    _emit_matrix(out, "COEFS", svm.dual_coefs[None, :])
+    _emit_matrix(out, "BIASES", svm.biases[None, :])
 
-    lines.append("SECTION CLIENTS")
-    lines.append(" ".join(["NAMES", *m.class_names]))
+    _emit_line(out, "SECTION CLIENTS")
+    _emit_line(out, " ".join(["NAMES", *m.class_names]))
 
-    lines.append("SECTION THRESHOLDS")
-    lines.append(f"W_FACE {_fmt(m.w_face)}")
-    lines.append(f"TAU_DIST {_fmt(m.tau_dist)}")
+    _emit_line(out, "SECTION THRESHOLDS")
+    _emit_line(out, f"W_FACE {_fmt(m.w_face)}")
+    _emit_line(out, f"TAU_DIST {_fmt(m.tau_dist)}")
 
-    body = "\n".join(lines) + "\n"
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    Path(path).write_text(body + f"CRC32 {crc:08x}\n", encoding="utf-8")
+    body = b"".join(out)
+    with open(path, "wb") as f:  # bytes, so no platform turns "\n" into "\r\n"
+        f.write(body)
+        f.write(b"CRC32 %08x\n" % zlib.crc32(body))
 
 
 class _Reader:
-    def __init__(self, lines, section="header"):
-        self.lines = lines
+    """A byte cursor over a model file body, data[:end]: header lines are
+    decoded one at a time, and a payload is read only after its stated size
+    is checked against the bytes left."""
+
+    def __init__(self, data: bytes, end: int):
+        self.data = data
+        self.end = end
         self.pos = 0
-        self.section = section
+        self.section = "header"
+
+    def at_end(self) -> bool:
+        return self.pos == self.end
 
     def next(self) -> str:
-        if self.pos >= len(self.lines):
+        stop = self.data.find(b"\n", self.pos, self.end)
+        if stop < 0:
             raise FormatError(f"truncated model file in section {self.section}")
-        line = self.lines[self.pos]
-        self.pos += 1
+        try:
+            line = self.data[self.pos:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"header line in section {self.section} is not UTF-8") from exc
+        self.pos = stop + 1
         return line
 
     def expect_section(self, name: str) -> None:
@@ -593,22 +618,23 @@ class _Reader:
             raise FormatError(f"bad {name} value in section {self.section}") from exc
 
     def matrix(self, name: str) -> np.ndarray:
-        tokens = self.keyword(name)
-        # an empty matrix has an empty payload, which leaves no token
-        if len(tokens) not in (2, 3):
-            raise FormatError(f"matrix {name} needs rows, cols and a payload")
-        rows, cols = self.parse([int, int], tokens[:2], name)
+        rows, cols = self.fields(name, int, int)
         if rows < 0 or cols < 0:
             raise FormatError(f"matrix {name} has negative shape {rows} x {cols}")
-        try:
-            raw = base64.b64decode("".join(tokens[2:]), validate=True)
-        except ValueError as exc:  # binascii.Error is a ValueError
-            raise FormatError(f"matrix {name} payload is not base64") from exc
-        if len(raw) != 8 * rows * cols:
+        start, stop = self.pos, self.pos + 8 * rows * cols
+        if stop >= self.end:  # the payload and its "\n" must both fit
             raise FormatError(
-                f"matrix {name} payload has {len(raw)} bytes, expected {8 * rows * cols}"
+                f"matrix {name} states {stop - start} payload bytes, more than the file holds"
             )
-        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if self.data[stop] != ord("\n"):
+            raise FormatError(f"matrix {name} payload is not followed by a newline")
+        self.pos = stop + 1
+        values = np.frombuffer(self.data, dtype="<f8", count=rows * cols, offset=start)
+        values = values.astype(np.float64)
+        try:
+            matrix = values.reshape(rows, cols)
+        except ValueError as exc:  # an empty matrix of more rows than any array holds
+            raise FormatError(f"matrix {name} shape {rows} x {cols} is too large") from exc
         self.finite(matrix, name)
         return matrix
 
@@ -626,29 +652,30 @@ def _read_subspace(reader: _Reader, section: str) -> pca_mod.Subspace:
     return pca_mod.Subspace(mean, basis)
 
 
+def _body_length(raw: bytes) -> int:
+    """The number of body bytes of a model file: all but its last
+    TRAILER_BYTES, which must be exactly "CRC32 <8 lowercase hex digits>\n"
+    stating the checksum of the body."""
+    trailer = re.fullmatch(rb"CRC32 ([0-9a-f]{8})\n", raw[-TRAILER_BYTES:])
+    if trailer is None:
+        raise FormatError("missing or malformed CRC32 trailer (file truncated?)")
+    cut = len(raw) - TRAILER_BYTES
+    stated = trailer[1].decode("ascii")
+    actual = f"{zlib.crc32(memoryview(raw)[:cut]):08x}"
+    if stated != actual:
+        raise FormatError(f"checksum mismatch: stated {stated}, computed {actual}")
+    return cut
+
+
 def load_model(path) -> SystemModel:
     """Parse a model file; the CRC is verified before any section parsing.
 
-    The file must end in exactly "CRC32 <8 lowercase hex digits>\n", and
-    the checksum covers the raw bytes before that line. Any defect of the
-    file, including a body that passes the CRC but does not describe a
-    valid model, raises FormatError.
+    Any defect of the file, including a body that passes the CRC but does
+    not describe a valid model, raises FormatError.
     """
     raw = Path(path).read_bytes()
-    cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
-    trailer = re.fullmatch(rb"CRC32 ([0-9a-f]{8})\n", raw[cut:])
-    if trailer is None:
-        raise FormatError("missing or malformed CRC32 trailer (file truncated?)")
-    stated = trailer[1].decode("ascii")
-    actual = f"{zlib.crc32(raw[:cut]) & 0xFFFFFFFF:08x}"
-    if stated != actual:
-        raise FormatError(f"checksum mismatch: stated {stated}, computed {actual}")
     try:
-        lines = raw[:cut].decode("utf-8").split("\n")[:-1]
-    except UnicodeDecodeError as exc:
-        raise FormatError("model file is not UTF-8 text") from exc
-    try:
-        return _read_model(_Reader(lines))
+        return _read_model(_Reader(raw, _body_length(raw)))
     except FormatError:
         raise
     except BiommError as exc:  # a model invariant checked when a part is built
@@ -692,7 +719,7 @@ def _read_model(reader: _Reader) -> SystemModel:
     reader.expect_section("THRESHOLDS")
     (w_face,) = reader.fields("W_FACE", float)
     (tau_dist,) = reader.fields("TAU_DIST", float)
-    if reader.pos != len(reader.lines):
+    if not reader.at_end():
         raise FormatError(f"unexpected line after TAU_DIST: {reader.next()!r}")
 
     return SystemModel(

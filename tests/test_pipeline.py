@@ -4,7 +4,8 @@ import base64
 import re
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,6 +66,48 @@ def damaged(tmp_path, data: bytes):
     path = tmp_path / "damaged.biomm"
     path.write_bytes(data)
     return path
+
+
+TRAILER = len(b"CRC32 00000000\n")
+MATRICES = ("MEAN", "BASIS", "POINTS", "SVS", "COEFS", "BIASES")
+
+
+@dataclass
+class Record:
+    """One record of a model file body: a header line and, for a matrix, its
+    payload bytes and the bytes that end them. The header is encoded with
+    surrogateescape, so an edit can put a byte that is not UTF-8 in it."""
+
+    header: str
+    payload: bytes | None = None
+    end: bytes = b"\n"
+
+    def encode(self) -> bytes:
+        head = self.header.encode("utf-8", "surrogateescape") + b"\n"
+        return head if self.payload is None else head + self.payload + self.end
+
+
+def read_records(model_file) -> list:
+    """The body records of a model file, read without pipeline's reader."""
+    body = model_file.read_bytes()[:-TRAILER]
+    records, pos = [], 0
+    while pos < len(body):
+        stop = body.index(b"\n", pos)
+        header = body[pos:stop].decode("utf-8")
+        pos = stop + 1
+        name, *shape = header.split()
+        if name not in MATRICES:
+            records.append(Record(header))
+            continue
+        size = 8 * int(shape[0]) * int(shape[1])
+        assert body[pos + size:pos + size + 1] == b"\n"
+        records.append(Record(header, body[pos:pos + size]))
+        pos += size + 1
+    return records
+
+
+def headers(model_file) -> list:
+    return [record.header for record in read_records(model_file)]
 
 
 class TestServing:
@@ -382,13 +425,13 @@ class TestFisherfaceMap:
             )
 
     def test_face_stored_as_one_basis(self, world, model_file):
-        lines = model_file.read_text().split("\n")
+        lines = headers(model_file)
         face = lines[lines.index("SECTION FACE"):lines.index("SECTION GALLERY")]
-        assert [line.split()[:3] for line in face if line.startswith("BASIS ")] == [
+        assert [line.split() for line in face if line.startswith("BASIS ")] == [
             ["BASIS", "256", str(NUM_CLIENTS - 1)]
         ]
         # the 20 enrolled faces give a PCA basis of 20 - 5 = 15 columns
-        assert not any(re.match(r"\S+ 256 15 ", line) for line in lines)
+        assert not any(re.fullmatch(r"\S+ 256 15", line) for line in lines)
 
 
 class TestSingleModality:
@@ -432,16 +475,41 @@ class TestModelFile:
         rng = np.random.RandomState(9)
         scales = 10.0 ** rng.randint(-300, 300, (3, len(edge)))
         rows = np.vstack([edge, rng.standard_normal((3, len(edge))) * scales])
-        lines = []
-        pipeline._emit_matrix(lines, "M", rows)
-        assert len(lines) == 1 and lines[0].startswith(f"M {rows.shape[0]} {rows.shape[1]} ")
-        back = pipeline._Reader(lines).matrix("M")
-        assert back.dtype == np.float64 and back.flags.writeable
-        np.testing.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
-        for empty in (np.zeros((1, 0)), np.zeros((0, 3))):  # no payload token at all
-            lines = []
-            pipeline._emit_matrix(lines, "E", empty)
-            assert pipeline._Reader(lines).matrix("E").shape == empty.shape
+        # finite values whose bytes are newlines, then a line that reads as a
+        # trailer: "\n\nCRC32 deadbeef"
+        awkward = np.frombuffer(b"\n" * 8 + b"\n\nCRC32 deadbeef", "<f8").reshape(1, 3)
+        matrices = {"M": rows, "E": np.zeros((1, 0)), "F": np.zeros((0, 3)), "A": awkward}
+        out = []
+        for name, matrix in matrices.items():
+            pipeline._emit_matrix(out, name, matrix)
+        body = b"".join(out)
+        assert body.startswith(b"M %d %d\n" % rows.shape)
+        assert body.count(b"CRC32 ") == 1 and body.endswith(b"\nCRC32 deadbeef\n")
+        # the body's last record is that payload, right before the real trailer
+        data = body + b"CRC32 %08x\n" % zlib.crc32(body)
+        reader = pipeline._Reader(data, pipeline._body_length(data))
+        for name, matrix in matrices.items():
+            back = reader.matrix(name)
+            assert back.dtype == np.float64 and back.flags.writeable
+            assert back.shape == matrix.shape
+            np.testing.assert_array_equal(back.view(np.uint64), matrix.view(np.uint64))
+        assert reader.at_end()
+
+    def test_saved_where_text_mode_turns_newlines_into_crlf(self, world, tmp_path, monkeypatch):
+        # Windows text mode writes every "\n" as "\r\n"; a file saved through
+        # it would fail its own CRC, which covers the "\n" body
+        def write_crlf(self, data, encoding=None, errors=None, newline=None):
+            with self.open("w", encoding=encoding, errors=errors, newline="\r\n") as f:
+                return f.write(data)
+
+        monkeypatch.setattr(Path, "write_text", write_crlf)
+        path = tmp_path / "crlf.biomm"
+        pipeline.save_model(world.model, path)
+        loaded = pipeline.load_model(path)
+        name, face, voice = world.genuine[0]
+        assert pipeline.verify(loaded, face, voice, name) == pipeline.verify(
+            world.model, face, voice, name
+        )
 
     def test_tau_fused_recomputed_from_tau_dist_and_w_face(self, world, model_file, tmp_path):
         fitted = world.model
@@ -539,9 +607,8 @@ class TestModelFile:
             assert a.bias == b.bias and a.kernel == b.kernel
 
     def test_support_vectors_stored_once(self, world, model_file):
-        lines = model_file.read_text().split("\n")
-        (svs,) = [line for line in lines if line.startswith("SVS ")]
-        _, rows, cols, _ = svs.split()
+        (svs,) = [line for line in headers(model_file) if line.startswith("SVS ")]
+        _, rows, cols = svs.split()
         utterances = sum(len(voices) for _, voices in world.gallery.values())
         assert int(rows) == world.model.voice_lda.retained
         assert int(cols) <= utterances
@@ -585,36 +652,45 @@ class TestModelFile:
             pipeline.load_model(damaged(tmp_path, bytes(data)))
 
 
-def _line_index(lines, prefix):
-    return next(n for n, line in enumerate(lines) if line.startswith(prefix))
+def _index(records, prefix):
+    return next(n for n, record in enumerate(records) if record.header.startswith(prefix))
+
+
+def _edits(*edits):
+    """The edits applied in turn."""
+    def edit(records):
+        for each in edits:
+            each(records)
+    return edit
 
 
 def _set_line(prefix, text):
-    def edit(lines):
-        lines[_line_index(lines, prefix)] = text
+    """The header starting with `prefix` becomes `text`; a matrix keeps its payload."""
+    def edit(records):
+        records[_index(records, prefix)].header = text
     return edit
 
 
 def _edit_matrix(name, change):
     """Matrix `name` is decoded, replaced by change(matrix) and encoded again."""
-    def edit(lines):
-        i = _line_index(lines, name + " ")
-        _, rows, cols, payload = lines[i].split()
-        matrix = np.frombuffer(base64.b64decode(payload), "<f8").reshape(int(rows), int(cols))
+    def edit(records):
+        record = records[_index(records, name + " ")]
+        _, rows, cols = record.header.split()
+        matrix = np.frombuffer(record.payload, "<f8").reshape(int(rows), int(cols))
         matrix = np.asarray(change(matrix.copy()), dtype="<f8")
-        encoded = base64.b64encode(matrix.tobytes()).decode("ascii")
-        lines[i] = f"{name} {matrix.shape[0]} {matrix.shape[1]} {encoded}"
+        record.header = f"{name} {matrix.shape[0]} {matrix.shape[1]}"
+        record.payload = matrix.tobytes()
     return edit
 
 
-def _drop_sv_row(lines):
+def _drop_sv_row(records):
     """The support vectors lose their last coordinate row."""
-    _edit_matrix("SVS", lambda m: m[:-1])(lines)
+    _edit_matrix("SVS", lambda m: m[:-1])(records)
 
 
-def _drop_face_basis_column(lines):
+def _drop_face_basis_column(records):
     """The face basis (the first BASIS, in section FACE) loses its last column."""
-    _edit_matrix("BASIS", lambda m: m[:, :-1])(lines)
+    _edit_matrix("BASIS", lambda m: m[:, :-1])(records)
 
 
 def _drop_last_value(name):
@@ -623,11 +699,11 @@ def _drop_last_value(name):
 
 
 def _edit_tokens(prefix, change):
-    """The line starting with `prefix` gets its value tokens replaced by change(tokens)."""
-    def edit(lines):
-        i = _line_index(lines, prefix)
-        tokens = lines[i].split()
-        lines[i] = " ".join(tokens[:1] + change(tokens[1:]))
+    """The header starting with `prefix` gets its value tokens replaced by change(tokens)."""
+    def edit(records):
+        record = records[_index(records, prefix)]
+        tokens = record.header.split()
+        record.header = " ".join(tokens[:1] + change(tokens[1:]))
     return edit
 
 
@@ -642,10 +718,27 @@ def _edit_first_row(name, change):
 def _edit_payload(name, change):
     """The payload of matrix `name` gets its bytes replaced by change(bytes);
     the rows and cols it states stay."""
-    def encode(tokens):
-        raw = change(base64.b64decode(tokens[2]))
-        return tokens[:2] + [base64.b64encode(raw).decode("ascii")]
-    return _edit_tokens(name + " ", encode)
+    def edit(records):
+        record = records[_index(records, name + " ")]
+        record.payload = change(record.payload)
+    return edit
+
+
+def _cut_inside_payload(name):
+    """The body ends halfway through the payload of matrix `name`."""
+    def edit(records):
+        i = _index(records, name + " ")
+        records[i].payload = records[i].payload[:len(records[i].payload) // 2]
+        records[i].end = b""
+        del records[i + 1:]
+    return edit
+
+
+def _payload_ending(name, end):
+    """The payload of matrix `name` ends in `end` instead of a newline."""
+    def edit(records):
+        records[_index(records, name + " ")].end = end
+    return edit
 
 
 def _replaced(position, value):
@@ -653,14 +746,12 @@ def _replaced(position, value):
 
 
 def rewritten(model_file, tmp_path, edit):
-    """A copy of the model file whose body lines went through edit(lines),
+    """A copy of the model file whose body records went through edit(records),
     with its CRC recomputed so that only the body is malformed."""
-    data = model_file.read_bytes()
-    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
-    lines = data[:cut].decode("utf-8").split("\n")[:-1]
-    edit(lines)
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    return damaged(tmp_path, body + b"CRC32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+    records = read_records(model_file)
+    edit(records)
+    body = b"".join(record.encode() for record in records)
+    return damaged(tmp_path, body + b"CRC32 %08x\n" % zlib.crc32(body))
 
 
 MALFORMED_BODIES = {
@@ -678,7 +769,7 @@ MALFORMED_BODIES = {
     "labels-too-few": _set_line("LABELS ", "LABELS 0 1"),
     "label-not-int": _set_line("LABELS ", "LABELS " + " ".join(["0.5"] * 20)),
     "classes-not-int": _set_line("CLASSES ", "CLASSES 5x"),
-    "names-line-missing": lambda lines: lines.pop(_line_index(lines, "NAMES")),
+    "names-line-missing": lambda records: records.pop(_index(records, "NAMES")),
     "fewer-names-than-classes": _edit_tokens("NAMES", lambda names: names[:-1]),
     "name-repeated": _edit_tokens("NAMES", _replaced(1, "client0")),
     "label-beyond-classes": _set_line("LABELS ", "LABELS " + " ".join(["0"] * 19 + ["5"])),
@@ -701,15 +792,23 @@ MALFORMED_BODIES = {
     "biases-nan": _edit_first_row("BIASES", lambda values: [float("nan")] * len(values)),
     "svs-value-nan": _edit_first_row("SVS", _replaced(0, float("nan"))),
     "coefs-value-inf": _edit_first_row("COEFS", _replaced(0, float("inf"))),
-    "payload-not-base64": _edit_tokens("SVS ", lambda t: t[:2] + ["*" + t[2][1:]]),
+    "payload-cut-short": _cut_inside_payload("SVS"),
+    "payload-without-newline": _payload_ending("SVS", b""),
+    # the next header still reads whole, so only the payload's end can refuse it
+    "payload-ends-in-space": _payload_ending("SVS", b" "),
+    # surrogateescape writes "\udcff" as the byte 0xff
+    "header-line-not-utf8": _edit_tokens("NAMES", _replaced(1, "client\udcff")),
     "payload-one-double-short": _edit_payload("SVS", lambda raw: raw[:-8]),
     "payload-extra-bytes": _edit_payload("SVS", lambda raw: raw + bytes(8)),
-    "payload-missing": _edit_tokens("SVS ", lambda t: t[:2]),
+    # an empty matrix of more rows than numpy can shape
+    "matrix-rows-beyond-any-array": _edits(
+        _set_line("BIASES ", "BIASES " + "9" * 30 + " 0"), _edit_payload("BIASES", lambda raw: b"")
+    ),
     "sv-index-beyond-int64": _edit_tokens("SV_INDEX ", _replaced(0, "9" * 20)),
     "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
     "w-face-out-of-range": _set_line("W_FACE ", "W_FACE 1.5"),
     # a BIOMM 4 body ended in a TAU_FUSED line after TAU_DIST
-    "line-after-thresholds": lambda lines: lines.append("TAU_FUSED 0.5"),
+    "line-after-thresholds": lambda records: records.append(Record("TAU_FUSED 0.5")),
 }
 
 
@@ -717,7 +816,7 @@ class TestMalformedBody:
     """A body that passes the CRC but breaks the format raises only FormatError."""
 
     def test_rewrite_without_edit_still_loads(self, world, model_file, tmp_path):
-        loaded = pipeline.load_model(rewritten(model_file, tmp_path, lambda lines: None))
+        loaded = pipeline.load_model(rewritten(model_file, tmp_path, lambda records: None))
         name, face, voice = world.genuine[0]
         assert pipeline.identify(loaded, face, voice) == pipeline.identify(world.model, face, voice)
 
@@ -760,6 +859,19 @@ class TestMalformedBody:
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match="pair"):
+                pipeline.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024 * 1024
+
+    def test_payload_larger_than_the_file_refused_before_it_is_read(self, model_file, tmp_path):
+        # 152 TB stated: the size is checked against the bytes left, so
+        # nothing is allocated for it
+        path = rewritten(model_file, tmp_path, _set_line("BASIS ", "BASIS 1000000000000 19"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload bytes"):
                 pipeline.load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -867,7 +979,7 @@ class TestGalleryLayout:
             gallery = model.face_gallery
             assert gallery.points.shape == points and gallery.points.flags.c_contiguous
             assert gallery.labels.tolist() == sorted(gallery.labels.tolist())
-        (line,) = [line for line in model_file.read_text().split("\n") if line.startswith("POINTS ")]
+        (line,) = [line for line in headers(model_file) if line.startswith("POINTS ")]
         assert tuple(map(int, line.split()[1:3])) == points
 
     def test_labels_out_of_order_refused(self, world):
@@ -883,13 +995,21 @@ class TestGalleryLayout:
             pipeline.load_model(rewritten(model_file, tmp_path, swapped))
 
     def test_biomm_6_file_refused(self, model_file, tmp_path):
-        # a BIOMM 6 file stored the gallery as a d x n matrix of columns
-        def as_biomm_6(lines):
-            _set_line("BIOMM ", "BIOMM 6")(lines)
-            _edit_matrix("POINTS", lambda points: points.T)(lines)
+        # BIOMM 7 and 6 were text files, each matrix one line with its bytes
+        # in base64; BIOMM 6 stored the gallery as a d x n matrix of columns
+        def as_text(magic):
+            def edit(records):
+                _set_line("BIOMM ", magic)(records)
+                for record in records:
+                    if record.payload is not None:
+                        encoded = base64.b64encode(record.payload).decode("ascii")
+                        record.header, record.payload = f"{record.header} {encoded}", None
+            return edit
 
-        with pytest.raises(FormatError, match="magic"):
-            pipeline.load_model(rewritten(model_file, tmp_path, as_biomm_6))
+        as_biomm_6 = _edits(_edit_matrix("POINTS", lambda points: points.T), as_text("BIOMM 6"))
+        for edit in (as_biomm_6, as_text("BIOMM 7")):
+            with pytest.raises(FormatError, match="magic"):
+                pipeline.load_model(rewritten(model_file, tmp_path, edit))
 
 
 @pytest.fixture(scope="module")

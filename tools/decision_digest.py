@@ -10,11 +10,11 @@ reloads each model, and serves every identification and verification
 probe from the fitted and from the reloaded model. It prints one line per
 seed: the seed, the number of decisions (720 per seed at the benchmark's
 scale), the sha256 over each decision's repr in serving order, the sha256
-over the three model files, and the sha256 over each decision's verdict
-fields (VERDICT_FIELDS: no score). Two checkouts that print the same line
-decide alike on those probes, to the last bit of every score; two that
-print the same last digest give the same verdicts and ids, though a score
-may differ in its last bits.
+over the three model files, the sha256 over each decision's verdict fields
+(VERDICT_FIELDS: no score), and the total bytes of the three model files.
+Two checkouts that print the same line decide alike on those probes, to the
+last bit of every score; two that print the same verdict digest give the
+same verdicts and ids, though a score may differ in its last bits.
 """
 
 from __future__ import annotations
@@ -31,17 +31,20 @@ VERDICT_FIELDS = ("mode", "claimed_id", "verdict", "client_id", "face_id", "voic
 
 
 def digest(seed: int, work_dir: Path) -> tuple:
-    """(decision count, decision sha256, model file sha256, verdict sha256) of one seed."""
+    """(decision count, decision sha256, model file sha256, verdict sha256,
+    model file bytes) of one seed."""
     import harness
     from biomm import pipeline
 
     decisions, models, verdicts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    count = 0
+    count = model_bytes = 0
     for g in range(harness.FULL.galleries):
         inputs = harness.make_inputs(harness.gallery_seed(seed, g), harness.FULL)
-        path = work_dir / f"model{g}.txt"
+        path = work_dir / f"model{g}.biomm"
         fitted, loaded, _ = harness.fit_save_load(inputs.gallery, path)
-        models.update(path.read_bytes())
+        data = path.read_bytes()
+        models.update(data)
+        model_bytes += len(data)
         for model in (fitted, loaded):
             served = [pipeline.identify(model, p.face, p.voice) for p in inputs.identify]
             served += [pipeline.verify(model, p.face, p.voice, p.claim) for p in inputs.verify]
@@ -49,7 +52,7 @@ def digest(seed: int, work_dir: Path) -> tuple:
                 decisions.update(repr(d).encode())
                 verdicts.update(repr(tuple(getattr(d, f) for f in VERDICT_FIELDS)).encode())
             count += len(served)
-    return count, decisions.hexdigest(), models.hexdigest(), verdicts.hexdigest()
+    return count, decisions.hexdigest(), models.hexdigest(), verdicts.hexdigest(), model_bytes
 
 
 def main(argv=None) -> int:
