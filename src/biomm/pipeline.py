@@ -15,16 +15,9 @@ and the MFCC analysis constants of the mfcc module); PCA and LDA fix their
 widths from the data. The one setting a caller chooses is the fusion weight
 w_face.
 
-The model file (magic "BIOMM 8", CRC32-checked) stores the enrollment
-sample rate and image size, the Fisherface map and the gallery points (n x d,
-one row per point, grouped by client), the voice LDA, the packed one-vs-one
-SVM with each support vector once, the client names, w_face and tau_dist.
-Names, integers and scalars are text lines; each float matrix is a text
-header line followed by its raw row-major little-endian float64 bytes, so it
-reloads bit-exact; see the format comment further down. It holds no value the
-loader can compute from the others: the gallery's k and tau_fused follow from
-the constants, w_face and the gallery size. A probe whose rate or image size
-differs from enrollment is refused.
+save_model and load_model both walk LAYOUT, the model file's one list of
+its sections and records; the comment above it gives their encoding. A
+probe whose rate or image size differs from enrollment is refused.
 
 Verification is 1:1, with no gallery built per claim: the face against the
 claimed client's slice of gallery rows, the voice by the claimed client's
@@ -34,6 +27,7 @@ the SVM derives once when it is built.
 
 from __future__ import annotations
 
+import os
 import re
 import zlib
 from dataclasses import dataclass
@@ -281,9 +275,9 @@ def _distance_score(distance: float) -> float:
     return 1.0 / (1.0 + distance)
 
 
-def _gallery(rows: np.ndarray, labels) -> knn_mod.KnnModel:
-    """A kNN gallery of rows voting among KNN_K neighbours, or all its points if fewer."""
-    return knn_mod.KnnModel(rows, labels, k=min(KNN_K, rows.shape[0]))
+def _gallery(points: np.ndarray, labels) -> knn_mod.KnnModel:
+    """A kNN gallery of point rows voting among KNN_K neighbours, or all its points if fewer."""
+    return knn_mod.KnnModel(points, labels, k=min(KNN_K, points.shape[0]))
 
 
 def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
@@ -459,197 +453,202 @@ def verify(
 
 
 # ---------------------------------------------------------------------------
-# model file format: magic "BIOMM 8", then the sections INPUTS, FACE, GALLERY,
-# VOICE_LDA, VOICE_SVM, CLIENTS and THRESHOLDS, and a trailer of exactly 15
-# bytes, "CRC32 <8 lowercase hex digits>\n", over all prior bytes. The
-# constants KNN_K and VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS,
-# NUM_FILTERS and NUM_CEPS are part of the format: no line records them.
-# Every record starts with one UTF-8 header line ending in "\n". A matrix is
-# the header "NAME rows cols", then exactly 8 * rows * cols bytes, its
-# row-major little-endian float64 values, then "\n"; a payload may hold any
-# byte, so the loader finds its end from the stated shape, never by searching.
-# Integer lists sit on their keyword's line, and other floats are 17-digit
-# decimals. INPUTS is the enrollment SAMPLE_RATE and FACE_SIZE (width height).
-# FACE is the Fisherface map: a 1 x pixels MEAN and a pixels x (C-1) BASIS;
-# VOICE_LDA is a MEAN and BASIS too. GALLERY is the n x d POINTS matrix, one
-# row per point, and their LABELS, non-decreasing (rows grouped by client, in
-# class order), at least one point per client; its k is min(KNN_K, points),
-# as at fit time. VOICE_SVM holds the packed one-vs-one model as it is in
-# memory: CLASSES, the PAIRS flattened, the d x n SVS matrix of distinct
-# support vectors, then per entry SV_INDEX (column in SVS), MACHINE (index
-# into PAIRS) and COEFS, and one BIASES row with a bias per pair. CLIENTS is
-# one NAMES line, the client of class c in position c. THRESHOLDS is a W_FACE
-# line and a TAU_DIST line, the last of the body; tau_fused is computed from
-# the two. Files of other versions (BIOMM 1 to 7) are refused.
+# Model file: the line MAGIC, then for each section of LAYOUT a line
+# "SECTION <name>" and its records, then a 15-byte trailer "CRC32 <8 lowercase
+# hex digits>\n" over all prior bytes. A record is one UTF-8 header line, its
+# keyword and values joined by single spaces: integers as str() writes them,
+# floats in 17 significant digits. A row or matrix header gives its shape,
+# "KEYWORD rows cols" (rows is 1 for a row), and is followed by exactly
+# 8 * rows * cols bytes, the row-major little-endian float64 values, then
+# "\n"; the loader finds a payload's end from that shape, never by searching.
+# A file loads only as save_model writes it: any other spelling of a header
+# line, or a NaN or infinite value, is refused. Gallery rows are grouped by
+# client in class order, with at least one point per client. KNN_K,
+# VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS and
+# NUM_CEPS belong to the format, as no record holds them; nor does anything
+# the loader computes (the gallery's k, tau_fused). A change to any of these
+# or to LAYOUT bumps MAGIC; files of other versions are refused.
 # ---------------------------------------------------------------------------
+
+# The sections in file order: each one's name, the SystemModel field whose
+# parts it stores (None: fields of the model itself) and its records, each
+# (keyword, kind, attribute of that part). save_model writes each record from
+# its attribute, and load_model hands each value it reads to the part's
+# constructor under that attribute's name, so neither depends on a record's
+# position.
+_SUBSPACE = (("MEAN", "row", "mean"), ("BASIS", "matrix", "basis"))
+LAYOUT = (
+    ("INPUTS", None, (("SAMPLE_RATE", "int", "sample_rate"), ("FACE_SIZE", "ints", "face_size"))),
+    ("FACE", "face", _SUBSPACE),
+    ("GALLERY", "face_gallery", (("POINTS", "matrix", "points"), ("LABELS", "ints", "labels"))),
+    ("VOICE_LDA", "voice_lda", _SUBSPACE),
+    ("VOICE_SVM", "voice_svm", (
+        ("CLASSES", "int", "num_classes"),
+        ("PAIRS", "ints", "class_pairs"),  # flattened, two classes per machine
+        ("SVS", "matrix", "support_vectors"),
+        ("SV_INDEX", "ints", "sv_index"),
+        ("MACHINE", "ints", "machine"),
+        ("COEFS", "row", "dual_coefs"),
+        ("BIASES", "row", "biases"),
+    )),
+    ("CLIENTS", None, (("NAMES", "names", "class_names"),)),
+    ("THRESHOLDS", None, (("W_FACE", "float", "w_face"), ("TAU_DIST", "float", "tau_dist"))),
+)
 
 TRAILER_BYTES = len("CRC32 00000000\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _line(text: str) -> bytes:
+    return text.encode("utf-8") + b"\n"
 
 
-def _emit_line(out: list, text: str) -> None:
-    out.append(text.encode("utf-8") + b"\n")
+def _ints(keyword: str, values) -> bytes:
+    return _line(" ".join([keyword, *map(str, np.ravel(values).tolist())]))
 
 
-def _emit_matrix(out: list, name: str, matrix: np.ndarray) -> None:
+def _matrix(keyword: str, matrix) -> bytes:
     matrix = np.atleast_2d(matrix)
-    rows, cols = matrix.shape
-    _emit_line(out, f"{name} {rows} {cols}")
-    out.append(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-    out.append(b"\n")
+    payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    return b"".join((_ints(keyword, matrix.shape), payload, b"\n"))
 
 
-def _emit_ints(out: list, name: str, values) -> None:
-    _emit_line(out, " ".join([name, *map(str, np.ravel(values).tolist())]))
-
-
-def _emit_subspace(out: list, section: str, s: pca_mod.Subspace) -> None:
-    _emit_line(out, f"SECTION {section}")
-    _emit_matrix(out, "MEAN", s.mean[None, :])
-    _emit_matrix(out, "BASIS", s.basis)
+# one writer per record kind: (keyword, value) -> the record's bytes
+_WRITERS = {
+    "int": _ints,
+    "ints": _ints,
+    "float": lambda keyword, value: _line(f"{keyword} {float(value):.17g}"),
+    "names": lambda keyword, names: _line(" ".join([keyword, *names])),
+    "row": _matrix,
+    "matrix": _matrix,
+}
 
 
 def save_model(m: SystemModel, path) -> None:
-    out = []
-    _emit_line(out, MAGIC)
-    _emit_line(out, "SECTION INPUTS")
-    _emit_line(out, f"SAMPLE_RATE {m.sample_rate}")
-    _emit_ints(out, "FACE_SIZE", m.face_size)
-
-    _emit_subspace(out, "FACE", m.face)
-
-    _emit_line(out, "SECTION GALLERY")
-    _emit_matrix(out, "POINTS", m.face_gallery.points)
-    _emit_ints(out, "LABELS", m.face_gallery.labels)
-
-    _emit_subspace(out, "VOICE_LDA", m.voice_lda)
-
-    svm = m.voice_svm
-    _emit_line(out, "SECTION VOICE_SVM")
-    _emit_line(out, f"CLASSES {svm.num_classes}")
-    _emit_ints(out, "PAIRS", svm.class_pairs)
-    _emit_matrix(out, "SVS", svm.support_vectors)
-    _emit_ints(out, "SV_INDEX", svm.sv_index)
-    _emit_ints(out, "MACHINE", svm.machine)
-    _emit_matrix(out, "COEFS", svm.dual_coefs[None, :])
-    _emit_matrix(out, "BIASES", svm.biases[None, :])
-
-    _emit_line(out, "SECTION CLIENTS")
-    _emit_line(out, " ".join(["NAMES", *m.class_names]))
-
-    _emit_line(out, "SECTION THRESHOLDS")
-    _emit_line(out, f"W_FACE {_fmt(m.w_face)}")
-    _emit_line(out, f"TAU_DIST {_fmt(m.tau_dist)}")
-
+    """Write m as LAYOUT lays it out. The bytes go to a new file beside path,
+    which then replaces path, so a save that fails part-way leaves the file
+    that was at path as it was."""
+    out = [_line(MAGIC)]
+    for section, part, records in LAYOUT:
+        owner = m if part is None else getattr(m, part)
+        out.append(_line(f"SECTION {section}"))
+        out += [_WRITERS[kind](keyword, getattr(owner, name)) for keyword, kind, name in records]
     body = b"".join(out)
-    with open(path, "wb") as f:  # bytes, so no platform turns "\n" into "\r\n"
-        f.write(body)
-        f.write(b"CRC32 %08x\n" % zlib.crc32(body))
+    path = Path(path)
+    partial = path.with_name(f"{path.name}.{os.urandom(8).hex()}.partial")
+    try:
+        with open(partial, "xb") as f:  # bytes, so no platform turns "\n" into "\r\n"
+            f.write(body)
+            f.write(b"CRC32 %08x\n" % zlib.crc32(body))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+# the values of an int, ints, row or matrix header as _ints writes them, each
+# after one space and of at most 18 digits, so that none overflows int64; one
+# match costs less than a str() round trip per value
+_CANONICAL_INTS = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*", re.ASCII)
 
 
 class _Reader:
-    """A byte cursor over a model file body, data[:end]: header lines are
-    decoded one at a time, and a payload is read only after its stated size
-    is checked against the bytes left."""
+    """A byte cursor over a model file body, data[:end], with one method per
+    record kind. A header line is decoded on its own and must be exactly the
+    line that kind's writer makes of the values read from it; a payload is
+    read only after its stated size is checked against the bytes left."""
 
     def __init__(self, data: bytes, end: int):
         self.data = data
         self.end = end
         self.pos = 0
-        self.section = "header"
+        self.start = 0  # where the last header line began
+        self.where = "the magic line"
 
     def at_end(self) -> bool:
         return self.pos == self.end
 
-    def next(self) -> str:
+    def line(self) -> str:
+        self.start = self.pos
         stop = self.data.find(b"\n", self.pos, self.end)
         if stop < 0:
-            raise FormatError(f"truncated model file in section {self.section}")
+            raise FormatError(f"truncated model file in {self.where}")
         try:
             line = self.data[self.pos:stop].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"header line in section {self.section} is not UTF-8") from exc
+            raise FormatError(f"header line in {self.where} is not UTF-8") from exc
         self.pos = stop + 1
         return line
 
-    def expect_section(self, name: str) -> None:
-        line = self.next()
+    def section(self, name: str) -> None:
+        line = self.line()
         if line != f"SECTION {name}":
-            raise FormatError(f"expected section {name}, found {line!r}")
-        self.section = name
+            raise FormatError(f"expected section {name}, found {line[:40]!r}")
+        self.where = f"section {name}"
 
-    def keyword(self, name: str) -> list:
-        parts = self.next().split()
-        if not parts or parts[0] != name:
-            raise FormatError(f"expected {name} in section {self.section}")
-        return parts[1:]
+    def values(self, keyword: str) -> str:
+        """The text after `keyword` on the next header line."""
+        line = self.line()
+        if line.partition(" ")[0] != keyword:
+            raise FormatError(f"expected {keyword} in {self.where}")
+        return line[len(keyword):]
 
-    def parse(self, casts, tokens, what: str) -> list:
+    def written(self, kind: str, keyword: str, value):
+        """value, if the last header line is what the writer of `kind` makes of it."""
+        if _WRITERS[kind](keyword, value) != self.data[self.start:self.pos]:
+            raise FormatError(f"{keyword} in {self.where} is not written as save_model writes it")
+        return value
+
+    def ints(self, keyword: str) -> np.ndarray:
+        text = self.values(keyword)
+        if not _CANONICAL_INTS.fullmatch(text):
+            raise FormatError(f"{keyword} in {self.where} is not integers as save_model writes them")
+        return np.fromstring(text, dtype=np.int64, sep=" ")
+
+    def int(self, keyword: str) -> int:
+        values = self.ints(keyword)
+        if values.size != 1:
+            raise FormatError(f"{keyword} in {self.where} needs one value, found {values.size}")
+        return values.item()
+
+    def float(self, keyword: str) -> float:
         try:
-            values = [cast(token) for cast, token in zip(casts, tokens)]
+            value = float(self.values(keyword))  # the builtin: methods do not see the class scope
         except ValueError as exc:
-            raise FormatError(f"bad {what} value in section {self.section}") from exc
-        self.finite([v for v in values if isinstance(v, float)], what)
-        return values
+            raise FormatError(f"bad {keyword} value in {self.where}") from exc
+        if not np.isfinite(value):  # float() accepts "nan" and "inf"
+            raise FormatError(f"non-finite {keyword} value in {self.where}")
+        return self.written("float", keyword, value)
 
-    def finite(self, values, what: str) -> None:
-        """float() accepts "nan" and "inf"; no value of a model may be either."""
-        if not np.isfinite(values).all():
-            raise FormatError(f"non-finite {what} value in section {self.section}")
+    def names(self, keyword: str) -> tuple:
+        return self.written("names", keyword, tuple(self.values(keyword).split()))
 
-    def fields(self, name: str, *casts) -> list:
-        """The values after keyword `name`: exactly one per cast."""
-        tokens = self.keyword(name)
-        if len(tokens) != len(casts):
-            raise FormatError(
-                f"{name} in section {self.section} needs {len(casts)} values, "
-                f"found {len(tokens)}"
-            )
-        return self.parse(casts, tokens, name)
-
-    def ints(self, name: str) -> np.ndarray:
-        tokens = self.keyword(name)
-        try:
-            return np.array(tokens, dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"bad {name} value in section {self.section}") from exc
-
-    def matrix(self, name: str) -> np.ndarray:
-        rows, cols = self.fields(name, int, int)
-        if rows < 0 or cols < 0:
-            raise FormatError(f"matrix {name} has negative shape {rows} x {cols}")
+    def matrix(self, keyword: str) -> np.ndarray:
+        shape = self.ints(keyword)
+        if shape.size != 2 or shape.min() < 0:
+            raise FormatError(f"matrix {keyword} in {self.where} needs a shape rows cols")
+        rows, cols = shape.tolist()
         start, stop = self.pos, self.pos + 8 * rows * cols
         if stop >= self.end:  # the payload and its "\n" must both fit
             raise FormatError(
-                f"matrix {name} states {stop - start} payload bytes, more than the file holds"
+                f"matrix {keyword} states {stop - start} payload bytes, more than the file holds"
             )
         if self.data[stop] != ord("\n"):
-            raise FormatError(f"matrix {name} payload is not followed by a newline")
+            raise FormatError(f"matrix {keyword} payload is not followed by a newline")
         self.pos = stop + 1
         values = np.frombuffer(self.data, dtype="<f8", count=rows * cols, offset=start)
-        values = values.astype(np.float64)
         try:
-            matrix = values.reshape(rows, cols)
+            matrix = values.astype(np.float64).reshape(rows, cols)
         except ValueError as exc:  # an empty matrix of more rows than any array holds
-            raise FormatError(f"matrix {name} shape {rows} x {cols} is too large") from exc
-        self.finite(matrix, name)
+            raise FormatError(f"matrix {keyword} shape {rows} x {cols} is too large") from exc
+        if not np.isfinite(matrix).all():
+            raise FormatError(f"non-finite {keyword} value in {self.where}")
         return matrix
 
-    def vector(self, name: str) -> np.ndarray:
-        matrix = self.matrix(name)
+    def row(self, keyword: str) -> np.ndarray:
+        matrix = self.matrix(keyword)
         if matrix.shape[0] != 1:
-            raise FormatError(f"{name} must be a single row, found {matrix.shape[0]}")
+            raise FormatError(f"{keyword} must be a single row, found {matrix.shape[0]}")
         return matrix[0]
-
-
-def _read_subspace(reader: _Reader, section: str) -> pca_mod.Subspace:
-    reader.expect_section(section)
-    mean = reader.vector("MEAN")
-    basis = reader.matrix("BASIS")
-    return pca_mod.Subspace(mean, basis)
 
 
 def _body_length(raw: bytes) -> int:
@@ -668,68 +667,35 @@ def _body_length(raw: bytes) -> int:
 
 
 def load_model(path) -> SystemModel:
-    """Parse a model file; the CRC is verified before any section parsing.
+    """Parse a model file as LAYOUT lays it out; the CRC is verified before
+    any section parsing.
 
     Any defect of the file, including a body that passes the CRC but does
     not describe a valid model, raises FormatError.
     """
     raw = Path(path).read_bytes()
+    reader = _Reader(raw, _body_length(raw))
+    if reader.line() != MAGIC:
+        raise FormatError(f"bad magic line (expected {MAGIC!r})")
+    parts = {}
+    for section, part, records in LAYOUT:
+        reader.section(section)
+        fields = parts.setdefault(part, {})
+        for keyword, kind, name in records:
+            fields[name] = getattr(reader, kind)(keyword)
+    if not reader.at_end():
+        raise FormatError(f"unexpected bytes after the last record of {reader.where}")
+    svm = parts["voice_svm"]
+    if svm["class_pairs"].size % 2:
+        raise FormatError("the class pairs must list two classes per machine")
+    svm["class_pairs"] = svm["class_pairs"].reshape(-1, 2)
     try:
-        return _read_model(_Reader(raw, _body_length(raw)))
-    except FormatError:
-        raise
+        return SystemModel(
+            face=pca_mod.Subspace(**parts["face"]),
+            face_gallery=_gallery(**parts["face_gallery"]),
+            voice_lda=pca_mod.Subspace(**parts["voice_lda"]),
+            voice_svm=svm_mod.SvmModel(**svm, kernel=VOICE_KERNEL),
+            **parts[None],
+        )
     except BiommError as exc:  # a model invariant checked when a part is built
         raise FormatError(f"model file describes an invalid model: {exc}") from exc
-
-
-def _read_model(reader: _Reader) -> SystemModel:
-    if reader.next() != MAGIC:
-        raise FormatError(f"bad magic line (expected {MAGIC!r})")
-
-    reader.expect_section("INPUTS")
-    (sample_rate,) = reader.fields("SAMPLE_RATE", int)
-    face_size = tuple(reader.fields("FACE_SIZE", int, int))
-
-    face = _read_subspace(reader, "FACE")
-
-    reader.expect_section("GALLERY")
-    face_gallery = _gallery(reader.matrix("POINTS"), reader.ints("LABELS"))
-
-    voice_lda = _read_subspace(reader, "VOICE_LDA")
-
-    reader.expect_section("VOICE_SVM")
-    (num_classes,) = reader.fields("CLASSES", int)
-    pairs = reader.ints("PAIRS")
-    if pairs.size % 2:
-        raise FormatError("PAIRS must list two classes per machine")
-    voice_svm = svm_mod.SvmModel(
-        num_classes=num_classes,
-        class_pairs=pairs.reshape(-1, 2),
-        support_vectors=reader.matrix("SVS"),
-        sv_index=reader.ints("SV_INDEX"),
-        machine=reader.ints("MACHINE"),
-        dual_coefs=reader.vector("COEFS"),
-        biases=reader.vector("BIASES"),
-        kernel=VOICE_KERNEL,
-    )
-
-    reader.expect_section("CLIENTS")
-    class_names = tuple(reader.keyword("NAMES"))
-
-    reader.expect_section("THRESHOLDS")
-    (w_face,) = reader.fields("W_FACE", float)
-    (tau_dist,) = reader.fields("TAU_DIST", float)
-    if not reader.at_end():
-        raise FormatError(f"unexpected line after TAU_DIST: {reader.next()!r}")
-
-    return SystemModel(
-        face=face,
-        face_gallery=face_gallery,
-        voice_lda=voice_lda,
-        voice_svm=voice_svm,
-        class_names=class_names,
-        tau_dist=tau_dist,
-        w_face=w_face,
-        sample_rate=sample_rate,
-        face_size=face_size,
-    )

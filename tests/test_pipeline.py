@@ -1,6 +1,7 @@
 """End-to-end tests of the fused system on a small seeded synthetic gallery."""
 
 import base64
+import errno
 import re
 import tracemalloc
 import zlib
@@ -479,10 +480,8 @@ class TestModelFile:
         # trailer: "\n\nCRC32 deadbeef"
         awkward = np.frombuffer(b"\n" * 8 + b"\n\nCRC32 deadbeef", "<f8").reshape(1, 3)
         matrices = {"M": rows, "E": np.zeros((1, 0)), "F": np.zeros((0, 3)), "A": awkward}
-        out = []
-        for name, matrix in matrices.items():
-            pipeline._emit_matrix(out, name, matrix)
-        body = b"".join(out)
+        write = pipeline._WRITERS["matrix"]
+        body = b"".join(write(name, matrix) for name, matrix in matrices.items())
         assert body.startswith(b"M %d %d\n" % rows.shape)
         assert body.count(b"CRC32 ") == 1 and body.endswith(b"\nCRC32 deadbeef\n")
         # the body's last record is that payload, right before the real trailer
@@ -510,6 +509,37 @@ class TestModelFile:
         assert pipeline.verify(loaded, face, voice, name) == pipeline.verify(
             world.model, face, voice, name
         )
+
+    def test_failed_save_keeps_the_earlier_file(self, world, tmp_path, monkeypatch):
+        # a write that fails part-way, as on a full disk, must not cost the
+        # file saved before it, nor leave a partial one beside it
+        path = tmp_path / "system.biomm"
+        pipeline.save_model(world.model, path)
+        before = path.read_bytes()
+        assert list(tmp_path.iterdir()) == [path]
+
+        class FullDisk:
+            """A binary file that takes half of the first write, then reports a full disk."""
+
+            def __init__(self, file, mode):
+                self.file = open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        # save_model opens its file with the builtin open, shadowed here in pipeline alone
+        monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            pipeline.save_model(replace(world.model, w_face=0.25), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_tau_fused_recomputed_from_tau_dist_and_w_face(self, world, model_file, tmp_path):
         fitted = world.model
@@ -809,6 +839,26 @@ MALFORMED_BODIES = {
     "w-face-out-of-range": _set_line("W_FACE ", "W_FACE 1.5"),
     # a BIOMM 4 body ended in a TAU_FUSED line after TAU_DIST
     "line-after-thresholds": lambda records: records.append(Record("TAU_FUSED 0.5")),
+    # a header line spelled otherwise than save_model writes it: each of
+    # these reads as the values of the saved file, so it would load to the
+    # same model from different bytes, and a resave would change them
+    "sample-rate-underscore": _set_line("SAMPLE_RATE ", "SAMPLE_RATE 8_000"),
+    "sample-rate-fullwidth-digits": _set_line("SAMPLE_RATE ", "SAMPLE_RATE \uff18\uff10\uff10\uff10"),
+    "face-size-plus-sign": _set_line("FACE_SIZE ", "FACE_SIZE +16 16"),
+    "face-size-leading-zero": _set_line("FACE_SIZE ", "FACE_SIZE 016 16"),
+    "label-negative-zero": _edit_tokens("LABELS ", _replaced(0, "-0")),
+    "classes-two-spaces": _set_line("CLASSES ", "CLASSES  5"),
+    "points-rows-leading-zero": _set_line("POINTS ", "POINTS 020 4"),
+    "w-face-underscore": _set_line("W_FACE ", "W_FACE 0.5_0"),
+    "w-face-trailing-zero": _set_line("W_FACE ", "W_FACE 0.50"),
+    # an empty name between two spaces
+    "names-doubled-space": _edit_tokens("NAMES", lambda names: names[:1] + [""] + names[1:]),
+    # the sections, in LAYOUT's order
+    "section-renamed": _set_line("SECTION GALLERY", "SECTION GALLERIES"),
+    "section-line-dropped": lambda records: records.pop(_index(records, "SECTION CLIENTS")),
+    "thresholds-swapped": lambda records: records.insert(
+        _index(records, "W_FACE "), records.pop(_index(records, "TAU_DIST "))
+    ),
 }
 
 
