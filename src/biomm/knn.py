@@ -5,9 +5,9 @@ so a linear scan is used. A gallery holds one point per C-ordered row, and
 a distance sums its row's squared differences along the row, so a query
 and a point have one distance whichever rows are scanned. Vote ties break
 by smaller mean distance, then by smaller class id, whatever the gallery's
-order. `vote` holds that rule once: `classify` applies it to one query's
-distances, `leave_one_out` to every gallery point against the rest, and
-verification to the distances from one client's rows.
+order. `distances` and `vote` each hold their rule once: `classify`
+applies them to one query, `leave_one_out` to one gallery point at a time
+against the whole gallery, and verification to one client's rows.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-BLOCK_BYTES = 1 << 18  # the most difference bytes `leave_one_out` forms at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +55,8 @@ class KnnResult(NamedTuple):
 def distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance from q to each row, summed along the contiguous row."""
     diff = rows - q
-    return np.sqrt((diff * diff).sum(axis=1))
+    np.square(diff, out=diff)
+    return np.sqrt(diff.sum(axis=1))
 
 
 def vote(labels: np.ndarray, dists: np.ndarray, k: int) -> KnnResult:
@@ -94,22 +93,18 @@ def leave_one_out(m: KnnModel) -> tuple:
     """Each gallery point classified by the other points, with
     k = min(m.k, points - 1): one KnnResult per point, in gallery order.
 
-    A block of points' distances to the whole gallery is formed at once,
-    each summed along its row as `distances` sums it, so each result equals
+    One point at a time, its distances to the whole gallery come from
+    `distances`, as identify's and verify's do, so each result equals
     `classify` on a gallery built without the point, bit for bit; the point
     itself sorts last, at an infinite distance, and never votes.
     """
-    n, dim = m.points.shape
+    n = m.points.shape[0]
     if n < 2:
         raise DomainError("leave-one-out needs at least two gallery points")
     k = min(m.k, n - 1)
-    per_block = max(1, BLOCK_BYTES // max(1, 8 * n * dim))
     results = []
-    for start in range(0, n, per_block):
-        block = m.points[start:start + per_block]
-        diff = m.points[None, :, :] - block[:, None, :]
-        np.square(diff, out=diff)
-        dists = np.sqrt(diff.sum(axis=2))
-        dists[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
-        results += [vote(m.labels, row, k) for row in dists]
+    for i, point in enumerate(m.points):
+        dists = distances(m.points, point)
+        dists[i] = np.inf
+        results.append(vote(m.labels, dists, k))
     return tuple(results)

@@ -2,9 +2,11 @@
 
 The between-class scatter is sum_i n_i (m_i - m)(m_i - m)^T, the standard
 Fisherface form; together with the within-class scatter it decomposes the
-total scatter exactly, which the test suite certifies. Scatter accumulation
-runs in a canonical sample order so a permuted dataset yields bit-identical
-results.
+total scatter exactly, which the test suite certifies. One sort puts the
+samples in a canonical order, grouped by class and within a class by their
+values, so a permuted dataset yields bit-identical results; the class sums
+are then taken over each group, and S_W is one product of all the columns
+centred on their class means.
 """
 
 from __future__ import annotations
@@ -32,13 +34,6 @@ class ScatterPair:
     total_mean: np.ndarray
 
 
-def _canonical_class_block(features: np.ndarray, members: np.ndarray) -> np.ndarray:
-    # lexicographic column order makes accumulation independent of sample order
-    block = features[:, members]
-    order = np.lexsort(block[::-1, :])
-    return block[:, order]
-
-
 def scatter(ds: LabeledDataset) -> ScatterPair:
     """Class scatter matrices S_W and S_B of a labeled dataset."""
     if ds.num_classes < 2:
@@ -46,25 +41,20 @@ def scatter(ds: LabeledDataset) -> ScatterPair:
     d = ds.dim
     if d > 2000:
         raise DomainError(f"dimension {d} too large for dense scatter (max 2000)")
+    counts = np.bincount(ds.labels, minlength=ds.num_classes)
+    if not counts.all():
+        raise DatasetError(f"class {counts.argmin()} has no samples")
 
-    class_sums = np.zeros((d, ds.num_classes))
-    counts = np.zeros(ds.num_classes)
-    s_w = np.zeros((d, d))
-    blocks = []
-    for c in range(ds.num_classes):
-        members = np.flatnonzero(ds.labels == c)
-        if members.size == 0:
-            raise DatasetError(f"class {c} has no samples")
-        block = _canonical_class_block(ds.features, members)
-        blocks.append(block)
-        class_sums[:, c] = block.sum(axis=1)
-        counts[c] = members.size
+    # label first, then the values from the first row down: the canonical order
+    order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
+    columns = ds.features[:, order]
+    starts = np.cumsum(counts) - counts
+    class_sums = np.add.reduceat(columns, starts, axis=1)
     class_means = class_sums / counts
     total_mean = class_sums.sum(axis=1) / counts.sum()
 
-    for c in range(ds.num_classes):
-        centered = blocks[c] - class_means[:, c][:, None]
-        s_w += centered @ centered.T
+    centered = columns - np.repeat(class_means, counts, axis=1)
+    s_w = centered @ centered.T
     diff = class_means - total_mean[:, None]
     s_b = (diff * counts) @ diff.T
 

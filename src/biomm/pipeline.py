@@ -96,7 +96,11 @@ class Decision:
 
 
 def _valid_client_id(client_id: str) -> bool:
-    return bool(client_id) and not any(ch.isspace() for ch in client_id)
+    """Non-empty, without whitespace, and encodable in UTF-8 as a model file
+    stores it: no lone surrogate, such as a "surrogateescape" decoding makes."""
+    return bool(client_id) and not any(
+        ch.isspace() or "\ud800" <= ch <= "\udfff" for ch in client_id
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +147,7 @@ class SystemModel:
             map(_valid_client_id, self.class_names)
         ):
             raise DomainError(
-                "client names must be distinct, non-empty and without whitespace"
+                "client names must be distinct, non-empty, UTF-8 and without whitespace"
             )
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
@@ -193,7 +197,9 @@ class Enrollment:
 
     def add(self, client_id: str, face_images, voice_recordings) -> "Enrollment":
         if not _valid_client_id(client_id):
-            raise EnrollmentError(f"client id {client_id!r} must be non-empty without whitespace")
+            raise EnrollmentError(
+                f"client id {client_id!r} must be non-empty UTF-8 without whitespace"
+            )
         if client_id in self._clients:
             raise EnrollmentError(f"client {client_id!r} is already enrolled")
         faces = list(face_images)
@@ -261,14 +267,12 @@ def _voice_dataset(enrollment: Enrollment) -> tuple:
 def _require_within_class_variation(ds: LabeledDataset, what: str) -> None:
     """Refuse a dataset in which every class repeats one sample: its
     within-class scatter is zero, so no discriminant can be fitted."""
-    for c in range(ds.num_classes):
-        block = ds.features[:, ds.labels == c]
-        if (block != block[:, :1]).any():
-            return
-    raise DatasetError(
-        f"no client enrolled two different {what}, so there is no within-class "
-        f"variation to fit a discriminant against"
-    )
+    _, first = np.unique(ds.labels, return_index=True)  # each class's first column
+    if (ds.features == ds.features[:, first[ds.labels]]).all():
+        raise DatasetError(
+            f"no client enrolled two different {what}, so there is no within-class "
+            f"variation to fit a discriminant against"
+        )
 
 
 def _distance_score(distance: float) -> float:
@@ -287,8 +291,8 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     Refits from scratch (PCA/LDA/SVM are batch learners) and calibrates the
     rejection threshold tau_dist from the genuine enrollment scores: the
     99th percentile of leave-one-out gallery distances (every gallery point
-    against the rest, in one pass of `knn.leave_one_out`), times
-    DIST_HEADROOM.
+    against the rest, by `knn.leave_one_out`, through the `knn.distances`
+    that identify and verify use), times DIST_HEADROOM.
 
     The face PCA and the LDA fitted in its coordinates are kept only as their
     product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the

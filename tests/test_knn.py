@@ -170,15 +170,6 @@ class TestLeaveOneOut:
         got = [r.mean_distance for r in knn.leave_one_out(knn.KnnModel(points, labels, k=2))]
         np.testing.assert_array_equal(got, reference_loo_distances(points, labels))
 
-    def test_blocks_do_not_change_the_results(self, monkeypatch):
-        rng = np.random.RandomState(8)
-        m = knn.KnnModel(*self.random_gallery(rng, 5, 30, 4), k=2)
-        whole = knn.leave_one_out(m)
-        monkeypatch.setattr(knn, "BLOCK_BYTES", 8 * 30 * 5 * 7)  # blocks of 7 points
-        assert knn.leave_one_out(m) == whole
-        monkeypatch.setattr(knn, "BLOCK_BYTES", 1)  # one point at a time
-        assert knn.leave_one_out(m) == whole
-
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             knn.leave_one_out(knn.KnnModel(np.ones((1, 2)), [0], k=1))

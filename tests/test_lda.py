@@ -29,7 +29,51 @@ def random_labeled(rng, dim, classes, per_class, spread=3.0):
     return make_ds(np.column_stack(features), labels)
 
 
+def reference_scatter(features, labels, classes):
+    """S_W, S_B and the class means the long way: a loop over the classes and
+    over each class's samples, summing one outer product at a time."""
+    d = features.shape[0]
+    means = np.zeros((d, classes))
+    s_w = np.zeros((d, d))
+    s_b = np.zeros((d, d))
+    total = features.mean(axis=1)
+    for c in range(classes):
+        block = features[:, labels == c]
+        means[:, c] = sum(block.T) / block.shape[1]
+        for x in block.T:
+            s_w += np.outer(x - means[:, c], x - means[:, c])
+        s_b += block.shape[1] * np.outer(means[:, c] - total, means[:, c] - total)
+    return s_w, s_b, means
+
+
+def interleaved_with_duplicates(rng, dim, sizes):
+    """Columns of classes of the given sizes in a shuffled label order, a
+    third of them copies of other columns."""
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    features = 5.0 + 10.0 * rng.standard_normal((dim, labels.size))
+    copies = rng.randint(0, labels.size, size=labels.size // 3)
+    features[:, copies] = features[:, rng.randint(0, labels.size, size=copies.size)]
+    return make_ds(features, labels.tolist())
+
+
 class TestScatter:
+    def test_matches_a_per_class_loop(self):
+        # classes of 8 or more samples are where a pairwise and a
+        # sequential sum can differ in their last bits
+        rng = np.random.RandomState(11)
+        for _ in range(40):
+            sizes = rng.randint(1, 13, size=rng.randint(2, 7))
+            ds = interleaved_with_duplicates(rng, rng.randint(1, 9), sizes)
+            pair = lda.scatter(ds)
+            want = reference_scatter(ds.features, ds.labels, ds.num_classes)
+            for got, expected in zip((pair.s_w, pair.s_b, pair.class_means), want):
+                np.testing.assert_allclose(
+                    got, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+                )
+            np.testing.assert_allclose(
+                pair.total_mean, ds.features.mean(axis=1), rtol=1e-12
+            )
+
     def test_single_point_classes_have_zero_within(self):
         ds = make_ds(np.array([[0.0, 5.0], [0.0, 1.0]]), [0, 1])
         pair = lda.scatter(ds)
@@ -177,13 +221,17 @@ class TestFitLda:
 
     def test_permutation_invariance_bit_identical(self):
         rng = np.random.RandomState(7)
-        ds = random_labeled(rng, dim=5, classes=3, per_class=5)
-        perm = rng.permutation(ds.num_samples)
-        shuffled = LabeledDataset(ds.features[:, perm], ds.labels[perm], ds.class_names)
-        s1 = lda.fit_lda(ds)
-        s2 = lda.fit_lda(shuffled)
-        np.testing.assert_array_equal(s1.basis, s2.basis)
-        np.testing.assert_array_equal(s1.mean, s2.mean)
+        for ds in (
+            random_labeled(rng, dim=5, classes=3, per_class=5),
+            # classes of 9 to 12 samples, a third of the columns duplicated
+            interleaved_with_duplicates(rng, 6, [9, 12, 10, 11]),
+        ):
+            perm = rng.permutation(ds.num_samples)
+            shuffled = LabeledDataset(ds.features[:, perm], ds.labels[perm], ds.class_names)
+            s1 = lda.fit_lda(ds)
+            s2 = lda.fit_lda(shuffled)
+            np.testing.assert_array_equal(s1.basis, s2.basis)
+            np.testing.assert_array_equal(s1.mean, s2.mean)
 
     def test_eigenvalue_ceiling(self):
         rng = np.random.RandomState(8)

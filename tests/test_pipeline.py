@@ -157,8 +157,11 @@ def test_enrollment_mixing_sample_rates_is_refused():
 class TestEnrollmentRefusals:
     """Enrollment.add refuses a client before anything is stored for it."""
 
+    # the last id holds a lone surrogate, as "surrogateescape" decodes a file
+    # name that is not UTF-8: no model file could store it
     @pytest.mark.parametrize(
-        "client_id", ["", "client 9", "client\t9"], ids=["empty", "space", "tab"]
+        "client_id", ["", "client 9", "client\t9", "client\udcff"],
+        ids=["empty", "space", "tab", "not-utf8"],
     )
     def test_client_id_must_be_one_word(self, world, client_id):
         faces, voices = world.gallery[world.names[0]]
@@ -890,12 +893,19 @@ class TestMalformedBody:
         "names",
         [("client0", "client0", "client2", "client3", "client4"),
          ("client0", "", "client2", "client3", "client4"),
-         ("client0", "client 1", "client2", "client3", "client4")],
-        ids=["repeated", "empty", "whitespace"],
+         ("client0", "client 1", "client2", "client3", "client4"),
+         ("client0", "client\udcff", "client2", "client3", "client4")],
+        ids=["repeated", "empty", "whitespace", "not-utf8"],
     )
     def test_client_names_checked(self, world, names):
         with pytest.raises(DomainError):
             replace(world.model, class_names=names)
+
+    def test_non_ascii_client_names_round_trip(self, world, tmp_path):
+        names = ("client\u00df", "\u5ba2\u6237", "client\U0001f600", "client3", "client4")
+        path = tmp_path / "names.biomm"
+        pipeline.save_model(replace(world.model, class_names=names), path)
+        assert pipeline.load_model(path).class_names == names
 
     @pytest.mark.parametrize("edit", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
     def test_raises_format_error(self, model_file, tmp_path, edit):
@@ -927,6 +937,88 @@ class TestMalformedBody:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 1024 * 1024
+
+
+def _layout_kinds() -> list:
+    """The LAYOUT kind of each line of a model file body, in file order:
+    None for the magic line and the section lines."""
+    kinds = [None]
+    for _, _, records in pipeline.LAYOUT:
+        kinds += [None] + [kind for _, kind, _ in records]
+    return kinds
+
+
+INT_CHANGES = (
+    lambda v: v + 1, lambda v: v - 1, lambda v: -v, lambda v: 0, lambda v: 2**63,
+    lambda v: v * 1000,
+)
+FLOAT_CHANGES = (
+    lambda v: v * 2, lambda v: -v, lambda v: 0.0, lambda v: 1e308, lambda v: 5e-324,
+)
+
+
+def _mutated(record, kind, rng):
+    """record after one change drawn by rng for its LAYOUT kind: a token of
+    its header dropped or repeated; an integer of an int, ints, row or
+    matrix header changed; a float record's value changed, written as repr()
+    writes it; or, in a payload, one bit flipped or one value changed."""
+    tokens = record.header.split(" ")
+    changes = ["drop", "repeat"]
+    if kind in ("int", "ints", "row", "matrix") and len(tokens) > 1:
+        changes.append("int")
+    if kind == "float":
+        changes.append("float")
+    if record.payload:
+        changes += ["bit", "value"]
+    change = changes[rng.randint(len(changes))]
+    if change in ("drop", "repeat"):
+        at = rng.randint(len(tokens))
+        tokens[at:at + 1] = [] if change == "drop" else [tokens[at]] * 2
+    elif change == "int":
+        at = 1 + rng.randint(len(tokens) - 1)
+        tokens[at] = str(INT_CHANGES[rng.randint(len(INT_CHANGES))](int(tokens[at])))
+    elif change == "float":
+        tokens[1] = repr(FLOAT_CHANGES[rng.randint(len(FLOAT_CHANGES))](float(tokens[1])))
+    elif change == "bit":
+        payload = bytearray(record.payload)
+        bit = rng.randint(8 * len(payload))
+        payload[bit // 8] ^= 1 << (bit % 8)
+        return replace(record, payload=bytes(payload))
+    else:
+        values = np.frombuffer(record.payload, "<f8").copy()
+        at = rng.randint(values.size)
+        values[at] = FLOAT_CHANGES[rng.randint(len(FLOAT_CHANGES))](values[at])
+        return replace(record, payload=values.tobytes())
+    return replace(record, header=" ".join(tokens))
+
+
+class TestLayoutMutations:
+    """Each record of LAYOUT, changed at random as its kind allows, with the
+    CRC recomputed: the file raises FormatError, or it loads and saves back
+    to the same bytes. A change of format inherits this check unedited."""
+
+    PER_RECORD = 16
+
+    def test_refused_or_resaved_byte_identical(self, model_file, tmp_path):
+        kinds = _layout_kinds()
+        assert len(kinds) == len(read_records(model_file))
+        rng = np.random.RandomState(0)
+        resaved = tmp_path / "resaved.biomm"
+        outcomes = {"refused": 0, "resaved": 0}
+        for at, kind in enumerate(kinds):
+            for _ in range(self.PER_RECORD if kind else 0):
+                def edit(records):
+                    records[at] = _mutated(records[at], kind, rng)
+                path = rewritten(model_file, tmp_path, edit)
+                try:
+                    loaded = pipeline.load_model(path)
+                except FormatError:
+                    outcomes["refused"] += 1
+                    continue
+                pipeline.save_model(loaded, resaved)
+                assert resaved.read_bytes() == path.read_bytes(), read_records(path)[at].header
+                outcomes["resaved"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 @pytest.fixture(scope="module")
