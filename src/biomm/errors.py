@@ -17,10 +17,6 @@ class ConvergenceError(BiommError):
     """An iterative solver hit its iteration cap before converging."""
 
 
-class FactorizationError(BiommError):
-    """Cholesky factorization failed (input not positive definite)."""
-
-
 class SingularityError(BiommError):
     """A matrix that must be inverted is numerically singular."""
 

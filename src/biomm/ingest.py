@@ -47,7 +47,13 @@ def _integer(value, error, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
-    """Grayscale image; `gray` is row-major uint8, length width*height."""
+    """Grayscale image; `gray` is row-major uint8, length width*height.
+
+    uint8 pixels are stored as given. Pixels of another type are stored as
+    uint8 only if every value is an integer in 0..255; any other value,
+    NaN and infinities among them, is refused before the cast, which would
+    otherwise wrap, truncate or zero it.
+    """
 
     width: int
     height: int
@@ -56,7 +62,13 @@ class ImageRecord:
     def __post_init__(self):
         width = _integer(self.width, DimensionError, "image width")
         height = _integer(self.height, DimensionError, "image height")
-        gray = np.asarray(self.gray, dtype=np.uint8)
+        gray = np.asarray(self.gray)
+        if gray.dtype != np.uint8:
+            values = gray.astype(np.float64)
+            # NaN fails every comparison, so it is refused with the rest
+            if not ((values >= 0) & (values <= 255) & (values == np.floor(values))).all():
+                raise DomainError("pixel values must be integers in 0..255")
+            gray = gray.astype(np.uint8)
         if width < 1 or height < 1:
             raise DimensionError("image dimensions must be >= 1")
         if gray.ndim != 1 or gray.size != width * height:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ClassError, DatasetError, DomainError, RankError
+from .errors import ClassError, DomainError, RankError
 from .ingest import LabeledDataset
 from .pca import Subspace
 
@@ -41,9 +41,7 @@ def scatter(ds: LabeledDataset) -> ScatterPair:
     d = ds.dim
     if d > 2000:
         raise DomainError(f"dimension {d} too large for dense scatter (max 2000)")
-    counts = np.bincount(ds.labels, minlength=ds.num_classes)
-    if not counts.all():
-        raise DatasetError(f"class {counts.argmin()} has no samples")
+    counts = np.bincount(ds.labels)  # a LabeledDataset holds every class
 
     # label first, then the values from the first row down: the canonical order
     order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
@@ -63,11 +61,6 @@ def scatter(ds: LabeledDataset) -> ScatterPair:
     return ScatterPair(s_w, s_b, class_means, total_mean)
 
 
-def default_reg(s_w: np.ndarray) -> float:
-    """Ridge applied to S_W before inversion: 1e-6 * trace(S_W) / d."""
-    return DEFAULT_REG_SCALE * float(np.trace(s_w)) / s_w.shape[0]
-
-
 def fit_lda(ds: LabeledDataset) -> Subspace:
     """Fit the Fisher discriminant basis (top generalized eigenvectors).
 
@@ -76,11 +69,12 @@ def fit_lda(ds: LabeledDataset) -> Subspace:
     Fisherfaces", IEEE TPAMI 19(7), 1997), fewer when the informative rank,
     the count of generalized eigenvalues above LDA_RANK_RTOL of the largest,
     is lower, as for data of fewer than C - 1 dimensions. A rank of 0 raises
-    RankError. S_W is ridged by default_reg(S_W) before inversion; scatter
-    refuses fewer than two classes.
+    RankError. S_W is ridged by DEFAULT_REG_SCALE * trace(S_W) / d before
+    inversion; scatter refuses fewer than two classes.
     """
     pair = scatter(ds)
-    pairs = linalg.gen_eig(pair.s_b, pair.s_w, default_reg(pair.s_w))
+    reg = DEFAULT_REG_SCALE * float(np.trace(pair.s_w)) / pair.s_w.shape[0]
+    pairs = linalg.gen_eig(pair.s_b, pair.s_w, reg)
     rank = _informative_rank(pairs.values)
     if rank == 0:
         raise RankError("informative rank 0: the class means coincide")

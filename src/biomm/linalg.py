@@ -1,13 +1,15 @@
-"""Input checks and the symmetric and generalized eigensolvers.
+"""The symmetric and generalized eigensolvers and their input checks.
 
 Matrices are 2-D float64 numpy arrays; where a matrix holds samples,
-each column is one sample vector. Vectors are 1-D float64 arrays.
-Every function is pure and returns freshly allocated arrays.
+each column is one sample vector. Every function is pure and returns
+freshly allocated arrays.
 
 The factorizations are numpy's LAPACK routines (`eigh`, `cholesky`,
 `solve`); this module adds the contracts the rest of the package relies
-on: input validation, descending eigenvalue order, a deterministic sign
-for every eigenvector, and biomm error types in place of LinAlgError.
+on: input validation (`as_matrix`, and symmetry for the eigensolvers),
+descending eigenvalue order, a deterministic sign for every eigenvector,
+and SingularityError in place of the LinAlgError of a failed Cholesky
+factorization in `gen_eig`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FactorizationError, SingularityError
+from .errors import DimensionError, DomainError, SingularityError
 
 SYMMETRY_RTOL = 1e-10
 SPD_COND_LIMIT = 1e12
@@ -34,15 +36,6 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def as_vector(x, name="vector") -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DimensionError(f"{name} must be 1-D and non-empty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"{name} contains NaN or Inf")
-    return v
-
-
 def as_matrix(a, name="matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -52,15 +45,10 @@ def as_matrix(a, name="matrix") -> np.ndarray:
     return m
 
 
-def _check_square(a, name) -> np.ndarray:
+def _check_symmetric(a, name) -> np.ndarray:
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def _check_symmetric(a, name) -> np.ndarray:
-    a = _check_square(a, name)
     scale_ = np.abs(a).max()
     if scale_ > 0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale_:
         raise DomainError(f"{name} is not symmetric within {SYMMETRY_RTOL} relative")
@@ -85,22 +73,15 @@ def sym_eig(a) -> EigenPairs:
     return EigenPairs(values[::-1].copy(), _fix_signs(vectors[:, ::-1]))
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
-    a = _check_square(a, "a")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("matrix is not positive definite") from exc
-
-
 def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
     """Generalized eigenproblem (s_w + reg*I)^-1 s_b v = lambda v.
 
     Solved by Cholesky whitening: with L L^T = s_w + reg*I the symmetric
     problem L^-1 s_b L^-T shares the eigenvalues, and its eigenvectors map
     back through L^-T. Returned vectors are unit Euclidean norm (they are
-    not mutually orthogonal in general).
+    not mutually orthogonal in general). Raises SingularityError when
+    s_w + reg*I has no Cholesky factor or a condition estimate above
+    SPD_COND_LIMIT.
     """
     s_b = _check_symmetric(s_b, "s_b")
     s_w = _check_symmetric(s_w, "s_w")
@@ -109,10 +90,9 @@ def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
     if not np.isfinite(reg) or reg < 0:
         raise DomainError("reg must be a finite value >= 0")
 
-    m = s_w + reg * np.eye(s_w.shape[0])
     try:
-        l = cholesky(m)
-    except FactorizationError as exc:
+        l = np.linalg.cholesky(s_w + reg * np.eye(s_w.shape[0]))
+    except np.linalg.LinAlgError as exc:
         raise SingularityError(
             "s_w + reg*I is numerically singular; increase reg"
         ) from exc

@@ -45,53 +45,31 @@ class Subspace:
         return self.basis.shape[0]
 
 
-def mean_vector(ds: LabeledDataset) -> np.ndarray:
-    """Component-wise mean over all sample columns."""
-    return ds.features.mean(axis=1)
-
-
-def center(ds: LabeledDataset, m: np.ndarray) -> np.ndarray:
-    """Subtract `m` from every column of the feature matrix."""
-    m = linalg.as_vector(m, "mean")
-    if m.size != ds.dim:
-        raise DimensionError(f"mean length {m.size} != ambient dimension {ds.dim}")
-    return ds.features - m[:, None]
-
-
-def usable_rank(values: np.ndarray) -> int:
-    """Count eigenvalues above the relative rank floor."""
-    lam_max = float(values[0]) if values.size else 0.0
-    if lam_max <= 0.0:
-        return 0
-    return int(np.count_nonzero(values > RANK_RTOL * lam_max))
-
-
-def default_retained(num_samples: int, num_classes: int) -> int:
-    """Fisherface default: keep p - C components (capped to p - 1, floor 1)."""
-    return max(1, min(num_samples - num_classes, num_samples - 1))
-
-
 def fit_pca(ds: LabeledDataset) -> Subspace:
-    """Fit the top min(p - C, d, rank) principal components of the centered
-    sample columns (at least 1, at most p - 1; see default_retained).
+    """Fit the top min(p - C, d, rank) principal components of the sample
+    columns centered on their mean (at least 1; as C >= 1, at most p - 1).
 
     p - C is the most components that leave a subsequent LDA a nonsingular
     within-class scatter (Belhumeur, Hespanha & Kriegman, 1997), not a
     required count: centered data of lower usable rank, such as a pixel
     that never varies or a sample enrolled twice, keeps its rank instead,
-    and the LDA's ridge covers the rest. Raises RankError on rank 0.
+    and the LDA's ridge covers the rest. The usable rank counts the
+    eigenvalues of the centered scatter above RANK_RTOL of the largest.
+    Raises RankError on rank 0.
     """
     p = ds.num_samples
     if p < 2:
         raise DomainError("PCA needs at least two samples")
-    retained = min(default_retained(p, ds.num_classes), ds.dim)
+    retained = min(max(1, p - ds.num_classes), ds.dim)
 
-    m = mean_vector(ds)
-    x = center(ds, m)
+    m = ds.features.mean(axis=1)
+    x = ds.features - m[:, None]
     # Gram trick when p < d: the nonzero spectrum of X X^T equals that of X^T X
     gram = p < ds.dim
     pairs = linalg.sym_eig(x.T @ x if gram else x @ x.T)
-    rank = usable_rank(pairs.values)
+    # the spectrum is non-empty and descending, so when its largest value is
+    # <= 0 no value exceeds RANK_RTOL of it and the count is 0
+    rank = int(np.count_nonzero(pairs.values > RANK_RTOL * pairs.values[0]))
     if rank == 0:
         raise RankError("degenerate dataset: all samples identical (rank 0)")
     retained = min(retained, rank)

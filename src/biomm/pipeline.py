@@ -10,10 +10,10 @@ distance exceeds tau_dist AND its fused score falls below tau_fused.
 tau_dist is calibrated from the enrollment data; tau_fused is its image in
 score space under w_face, computed where it is used.
 
-The fit settings are module constants (KNN_K, VOICE_KERNEL, SVM_C, SVM_TOL,
-and the MFCC analysis constants of the mfcc module); PCA and LDA fix their
-widths from the data. The one setting a caller chooses is the fusion weight
-w_face.
+The fit settings are module constants (VOICE_KERNEL, SVM_C, SVM_TOL, the
+gallery's knn.K and the MFCC analysis constants of the mfcc module); PCA and
+LDA fix their widths from the data. The one setting a caller chooses is the
+fusion weight w_face.
 
 save_model and load_model both walk LAYOUT, the model file's one list of
 its sections and records; the comment above it gives their encoding. A
@@ -57,11 +57,10 @@ MAGIC = "BIOMM 8"
 DIST_HEADROOM = 6.0
 
 # The fit settings. A model file records none of them: the loader rebuilds
-# the gallery's k and the SVM kernel from KNN_K and VOICE_KERNEL, and serves
-# probes with the mfcc module's fixed front end, so changing one of those
-# (or an mfcc constant) is a format change and bumps MAGIC. SVM_C and SVM_TOL
-# act only while a model is fitted.
-KNN_K = 2
+# the SVM kernel from VOICE_KERNEL, and serves probes with knn.K and the mfcc
+# module's fixed front end, so changing VOICE_KERNEL (or knn.K, or an mfcc
+# constant) is a format change and bumps MAGIC. SVM_C and SVM_TOL act only
+# while a model is fitted.
 VOICE_KERNEL = svm_mod.KernelSpec("rbf", 2.0)
 SVM_C = 10.0
 SVM_TOL = 1e-3
@@ -96,9 +95,9 @@ class Decision:
 
 
 def _valid_client_id(client_id: str) -> bool:
-    """Non-empty, without whitespace, and encodable in UTF-8 as a model file
-    stores it: no lone surrogate, such as a "surrogateescape" decoding makes."""
-    return bool(client_id) and not any(
+    """A non-empty str, without whitespace, and encodable in UTF-8 as a model
+    file stores it: no lone surrogate, such as a "surrogateescape" decoding makes."""
+    return isinstance(client_id, str) and bool(client_id) and not any(
         ch.isspace() or "\ud800" <= ch <= "\udfff" for ch in client_id
     )
 
@@ -109,7 +108,7 @@ class SystemModel:
     weight w_face in [0, 1], one distinct client name per voice class (class
     c is class_names[c]), non-decreasing gallery labels that cover exactly
     those classes (so a claimed client's points are one non-empty slice of
-    rows), a gallery voting among min(KNN_K, points) neighbours and an SVM
+    rows), a gallery voting among min(knn.K, points) neighbours and an SVM
     with VOICE_KERNEL (what loading rebuilds), and each stage's output
     dimension equal to the next stage's input dimension, starting from the
     face_size = (width, height) pixels of an enrolled image. The sample rate
@@ -143,12 +142,8 @@ class SystemModel:
         classes = self.voice_svm.num_classes
         if len(self.class_names) != classes:
             raise DimensionError(f"{len(self.class_names)} client names for {classes} classes")
-        if len(set(self.class_names)) != classes or not all(
-            map(_valid_client_id, self.class_names)
-        ):
-            raise DomainError(
-                "client names must be distinct, non-empty, UTF-8 and without whitespace"
-            )
+        if not all(map(_valid_client_id, self.class_names)) or len(set(self.class_names)) != classes:
+            raise DomainError("client names must be distinct, non-empty UTF-8 strings without whitespace")
         labels = self.face_gallery.labels
         if labels.min() < 0 or labels.max() >= classes:
             raise DomainError(f"gallery labels must lie in 0..{classes - 1}")
@@ -156,8 +151,6 @@ class SystemModel:
             raise DomainError("gallery rows must be grouped by client, in class order")
         if np.unique(labels).size != classes:
             raise DomainError("every client needs at least one gallery point")
-        if self.face_gallery.k != min(KNN_K, labels.size):
-            raise DomainError(f"gallery k {self.face_gallery.k} disagrees with KNN_K {KNN_K}")
         if self.voice_svm.kernel != VOICE_KERNEL:
             raise DomainError(f"SVM kernel {self.voice_svm.kernel} is not VOICE_KERNEL")
         for link, produced, consumed in (
@@ -198,7 +191,7 @@ class Enrollment:
     def add(self, client_id: str, face_images, voice_recordings) -> "Enrollment":
         if not _valid_client_id(client_id):
             raise EnrollmentError(
-                f"client id {client_id!r} must be non-empty UTF-8 without whitespace"
+                f"client id {client_id!r} must be a non-empty UTF-8 string without whitespace"
             )
         if client_id in self._clients:
             raise EnrollmentError(f"client {client_id!r} is already enrolled")
@@ -279,11 +272,6 @@ def _distance_score(distance: float) -> float:
     return 1.0 / (1.0 + distance)
 
 
-def _gallery(points: np.ndarray, labels) -> knn_mod.KnnModel:
-    """A kNN gallery of point rows voting among KNN_K neighbours, or all its points if fewer."""
-    return knn_mod.KnnModel(points, labels, k=min(KNN_K, points.shape[0]))
-
-
 def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     """Batch fit of both chains over everything enrolled so far, fusing
     them with weight w_face on the face score.
@@ -317,7 +305,7 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
         face_pca.basis @ face_lda.basis,
     )
     # one row per enrolled face, in enrollment order: grouped by client
-    face_gallery = _gallery(pca_mod.project(face, face_ds.features).T, face_ds.labels)
+    face_gallery = knn_mod.KnnModel(pca_mod.project(face, face_ds.features).T, face_ds.labels)
 
     voice_ds, sample_rate = _voice_dataset(enrollment)
     _require_within_class_variation(voice_ds, "recordings")
@@ -432,7 +420,7 @@ def verify(
     gallery = m.face_gallery
     lo, hi = np.searchsorted(gallery.labels, (cid, cid + 1))
     dists = knn_mod.distances(gallery.points[lo:hi], _face_probe(m, face_image))
-    nearest = knn_mod.vote(gallery.labels[lo:hi], dists, min(KNN_K, hi - lo))
+    nearest = knn_mod.vote(gallery.labels[lo:hi], dists, min(knn_mod.K, hi - lo))
     face_score = _distance_score(nearest.mean_distance)
 
     q_voice = _voice_probe(m, voice_recording)
@@ -467,11 +455,11 @@ def verify(
 # "\n"; the loader finds a payload's end from that shape, never by searching.
 # A file loads only as save_model writes it: any other spelling of a header
 # line, or a NaN or infinite value, is refused. Gallery rows are grouped by
-# client in class order, with at least one point per client. KNN_K,
+# client in class order, with at least one point per client. knn.K,
 # VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS and
 # NUM_CEPS belong to the format, as no record holds them; nor does anything
-# the loader computes (the gallery's k, tau_fused). A change to any of these
-# or to LAYOUT bumps MAGIC; files of other versions are refused.
+# the loader computes (tau_fused). A change to any of these or to LAYOUT
+# bumps MAGIC; files of other versions are refused.
 # ---------------------------------------------------------------------------
 
 # The sections in file order: each one's name, the SystemModel field whose
@@ -696,7 +684,7 @@ def load_model(path) -> SystemModel:
     try:
         return SystemModel(
             face=pca_mod.Subspace(**parts["face"]),
-            face_gallery=_gallery(**parts["face_gallery"]),
+            face_gallery=knn_mod.KnnModel(**parts["face_gallery"]),
             voice_lda=pca_mod.Subspace(**parts["voice_lda"]),
             voice_svm=svm_mod.SvmModel(**svm, kernel=VOICE_KERNEL),
             **parts[None],

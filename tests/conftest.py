@@ -169,29 +169,30 @@ def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.S
 
 
 def reference_loo_distances(points, labels) -> np.ndarray:
-    """Leave-one-out mean distance of each gallery point, the long way: a
-    gallery built without point i, with k = min(KNN_K, points - 1), and
-    `knn.classify` of point i. `knn.leave_one_out` must give the same bits."""
+    """Leave-one-out mean distance of each gallery point, the long way: the
+    other points, selected by mask, and the vote among the min(knn.K,
+    points - 1) of them nearest point i. `knn.leave_one_out` must give the
+    same bits."""
     n = points.shape[0]
     out = np.zeros(n)
     for i in range(n):
         keep = np.arange(n) != i
-        gallery = knn.KnnModel(points[keep], labels[keep], k=min(pipeline.KNN_K, n - 1))
-        out[i] = knn.classify(gallery, points[i]).mean_distance
+        dists = knn.distances(points[keep], points[i])
+        out[i] = knn.vote(labels[keep], dists, min(knn.K, n - 1)).mean_distance
     return out
 
 
 def reference_verify(m, face_image, voice_recording, claimed_id) -> pipeline.Decision:
     """`pipeline.verify` computed the long way: a one-client gallery of the
-    claimed client's rows, selected by mask and built for the claim, and
-    `knn.classify` on it, and the claimed client's vote count from the full
-    one-vs-one vote of `svm.predict_multiclass`. The served decision must
-    equal it."""
+    claimed client's rows, selected by mask and built for the claim, the vote
+    among the min(knn.K, its points) of them nearest the probe, and the
+    claimed client's vote count from the full one-vs-one vote of
+    `svm.predict_multiclass`. The served decision must equal it."""
     cid = m.class_names.index(claimed_id)
     points = m.face_gallery.points[m.face_gallery.labels == cid]
-    client = knn.KnnModel(points, np.zeros(points.shape[0], dtype=np.int64),
-                          k=min(pipeline.KNN_K, points.shape[0]))
-    nearest = knn.classify(client, pipeline._face_probe(m, face_image))
+    client = knn.KnnModel(points, np.zeros(points.shape[0], dtype=np.int64))
+    dists = knn.distances(client.points, pipeline._face_probe(m, face_image))
+    nearest = knn.vote(client.labels, dists, min(knn.K, points.shape[0]))
     face_score = pipeline._distance_score(nearest.mean_distance)
     _, votes = svm.predict_multiclass(m.voice_svm, pipeline._voice_probe(m, voice_recording))
     voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)

@@ -180,6 +180,31 @@ class TestRecordInvariants:
         with pytest.raises(DimensionError, match="integer"):
             ImageRecord(*size, np.zeros(256, dtype=np.uint8))
 
+    # the checks run on the values as given: a cast to uint8 would wrap,
+    # truncate or zero them, and raises OverflowError on a large Python int
+    @pytest.mark.parametrize(
+        "gray",
+        [
+            np.array([300, -1, 5, 6]),
+            np.array([1.7, 2.2, 3.9, 255.9]),
+            np.array([np.nan, 1.0, 2.0, 3.0]),
+            [300, 1, 2, 3],
+            np.array([np.inf, 1.0, 2.0, 3.0]),
+            np.array([-np.inf, 1.0, 2.0, 3.0]),
+        ],
+        ids=["int-out-of-range", "fractional", "nan", "list-out-of-range", "inf", "minus-inf"],
+    )
+    def test_image_values_checked_before_cast(self, gray):
+        with pytest.raises(DomainError, match="0..255"):
+            ImageRecord(2, 2, gray)
+
+    def test_image_pixels_of_other_types_stored_as_uint8(self):
+        for gray in ([0, 255, 7, 8], np.array([0.0, 255.0, 7.0, 8.0]), np.array([0, 255, 7, 8])):
+            image = ImageRecord(2, 2, gray)
+            assert image.gray.dtype == np.uint8 and image.gray.tolist() == [0, 255, 7, 8]
+        given = np.array([0, 255, 7, 8], dtype=np.uint8)
+        assert ImageRecord(2, 2, given).gray is given
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_audio_is_held_as_a_float32_copy(self, dtype):
         given = np.zeros(8000, dtype=dtype)

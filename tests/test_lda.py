@@ -12,6 +12,11 @@ def make_ds(features, labels):
     return LabeledDataset(features, labels, tuple(f"c{i}" for i in range(c)))
 
 
+def ridge(s_w):
+    """The ridge fit_lda adds to S_W: DEFAULT_REG_SCALE * trace(S_W) / d."""
+    return lda.DEFAULT_REG_SCALE * float(np.trace(s_w)) / s_w.shape[0]
+
+
 def brute_total_scatter(features):
     m = features.mean(axis=1)
     x = features - m[:, None]
@@ -144,7 +149,7 @@ class TestFitLda:
         for _ in range(20):
             ds = random_labeled(rng, dim=rng.randint(2, 6), classes=2, per_class=6)
             pair = lda.scatter(ds)
-            reg = lda.default_reg(pair.s_w)
+            reg = ridge(pair.s_w)
             s = lda.fit_lda(ds)
             assert s.retained == 1
             m_diff = pair.class_means[:, 0] - pair.class_means[:, 1]
@@ -197,7 +202,7 @@ class TestFitLda:
         # default ridge 1e-6 * trace(s_w) / d is 0 as well
         features = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
         ds = make_ds(features, [0, 0, 1, 1])
-        assert lda.default_reg(lda.scatter(ds).s_w) == 0.0
+        assert ridge(lda.scatter(ds).s_w) == 0.0
         with pytest.raises(SingularityError):
             lda.fit_lda(ds)
 
@@ -205,7 +210,7 @@ class TestFitLda:
         rng = np.random.RandomState(6)
         ds = random_labeled(rng, dim=4, classes=2, per_class=8)
         pair = lda.scatter(ds)
-        reg = lda.default_reg(pair.s_w)
+        reg = ridge(pair.s_w)
         s = lda.fit_lda(ds)
         v = s.basis[:, 0]
         m = pair.s_w + reg * np.eye(ds.dim)
@@ -239,7 +244,7 @@ class TestFitLda:
         pair = lda.scatter(ds)
         from biomm import linalg
 
-        pairs = linalg.gen_eig(pair.s_b, pair.s_w, lda.default_reg(pair.s_w))
+        pairs = linalg.gen_eig(pair.s_b, pair.s_w, ridge(pair.s_w))
         above = np.count_nonzero(pairs.values > 1e-8 * pairs.values.max())
         assert above <= ds.num_classes - 1
 

@@ -18,37 +18,19 @@ def make_ds(features, labels=None, classes=None):
 
 
 class TestMeanCenter:
+    """fit_pca centers the columns on their mean, and keeps that mean."""
+
     def test_mean_of_two(self):
         ds = make_ds(np.array([[0.0, 2.0], [0.0, 4.0]]))
-        np.testing.assert_array_equal(pca.mean_vector(ds), [1.0, 2.0])
-
-    def test_single_column_is_identity(self):
-        ds = LabeledDataset(np.array([[3.0], [7.0]]), [0], ("a",))
-        np.testing.assert_array_equal(pca.mean_vector(ds), [3.0, 7.0])
-
-    def test_equal_columns(self):
-        ds = make_ds(np.tile([[1.5], [2.5]], (1, 6)))
-        np.testing.assert_array_equal(pca.mean_vector(ds), [1.5, 2.5])
+        np.testing.assert_array_equal(pca.fit_pca(ds).mean, [1.0, 2.0])
 
     def test_center_by_own_mean_sums_to_zero(self):
         rng = np.random.RandomState(0)
         ds = make_ds(rng.standard_normal((4, 10)))
-        centered = pca.center(ds, pca.mean_vector(ds))
-        np.testing.assert_allclose(centered.sum(axis=1), np.zeros(4), atol=1e-10)
-
-    def test_center_by_zero_is_identity(self):
-        ds = make_ds(np.array([[1.0, 3.0], [1.0, 3.0]]))
-        np.testing.assert_array_equal(pca.center(ds, np.zeros(2)), ds.features)
-
-    def test_center_explicit(self):
-        ds = make_ds(np.array([[1.0, 3.0], [1.0, 3.0]]))
-        out = pca.center(ds, np.array([2.0, 2.0]))
-        np.testing.assert_array_equal(out, [[-1.0, 1.0], [-1.0, 1.0]])
-
-    def test_center_dimension_mismatch(self):
-        ds = make_ds(np.ones((3, 2)))
-        with pytest.raises(DimensionError):
-            pca.center(ds, np.zeros(2))
+        s = pca.fit_pca(ds)
+        np.testing.assert_array_equal(s.mean, ds.features.mean(axis=1))
+        coords = pca.project(s, ds.features)
+        np.testing.assert_allclose(coords.sum(axis=1), np.zeros(s.retained), atol=1e-10)
 
 
 class TestFitPca:
@@ -75,8 +57,7 @@ class TestFitPca:
         rng = np.random.RandomState(2)
         features = rng.standard_normal((6, 10))  # p > d: direct path
         ds = make_ds(features)
-        m = pca.mean_vector(ds)
-        x = pca.center(ds, m)
+        x = ds.features - ds.features.mean(axis=1)[:, None]
         direct = linalg.sym_eig(x @ x.T).values
         gram = linalg.sym_eig(x.T @ x).values
         k = min(direct.size, gram.size)
@@ -141,7 +122,7 @@ class TestFitPca:
         s = pca.fit_pca(ds)
         assert s.retained == 2
         np.testing.assert_allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-12)
-        centered = pca.center(ds, s.mean)
+        centered = ds.features - s.mean[:, None]
         np.testing.assert_allclose(s.basis @ pca.project(s, ds.features), centered, atol=1e-12)
 
     def test_deterministic(self):

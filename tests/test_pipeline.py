@@ -157,11 +157,11 @@ def test_enrollment_mixing_sample_rates_is_refused():
 class TestEnrollmentRefusals:
     """Enrollment.add refuses a client before anything is stored for it."""
 
-    # the last id holds a lone surrogate, as "surrogateescape" decodes a file
+    # "not-utf8" holds a lone surrogate, as "surrogateescape" decodes a file
     # name that is not UTF-8: no model file could store it
     @pytest.mark.parametrize(
-        "client_id", ["", "client 9", "client\t9", "client\udcff"],
-        ids=["empty", "space", "tab", "not-utf8"],
+        "client_id", ["", "client 9", "client\t9", "client\udcff", 5, b"client9"],
+        ids=["empty", "space", "tab", "not-utf8", "int", "bytes"],
     )
     def test_client_id_must_be_one_word(self, world, client_id):
         faces, voices = world.gallery[world.names[0]]
@@ -566,16 +566,14 @@ class TestModelFile:
         assert pipeline.load_model(path).w_face == 0.3
 
     def test_gallery_k_follows_knn_k(self, world):
-        # the file stores no k: the loader takes min(KNN_K, points), so a
-        # model may hold no other, or it would decide otherwise once reloaded
+        # neither the model nor its file holds a k: a vote is among min(knn.K,
+        # points), so a client left with one point is verified against that
+        # point alone
         gallery = world.model.face_gallery
-        with pytest.raises(DomainError, match="KNN_K"):
-            replace(world.model, face_gallery=replace(gallery, k=1))
-        # a client left with one point is verified against that point alone
         first = np.flatnonzero(gallery.labels == 0)[0]
         keep = (gallery.labels != 0) | (np.arange(gallery.labels.size) == first)
         model = replace(
-            world.model, face_gallery=pipeline._gallery(gallery.points[keep], gallery.labels[keep])
+            world.model, face_gallery=knn.KnnModel(gallery.points[keep], gallery.labels[keep])
         )
         name, face, voice = world.genuine[0]
         distance = np.linalg.norm(
@@ -589,7 +587,7 @@ class TestModelFile:
         # without any is refused, whether built or loaded
         gallery = world.model.face_gallery
         keep = gallery.labels != NUM_CLIENTS - 1
-        without_last = pipeline._gallery(gallery.points[keep], gallery.labels[keep])
+        without_last = knn.KnnModel(gallery.points[keep], gallery.labels[keep])
         with pytest.raises(DomainError, match="gallery point"):
             replace(world.model, face_gallery=without_last)
 
@@ -894,8 +892,10 @@ class TestMalformedBody:
         [("client0", "client0", "client2", "client3", "client4"),
          ("client0", "", "client2", "client3", "client4"),
          ("client0", "client 1", "client2", "client3", "client4"),
-         ("client0", "client\udcff", "client2", "client3", "client4")],
-        ids=["repeated", "empty", "whitespace", "not-utf8"],
+         ("client0", "client\udcff", "client2", "client3", "client4"),
+         ("client0", 5, "client2", "client3", "client4"),
+         ("client0", b"client1", "client2", "client3", "client4")],
+        ids=["repeated", "empty", "whitespace", "not-utf8", "int", "bytes"],
     )
     def test_client_names_checked(self, world, names):
         with pytest.raises(DomainError):
@@ -1053,7 +1053,7 @@ def with_client_rows(model, client, change):
     points = np.array(gallery.points)
     rows = np.flatnonzero(gallery.labels == client)
     points[rows] = change(points[rows])
-    return replace(model, face_gallery=pipeline._gallery(points, gallery.labels))
+    return replace(model, face_gallery=knn.KnnModel(points, gallery.labels))
 
 
 class TestVerifyFromClientTables:
@@ -1072,12 +1072,12 @@ class TestVerifyFromClientTables:
         assert {d.verdict for d in decisions} == {pipeline.VERDICT_ACCEPT, pipeline.VERDICT_REJECT}
 
     def test_client_with_one_gallery_point(self, world):
-        # k falls to 1 for that client; the others still vote among KNN_K
+        # k falls to 1 for that client; the others still vote among knn.K
         gallery = world.model.face_gallery
         first = np.flatnonzero(gallery.labels == 0)[0]
         keep = (gallery.labels != 0) | (np.arange(gallery.labels.size) == first)
-        model = replace(world.model, face_gallery=pipeline._gallery(gallery.points[keep],
-                                                                    gallery.labels[keep]))
+        model = replace(world.model, face_gallery=knn.KnnModel(gallery.points[keep],
+                                                               gallery.labels[keep]))
         assert np.count_nonzero(model.face_gallery.labels == 0) == 1
         self.assert_as_reference(model, world)
 
@@ -1129,7 +1129,7 @@ class TestGalleryLayout:
         order = np.argsort(-gallery.labels, kind="stable")  # the last client first
         with pytest.raises(DomainError, match="grouped by client"):
             replace(world.model,
-                    face_gallery=pipeline._gallery(gallery.points[order], gallery.labels[order]))
+                    face_gallery=knn.KnnModel(gallery.points[order], gallery.labels[order]))
 
     def test_file_with_labels_out_of_order_refused(self, model_file, tmp_path):
         swapped = _edit_tokens("LABELS ", lambda t: t[-1:] + t[1:-1] + t[:1])
