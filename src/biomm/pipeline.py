@@ -21,8 +21,8 @@ probe whose rate or image size differs from enrollment is refused.
 
 Verification is 1:1, with no gallery built per claim: the face against the
 claimed client's slice of gallery rows, the voice by the claimed client's
-share of the machines' decision values, from the row-major support vectors
-the SVM derives once when it is built.
+share of the machines' decision values, from the row-major points the SVM
+derives once when it is built.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from .ingest import _integer, image_to_vector
 
-MAGIC = "BIOMM 8"
+MAGIC = "BIOMM 9"
 DIST_HEADROOM = 6.0
 
 # The fit settings. A model file records none of them: the loader rebuilds
@@ -157,8 +157,7 @@ class SystemModel:
             ("image -> face", width * height, self.face.ambient_dim),
             ("face -> gallery", self.face.retained, self.face_gallery.points.shape[1]),
             ("MFCC summary -> voice LDA", 2 * mfcc_mod.NUM_CEPS, self.voice_lda.ambient_dim),
-            ("voice LDA -> SVM", self.voice_lda.retained,
-             self.voice_svm.support_vectors.shape[0]),
+            ("voice LDA -> SVM", self.voice_lda.retained, self.voice_svm.points.shape[0]),
         ):
             if produced != consumed:
                 raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
@@ -455,11 +454,16 @@ def verify(
 # "\n"; the loader finds a payload's end from that shape, never by searching.
 # A file loads only as save_model writes it: any other spelling of a header
 # line, or a NaN or infinite value, is refused. Gallery rows are grouped by
-# client in class order, with at least one point per client. knn.K,
-# VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS and
-# NUM_CEPS belong to the format, as no record holds them; nor does anything
-# the loader computes (tau_fused). A change to any of these or to LAYOUT
-# bumps MAGIC; files of other versions are refused.
+# client in class order, with at least one point per client. VOICE_SVM is
+# svm's dense layout: each point's class, the points, one coefficient per
+# (machine, point of its two classes), 0.0 where the point is not a support
+# vector, and one bias per machine. No index is stored, as the labels give
+# each coefficient's machine and point, and a 0.0 coefficient adds a zero
+# to its machine's sum, so decisions are those of the support vectors alone.
+# knn.K, VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS
+# and NUM_CEPS belong to the format, as no record holds them; nor does
+# anything the loader computes (tau_fused). A change to any of these or to
+# LAYOUT bumps MAGIC; files of other versions are refused.
 # ---------------------------------------------------------------------------
 
 # The sections in file order: each one's name, the SystemModel field whose
@@ -476,10 +480,8 @@ LAYOUT = (
     ("VOICE_LDA", "voice_lda", _SUBSPACE),
     ("VOICE_SVM", "voice_svm", (
         ("CLASSES", "int", "num_classes"),
-        ("PAIRS", "ints", "class_pairs"),  # flattened, two classes per machine
-        ("SVS", "matrix", "support_vectors"),
-        ("SV_INDEX", "ints", "sv_index"),
-        ("MACHINE", "ints", "machine"),
+        ("LABELS", "ints", "labels"),
+        ("POINTS", "matrix", "points"),
         ("COEFS", "row", "dual_coefs"),
         ("BIASES", "row", "biases"),
     )),
@@ -677,16 +679,12 @@ def load_model(path) -> SystemModel:
             fields[name] = getattr(reader, kind)(keyword)
     if not reader.at_end():
         raise FormatError(f"unexpected bytes after the last record of {reader.where}")
-    svm = parts["voice_svm"]
-    if svm["class_pairs"].size % 2:
-        raise FormatError("the class pairs must list two classes per machine")
-    svm["class_pairs"] = svm["class_pairs"].reshape(-1, 2)
     try:
         return SystemModel(
             face=pca_mod.Subspace(**parts["face"]),
             face_gallery=knn_mod.KnnModel(**parts["face_gallery"]),
             voice_lda=pca_mod.Subspace(**parts["voice_lda"]),
-            voice_svm=svm_mod.SvmModel(**svm, kernel=VOICE_KERNEL),
+            voice_svm=svm_mod.SvmModel(**parts["voice_svm"], kernel=VOICE_KERNEL),
             **parts[None],
         )
     except BiommError as exc:  # a model invariant checked when a part is built

@@ -12,20 +12,20 @@ together in lock step: one vectorized step moves every machine that has
 not yet converged, and each machine takes exactly the steps it would take
 alone, so the model equals the one that training them one at a time gives.
 
-A one-vs-one model is stored in one packed layout, in memory and in the
-model file (libsvm-style; Chang & Lin, "LIBSVM", ACM TIST 2(3), 2011):
-machines of C classes share training points, so their support vectors are
-stored once, as the columns of one deduplicated matrix, and each machine
-keeps only the column indices and dual coefficients of its own support
-vectors, plus its bias. Every pair's kernel matrix is a block of one kernel
-matrix over all training points, so training computes that once and packs
-the model straight from the support vectors' point indices (the tests keep
-`pack`, which packs trained machines by value, as its reference). A probe
-costs one kernel row against the deduplicated matrix and one segmented sum
-that gives every machine's decision value. The model derives the row-major
-copy of that matrix and its squared norms once, when it is built, and the
-row shares `kernel_matrix`'s arithmetic bit for bit. Single machines
-(`SvmModel.machines`) are views rebuilt from the packed arrays on request.
+A one-vs-one model is stored in one dense layout, in memory and in the
+model file, as LIBSVM stores one (Chang & Lin, "LIBSVM", ACM TIST 2(3),
+2011): the training points once each, their class labels, one bias per
+machine and one dual coefficient per (machine, point of its two classes),
+exactly 0.0 where the multiplier was pruned. Each coefficient's machine and
+point follow from the labels; the model derives them when it is built
+(`_entries`), and training gathers each machine's block of one kernel
+matrix over all points from the same derivation. A probe costs one kernel
+row against the points and one segmented sum that gives every machine's
+decision value. A 0.0 coefficient adds a zero (0.0 times a finite kernel
+value) to its machine's sum, which leaves the sum's bits as they are, so
+the model decides exactly as one of support vectors alone. The row-major points and their squared norms are
+derived with the model too, and the row shares `kernel_matrix`'s arithmetic
+bit for bit. `SvmModel.machines` are views of the nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -117,90 +117,89 @@ class BinarySvm:
             )
 
 
-# the array fields of SvmModel and their element types
+# the stored array fields of SvmModel and their element types
 _ARRAY_FIELDS = (
-    ("class_pairs", np.intp),
-    ("support_vectors", np.float64),
-    ("sv_index", np.intp),
-    ("machine", np.intp),
+    ("points", np.float64),
+    ("labels", np.intp),
     ("dual_coefs", np.float64),
     ("biases", np.float64),
 )
 
 
+def _entries(labels: np.ndarray, num_classes: int) -> tuple:
+    """(machine, point) of each coefficient: machine k, the k-th pair (i, j)
+    of np.triu_indices(num_classes, 1), takes the points labelled i or j in
+    stored order. Each point's C - 1 machines, listed point by point, are put
+    in machine order by one stable sort."""
+    other = np.arange(num_classes - 1) + (np.arange(num_classes - 1) >= labels[:, None])
+    low, high = np.minimum(labels[:, None], other), np.maximum(labels[:, None], other)
+    machine = (low * (2 * num_classes - low - 1) // 2 + high - low - 1).ravel()  # triu index
+    order = np.argsort(machine, kind="stable")
+    return machine[order], np.repeat(np.arange(labels.size), num_classes - 1)[order]
+
+
 @dataclass(frozen=True, eq=False)
 class SvmModel:
-    """One-vs-one multiclass model in the packed layout; its arrays are read-only.
+    """One-vs-one multiclass model in the dense layout; its arrays are read-only.
 
-    Machine k decides class_pairs[k] = (i, j), i < j: a score >= 0 votes
-    for i, a score < 0 for j. The pairs may come in any order, but each of
-    the C(C-1)/2 pairs exactly once. Entry e is one support vector of
-    machine machine[e]: the column sv_index[e] of support_vectors, with
-    dual coefficient dual_coefs[e].
-
-    A probe reads the support vectors as rows: sv_rows (n x d, C-ordered)
-    and their squared norms sv_sq_norms are derived from support_vectors
+    Machine k decides class_pairs[k] = (i, j), the k-th pair of
+    np.triu_indices: a score >= 0 votes for i, a score < 0 for j. It has one
+    dual coefficient a * y per point of classes i and j, in stored order,
+    0.0 where the point is not a support vector; dual_coefs holds them
+    machine by machine. The fields after kernel are derived from the others
     when the model is built, read-only, and stored nowhere.
     """
 
     num_classes: int
-    class_pairs: np.ndarray      # P x 2: per machine, (positive, negative) class
-    support_vectors: np.ndarray  # d x n: every distinct support vector once
-    sv_index: np.ndarray         # per entry: its column in support_vectors
-    machine: np.ndarray          # per entry: its machine, 0..P-1
-    dual_coefs: np.ndarray       # per entry: a_i * y_i
-    biases: np.ndarray           # per machine
+    points: np.ndarray      # d x n: every training point once, in training order
+    labels: np.ndarray      # per point: its class
+    dual_coefs: np.ndarray  # per (machine, point of its two classes): a_i * y_i
+    biases: np.ndarray      # per machine
     kernel: KernelSpec
-    sv_rows: np.ndarray = field(init=False, repr=False)      # support_vectors.T, C-ordered
+    class_pairs: np.ndarray = field(init=False, repr=False)  # P x 2: (positive, negative) class
+    sv_index: np.ndarray = field(init=False, repr=False)     # per coefficient: its point's column
+    machine: np.ndarray = field(init=False, repr=False)      # per coefficient: its machine
+    sv_rows: np.ndarray = field(init=False, repr=False)      # points.T, C-ordered
     sv_sq_norms: np.ndarray = field(init=False, repr=False)  # per row of sv_rows
 
     def __post_init__(self):
-        n = self.num_classes
-        if n < 2:
+        classes = self.num_classes
+        if classes < 2:
             raise ClassError("a one-vs-one model needs at least two classes")
         for name, dtype in _ARRAY_FIELDS:
             array = np.array(getattr(self, name), dtype=dtype, order="C")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        num_pairs = n * (n - 1) // 2
-        # the shapes first: a class count from a file must not make the
-        # list of every pair unless the stored pairs are that many already
-        if (self.class_pairs.shape != (num_pairs, 2)
-                or self.biases.shape != (num_pairs,)
-                or sorted(map(tuple, self.class_pairs.tolist()))
-                != [(i, j) for i in range(n) for j in range(i + 1, n)]):
-            raise DomainError(
-                f"need one machine and bias for each pair (i, j), i < j, of classes 0..{n - 1}"
-            )
-        if self.support_vectors.ndim != 2:
-            raise DimensionError("support vectors must be a d x n matrix")
-        if self.sv_index.ndim != 1 or not (
-            self.sv_index.shape == self.machine.shape == self.dual_coefs.shape
-        ):
-            raise DimensionError("need one column index, machine and dual coefficient per entry")
-        for name, bound in (("sv_index", self.support_vectors.shape[1]),
-                            ("machine", num_pairs)):
-            values = getattr(self, name)
-            if values.size and (values.min() < 0 or values.max() >= bound):
-                raise DomainError(f"{name} entries must lie in 0..{bound - 1}")
-        rows = np.array(self.support_vectors.T, order="C")
-        for name, array in (("sv_rows", rows), ("sv_sq_norms", _squared_norms(rows))):
+        # the counts first: a class count from a file must not size an
+        # array unless the stored biases are that many already
+        if self.biases.shape != (classes * (classes - 1) // 2,):
+            raise DomainError(f"need one bias for each pair of classes 0..{classes - 1}")
+        if self.points.ndim != 2:
+            raise DimensionError("the points must be a d x n matrix")
+        n = self.points.shape[1]
+        if self.labels.shape != (n,) or self.dual_coefs.shape != ((classes - 1) * n,):
+            raise DimensionError(f"need one label and {classes - 1} dual coefficients per point")
+        if not np.array_equal(np.unique(self.labels), np.arange(classes)):
+            raise DomainError(f"labels must be classes 0..{classes - 1}, every class at least once")
+        machine, sv_index = _entries(self.labels, classes)
+        rows = np.array(self.points.T, order="C")
+        for name, array in (("class_pairs", np.column_stack(np.triu_indices(classes, 1))),
+                            ("sv_index", sv_index), ("machine", machine),
+                            ("sv_rows", rows), ("sv_sq_norms", _squared_norms(rows))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     @property
     def machines(self) -> tuple:
-        """One BinarySvm per machine, in class_pairs order, built from the packed arrays."""
-        views = []
-        for k, bias in enumerate(self.biases):
-            entries = self.machine == k
-            views.append(BinarySvm(
-                self.support_vectors[:, self.sv_index[entries]],
-                self.dual_coefs[entries],
-                float(bias),
-                self.kernel,
-            ))
-        return tuple(views)
+        """One BinarySvm per machine, in class_pairs order, holding the points
+        of its nonzero coefficients."""
+        kept = np.flatnonzero(self.dual_coefs)
+        starts = np.searchsorted(self.machine[kept], np.arange(1, self.biases.size))
+        return tuple(
+            BinarySvm(self.points[:, self.sv_index[entries]], self.dual_coefs[entries],
+                      float(bias), self.kernel)
+            for entries, bias in zip(np.split(kept, starts), self.biases)
+        )
 
 
 def _smo(k: np.ndarray, y: np.ndarray, size, c: float, tol: float):
@@ -337,34 +336,22 @@ def train_multiclass(
     if ds.num_classes < 2:
         raise ClassError("multiclass training needs at least two classes")
     x, labels = ds.features, ds.labels
-    first, second = np.triu_indices(ds.num_classes, 1)
-    # machine b's points, in training order, fill row b of the padded index
-    machine, point = np.nonzero((labels == first[:, None]) | (labels == second[:, None]))
-    sizes = np.bincount(machine, minlength=first.size)
+    # machine b's points, in training order, fill row b of the padded index,
+    # in the order of the model's coefficients
+    machine, point = _entries(labels, ds.num_classes)
+    sizes = np.bincount(machine)
     pos = np.arange(point.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    index = np.zeros((first.size, sizes.max()), dtype=np.intp)
+    index = np.zeros((sizes.size, sizes.max()), dtype=np.intp)
     y = np.zeros(index.shape)
     index[machine, pos] = point
+    first = np.triu_indices(ds.num_classes, 1)[0]
     y[machine, pos] = np.where(labels[point] == first[machine], 1.0, -1.0)
     alphas, biases = _solve(kernel_matrix(kernel, x, x), index, y, c, tol)
-
-    # one entry per support vector, machine by machine, each in training order;
-    # equal points share the column of the first, numbered by first appearance
-    machine, pos = np.nonzero(alphas > PRUNE_TOL)
-    seen = {}
-    same = np.array([seen.setdefault(col.tobytes(), p) for p, col in enumerate(x.T)])
-    point = same[index[machine, pos]]
-    distinct, first_entry = np.unique(point, return_index=True)
-    columns = distinct[np.argsort(first_entry)]
-    column_of = np.empty(x.shape[1], dtype=np.intp)
-    column_of[columns] = np.arange(columns.size)
     return SvmModel(
         num_classes=ds.num_classes,
-        class_pairs=np.column_stack([first, second]),
-        support_vectors=x[:, columns],
-        sv_index=column_of[point],
-        machine=machine,
-        dual_coefs=(alphas * y)[machine, pos],
+        points=x,
+        labels=labels,
+        dual_coefs=np.where(alphas > PRUNE_TOL, alphas * y, 0.0)[machine, pos],
         biases=biases,
         kernel=kernel,
     )
@@ -373,18 +360,14 @@ def train_multiclass(
 def decision_values(m: SvmModel, x) -> np.ndarray:
     """Every machine's decision value at x, in m.class_pairs order.
 
-    One kernel row against the deduplicated support vectors, formed from
-    the model's sv_rows and sv_sq_norms by `kernel_matrix`'s arithmetic (so
-    it equals kernel_matrix(m.kernel, m.support_vectors, x[:, None]) bit for
-    bit), then one segmented sum of dual coefficient times kernel value per
-    machine.
+    One kernel row against the points, formed from the model's sv_rows and
+    sv_sq_norms by `kernel_matrix`'s arithmetic (so it equals
+    kernel_matrix(m.kernel, m.points, x[:, None]) bit for bit), then one
+    segmented sum of dual coefficient times kernel value per machine.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.support_vectors.shape[0],):
-        raise DimensionError(
-            f"input dimension {x.shape} != support vector dimension "
-            f"{m.support_vectors.shape[0]}"
-        )
+    if x.shape != (m.points.shape[0],):
+        raise DimensionError(f"input dimension {x.shape} != point dimension {m.points.shape[0]}")
     row = _kernel_rows(m.kernel, m.sv_rows, m.sv_sq_norms, x[:, None])[:, 0]
     sums = np.bincount(m.machine, weights=m.dual_coefs * row[m.sv_index], minlength=m.biases.size)
     return sums + m.biases

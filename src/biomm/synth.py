@@ -52,8 +52,14 @@ def synth_utterance(
     duration_s: float = 1.0,
     tilt_sigma: float = 0.6,
     ripple_sigma: float = 0.35,
+    snr_db: float | None = None,
 ) -> AudioRecord:
-    """One filtered-noise utterance with random tilt/ripple nuisance."""
+    """One filtered-noise utterance with random tilt/ripple nuisance.
+
+    With snr_db, white Gaussian noise whose power is the utterance's mean
+    power over 10^(snr_db / 10) is added, and the sum clipped to [-1, 1];
+    without it nothing more is drawn from rng.
+    """
     n = int(round(sample_rate * duration_s))
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     env = profile.envelope(freqs)
@@ -70,6 +76,9 @@ def synth_utterance(
     spectrum = np.fft.rfft(rng.standard_normal(n)) * env * tilt * ripple
     x = np.fft.irfft(spectrum, n)
     x = 0.3 * x / np.abs(x).max()
+    if snr_db is not None:
+        noise_power = np.mean(x * x) / 10.0 ** (snr_db / 10.0)
+        x = np.clip(x + rng.standard_normal(n) * np.sqrt(noise_power), -1.0, 1.0)
     return AudioRecord(sample_rate, x)
 
 

@@ -105,36 +105,48 @@ def reference_smo(k: np.ndarray, y: np.ndarray, c: float, tol: float):
     return y * v, float(bias)
 
 
-def pack(num_classes: int, pairs, machines) -> svm.SvmModel:
-    """The one-vs-one model whose machine k is machines[k], deciding pairs[k].
+def pack(points, labels, machines) -> svm.SvmModel:
+    """The one-vs-one model over the labelled points (d x n, one class label
+    per column) whose machine k, for the k-th class pair (i, j), i < j, in
+    np.triu_indices order, is machines[k].
 
-    Equal support vectors of all machines are stored once, as one column of
-    the model's matrix, in order of first appearance: the layout that
-    `svm.train_multiclass` builds from point indices, here built from the
-    values of the machines' support vectors.
+    Each machine's coefficients go into the dense layout: one row per
+    machine over the points of its two classes, in stored order, holding
+    each support vector's dual coefficient at the first point not yet taken
+    that equals it, at or after the previous one's (support vectors keep
+    training order; equal points are interchangeable), and 0.0 elsewhere.
+    A support vector that equals no such point lies outside its machine's
+    two classes and is refused. The layout that `svm.train_multiclass`
+    derives from point indices, built here pair by pair from the values of
+    the machines' support vectors.
     """
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    num_classes = int(labels.max()) + 1
     kernels = {machine.kernel for machine in machines}
     if len(kernels) != 1:
         raise DomainError("all machines must share one kernel")
-    if len({machine.support_vectors.shape[0] for machine in machines}) != 1:
-        raise DimensionError("all machines must have support vectors of one dimension")
-
-    # one row per support vector of every machine; equal rows share one slot,
-    # numbered in order of first appearance
-    rows = np.ascontiguousarray(np.concatenate(
-        [machine.support_vectors for machine in machines], axis=1, dtype=np.float64
-    ).T)
-    slots = {}
-    sv_index = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
-    distinct = np.frombuffer(b"".join(slots), dtype=np.float64)
-    counts = [machine.support_vectors.shape[1] for machine in machines]
+    if {machine.support_vectors.shape[0] for machine in machines} != {points.shape[0]}:
+        raise DimensionError("every machine's support vectors must have the points' dimension")
+    pairs = [(i, j) for i in range(num_classes) for j in range(i + 1, num_classes)]
+    rows = []
+    for (i, j), machine in zip(pairs, machines):
+        members = [p for p in range(points.shape[1]) if labels[p] in (i, j)]
+        row = np.zeros(len(members))
+        at = 0
+        for sv, coef in zip(machine.support_vectors.T, machine.dual_coefs):
+            while at < len(members) and not np.array_equal(points[:, members[at]], sv):
+                at += 1
+            if at == len(members):
+                raise DomainError(f"a support vector of machine {(i, j)} is no point of its classes")
+            row[at] = coef
+            at += 1
+        rows.append(row)
     return svm.SvmModel(
         num_classes=num_classes,
-        class_pairs=pairs,
-        support_vectors=distinct.reshape(len(slots), rows.shape[1]).T,
-        sv_index=sv_index,
-        machine=np.repeat(np.arange(len(machines)), counts),
-        dual_coefs=np.concatenate([machine.dual_coefs for machine in machines], dtype=np.float64),
+        points=points,
+        labels=labels,
+        dual_coefs=np.concatenate(rows),
         biases=[machine.bias for machine in machines],
         kernel=kernels.pop(),
     )
@@ -145,11 +157,10 @@ def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.S
     stacked with zero padding in chunks of STACK_BYTES, solved by `svm._smo`,
     one BinarySvm per machine, then `pack`. `svm.train_multiclass` must give
     the same arrays."""
-    pairs, problems = [], []
+    problems = []
     for i in range(ds.num_classes):
         for j in range(i + 1, ds.num_classes):
             mask = (ds.labels == i) | (ds.labels == j)
-            pairs.append((i, j))
             problems.append((ds.features[:, mask], np.where(ds.labels[mask] == i, 1.0, -1.0)))
     n = max(y.size for _, y in problems)
     per_chunk = max(1, svm.STACK_BYTES // (8 * n * n))
@@ -165,7 +176,7 @@ def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.S
         for (x, y), a, bias in zip(chunk, alphas, biases):
             keep = np.flatnonzero(a[:y.size] > svm.PRUNE_TOL)
             machines.append(svm.BinarySvm(x[:, keep], (a[:y.size] * y)[keep], float(bias), kernel))
-    return pack(ds.num_classes, pairs, machines)
+    return pack(ds.features, ds.labels, machines)
 
 
 def reference_loo_distances(points, labels) -> np.ndarray:

@@ -453,25 +453,16 @@ class TestMulticlass:
                 kernel=svm.KernelSpec("rbf", 1.0),
             )
 
-        pairs = ((0, 1), (0, 2), (1, 2))
         machines = (
             constant_machine(0.5),    # (0,1): votes 0, strength 0.5
             constant_machine(-0.9),   # (0,2): votes 2, strength 0.9
             constant_machine(0.7),    # (1,2): votes 1, strength 0.7
         )
-        model = pack(3, pairs, machines)
+        # one point of each class, all at the query's location
+        model = pack(np.zeros((1, 3)), [0, 1, 2], machines)
         label, votes = svm.predict_multiclass(model, np.zeros(1))
         assert votes.tolist() == [1, 1, 1]
         assert label == 2
-
-        # permuting the machines must not change the verdict
-        order = [2, 0, 1]
-        permuted = pack(
-            3,
-            [pairs[i] for i in order],
-            [machines[i] for i in order],
-        )
-        assert svm.predict_multiclass(permuted, np.zeros(1))[0] == 2
 
 
 def reference_vote(model, x):
@@ -488,23 +479,27 @@ def reference_vote(model, x):
 
 
 def random_shared_model(rng, classes, kernel, dim=3, pool=8):
-    """Hand-built machines whose support vectors come from one small pool,
-    packed in shuffled pair order; one machine scores exactly 0 everywhere."""
+    """Hand-built machines over one small pool of labelled points, every
+    class among them, in canonical pair order: each machine's support
+    vectors are drawn from the points of its two classes, in stored order,
+    and one machine scores exactly 0 everywhere."""
     points = rng.standard_normal((dim, pool))
-    pairs = [(i, j) for i in range(classes) for j in range(i + 1, classes)]
+    labels = rng.permutation(np.arange(pool) % classes)
     machines = []
-    for n, _ in enumerate(pairs):
-        cols = rng.choice(pool, size=rng.randint(1, pool + 1), replace=False)
+    for n, (i, j) in enumerate((i, j) for i in range(classes) for j in range(i + 1, classes)):
+        members = np.flatnonzero((labels == i) | (labels == j))
+        cols = np.sort(rng.choice(members, size=rng.randint(1, members.size + 1), replace=False))
         coefs = rng.standard_normal(cols.size)
         bias = rng.standard_normal() * 0.5
         if n == 0:
             coefs, bias = np.zeros(cols.size), 0.0
         machines.append(svm.BinarySvm(points[:, cols], coefs, bias, kernel))
-    order = rng.permutation(len(pairs))
-    return pack(classes, [pairs[k] for k in order], [machines[k] for k in order])
+    return pack(points, labels, machines)
 
 
-ARRAYS = ("class_pairs", "support_vectors", "sv_index", "machine", "dual_coefs", "biases")
+# the stored arrays of a model, and those it derives from them
+ARRAYS = ("points", "labels", "dual_coefs", "biases")
+DERIVED = ("class_pairs", "sv_index", "machine", "sv_rows", "sv_sq_norms")
 
 
 def assert_same_arrays(a, b):
@@ -515,7 +510,7 @@ def assert_same_arrays(a, b):
 
 def repacked(model):
     """The model packed again from its machine views; it must equal the original."""
-    again = pack(model.num_classes, model.class_pairs, model.machines)
+    again = pack(model.points, model.labels, model.machines)
     assert_same_arrays(again, model)
     return again
 
@@ -532,9 +527,9 @@ class TestPackedDecisions:
         rng = np.random.RandomState(17)
         ds = gaussian_clusters(rng, classes=5, per_class=6, gap=2.0, spread=1.0)
         model = svm.train_multiclass(ds, kernel, c=10.0)
-        total = model.sv_index.size
+        total = np.count_nonzero(model.dual_coefs)
         assert total == sum(m.support_vectors.shape[1] for m in model.machines)
-        assert model.support_vectors.shape[1] <= ds.num_samples < total  # shared SVs
+        assert model.points.shape[1] == ds.num_samples < total  # shared SVs
         again = repacked(model)
         queries = [ds.features[:, i] for i in range(ds.num_samples)]
         queries += [rng.standard_normal(ds.dim) * 3.0 for _ in range(20)]
@@ -554,7 +549,7 @@ class TestPackedDecisions:
         ties = 0
         for trial in range(40):
             model = random_shared_model(rng, classes=4 + trial % 3, kernel=kernel)
-            assert model.support_vectors.shape[1] <= 8
+            assert model.points.shape[1] == 8
             again = repacked(model)
             for _ in range(5):
                 q = rng.standard_normal(3)
@@ -573,7 +568,7 @@ class TestPackedDecisions:
         empty = svm.BinarySvm(np.zeros((2, 0)), np.zeros(0), -0.25, RBF2)
         other = svm.BinarySvm(np.ones((2, 1)), np.array([2.0]), 0.5, RBF2)
         for machines in ((empty, empty, empty), (empty, other, empty)):
-            model = pack(3, ((0, 1), (0, 2), (1, 2)), machines)
+            model = pack(np.ones((2, 3)), [0, 1, 2], machines)
             q = np.array([0.3, -0.2])
             np.testing.assert_allclose(
                 svm.decision_values(model, q),
@@ -584,7 +579,7 @@ class TestPackedDecisions:
 
     def test_packed_arrays_are_read_only(self):
         model = random_shared_model(np.random.RandomState(19), 4, RBF2)
-        for name in ARRAYS:
+        for name in ARRAYS + DERIVED:
             with pytest.raises(ValueError):
                 getattr(model, name)[...] = 0
 
@@ -597,7 +592,7 @@ class TestPackedDecisions:
 def kernel_matrix_values(model, x):
     """Every machine's decision value from a kernel_matrix row, the way
     decision_values formed it before the model kept its rows and norms."""
-    row = svm.kernel_matrix(model.kernel, model.support_vectors, x[:, None])[:, 0]
+    row = svm.kernel_matrix(model.kernel, model.points, x[:, None])[:, 0]
     sums = np.bincount(model.machine, weights=model.dual_coefs * row[model.sv_index],
                        minlength=model.biases.size)
     return sums + model.biases
@@ -611,7 +606,7 @@ class TestStoredRows:
         models = [svm.train_multiclass(ds, kernel, c=10.0)]
         models += [random_shared_model(rng, 3 + n % 4, kernel, dim=5) for n in range(10)]
         for model in models:
-            queries = [model.support_vectors[:, 0], np.zeros(5)]
+            queries = [model.points[:, 0], np.zeros(5)]
             queries += [rng.standard_normal(5) * 3.0 for _ in range(10)]
             for q in queries:
                 np.testing.assert_array_equal(svm.decision_values(model, q),
@@ -619,10 +614,10 @@ class TestStoredRows:
 
     def test_rows_and_norms_are_derived_and_read_only(self):
         model = random_shared_model(np.random.RandomState(22), 4, RBF2)
-        for current in (model, replace(model, support_vectors=model.support_vectors * 2.0)):
+        for current in (model, replace(model, points=model.points * 2.0)):
             rows = current.sv_rows
             assert rows.flags.c_contiguous
-            np.testing.assert_array_equal(rows, current.support_vectors.T)
+            np.testing.assert_array_equal(rows, current.points.T)
             np.testing.assert_array_equal(current.sv_sq_norms, (rows * rows).sum(axis=1))
             for array in (rows, current.sv_sq_norms):
                 with pytest.raises(ValueError):
@@ -659,11 +654,14 @@ class TestMachineViews:
             gaussian_clusters(rng, classes=3, per_class=(2, 3, 5), gap=2.0, spread=1.0))
 
     def test_pack_stores_each_support_vector_once(self):
+        # the machines share their support vectors; the model holds each
+        # point once, and every machine's view takes its vectors from them
         model = random_shared_model(np.random.RandomState(22), 5, LINEAR)
-        columns = {col.tobytes() for col in model.support_vectors.T}
-        assert len(columns) == model.support_vectors.shape[1]
-        used = {col.tobytes() for m in model.machines for col in m.support_vectors.T}
-        assert used == columns
+        columns = {col.tobytes() for col in model.points.T}
+        assert len(columns) == model.points.shape[1]
+        used = [col.tobytes() for m in model.machines for col in m.support_vectors.T]
+        assert set(used) <= columns
+        assert len(used) > len(set(used))
 
 
 def shuffled(ds, rng):
@@ -686,8 +684,8 @@ def training_set(case):
 
 class TestOneKernelTraining:
     """train_multiclass gathers every machine's block from one kernel matrix
-    and packs by point index; the per-pair route of the reference must give
-    the same arrays, bit for bit."""
+    and lays out its coefficients by point index; the per-pair route of the
+    reference, packed by value, must give the same arrays, bit for bit."""
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF2], ids=["linear", "rbf"])
     @pytest.mark.parametrize("case", ["unequal", "separable", "duplicates"])
@@ -701,10 +699,17 @@ class TestOneKernelTraining:
         assert_same_arrays(model, reference_train_multiclass(ds, kernel, c=10.0))
         pair_points = (ds.num_classes - 1) * ds.num_samples
         if case == "separable" and kernel == LINEAR:
-            assert model.sv_index.size < pair_points / 2  # most multipliers were pruned
-        if case == "duplicates":
-            columns = {col.tobytes() for col in model.support_vectors.T}
-            assert len(columns) == model.support_vectors.shape[1] < ds.num_samples
+            assert np.count_nonzero(model.dual_coefs) < pair_points / 2  # most multipliers were pruned
+
+    def test_pruned_multipliers_are_stored_as_positive_zeros(self, monkeypatch):
+        # every multiplier of "unequal" is 0.51 or more, so at a tolerance
+        # of 0.6 some nonzero multipliers are pruned
+        ds = training_set("unequal")
+        monkeypatch.setattr(svm, "PRUNE_TOL", 0.6)
+        model = svm.train_multiclass(ds, RBF2, c=10.0)
+        assert_same_arrays(model, reference_train_multiclass(ds, RBF2, c=10.0))
+        zeros = model.dual_coefs == 0.0
+        assert zeros.any() and not np.signbit(model.dual_coefs[zeros]).any()
 
     @pytest.mark.parametrize("dim", [3, 19])
     def test_pair_block_does_not_depend_on_the_other_columns(self, dim):
@@ -727,14 +732,14 @@ class TestModelInvariants:
 
     @staticmethod
     def model(**changes):
-        """A valid three-class model with some of its fields replaced."""
+        """A valid three-class model with some of its fields replaced: four
+        points of classes 0, 1, 2, 1, so the machines (0, 1), (0, 2) and
+        (1, 2) take the points 0, 1, 3; 0, 2; and 1, 2, 3."""
         fields = dict(
             num_classes=3,
-            class_pairs=((0, 1), (0, 2), (1, 2)),
-            support_vectors=np.arange(6.0).reshape(2, 3),
-            sv_index=[0, 1, 2, 1, 0],
-            machine=[0, 0, 1, 2, 2],
-            dual_coefs=[1.0, -1.0, 0.5, 2.0, -2.0],
+            points=np.arange(8.0).reshape(2, 4),
+            labels=[0, 1, 2, 1],
+            dual_coefs=[1.0, -1.0, 0.0, 0.0, 0.5, 2.0, 0.0, -2.0],
             biases=[0.0, 0.1, 0.2],
             kernel=RBF2,
         )
@@ -742,21 +747,67 @@ class TestModelInvariants:
 
     def test_valid_fields_build_a_model(self):
         model = self.model()
+        assert model.class_pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert model.machine.tolist() == [0, 0, 0, 1, 1, 2, 2, 2]
+        assert model.sv_index.tolist() == [0, 1, 3, 0, 2, 1, 2, 3]
         assert [m.support_vectors.shape[1] for m in model.machines] == [2, 1, 2]
-        np.testing.assert_array_equal(model.machines[2].support_vectors, [[1.0, 0.0], [4.0, 3.0]])
+        np.testing.assert_array_equal(model.machines[2].support_vectors, [[1.0, 3.0], [5.0, 7.0]])
 
+    @classmethod
+    def derived_models(cls):
+        """Models of 2 to 8 classes, hand-built, packed and trained, with the
+        classes' points interleaved and the highest class first or last."""
+        rng = np.random.RandomState(24)
+        models = [cls.model(), cls.model(labels=[2, 0, 1, 2], dual_coefs=[1.0] * 8)]
+        models += [random_shared_model(rng, classes, RBF2) for classes in (2, 3, 5, 8)]
+        ds = gaussian_clusters(rng, classes=4, per_class=(1, 2, 3, 4), gap=2.0, spread=1.0)
+        models.append(svm.train_multiclass(shuffled(ds, rng), RBF2, c=10.0))
+        return models
+
+    # the class pairs, each coefficient's machine and each coefficient's
+    # point column are derived from the labels, not passed in; the tests
+    # below read them on derived_models
     @pytest.mark.parametrize(
-        "pairs",
-        [((0, 1), (0, 2), (1, 3)), ((0, 1), (0, 1), (1, 2)), ((0, 1), (0, 2), (2, 1))],
+        "holds",
+        [
+            lambda pairs, c: ((pairs >= 0) & (pairs < c)).all(),
+            lambda pairs, c: len({(i, j) for i, j in pairs.tolist()}) == len(pairs) == c * (c - 1) // 2,
+            lambda pairs, c: (pairs[:, 0] < pairs[:, 1]).all(),
+        ],
         ids=["out-of-range", "repeated", "reversed"],
     )
-    def test_pairs_must_cover_every_ordered_pair_once(self, pairs):
-        with pytest.raises(DomainError):
-            self.model(class_pairs=pairs)
+    def test_pairs_must_cover_every_ordered_pair_once(self, holds):
+        for model in self.derived_models():
+            assert model.class_pairs.shape == (model.biases.size, 2)
+            assert holds(model.class_pairs, model.num_classes)
+
+    @pytest.mark.parametrize(
+        "holds", [lambda ids, end: ids.min() >= 0, lambda ids, end: ids.max() < end],
+        ids=["negative", "past-end"],
+    )
+    def test_column_index_in_range(self, holds):
+        for model in self.derived_models():
+            assert model.sv_index.shape == model.dual_coefs.shape
+            assert holds(model.sv_index, model.points.shape[1])
+            # machine k takes exactly the columns of its two classes
+            for k, (i, j) in enumerate(model.class_pairs):
+                np.testing.assert_array_equal(
+                    model.sv_index[model.machine == k],
+                    np.flatnonzero((model.labels == i) | (model.labels == j)))
+
+    @pytest.mark.parametrize(
+        "holds", [lambda ids, end: ids.min() >= 0, lambda ids, end: ids.max() < end],
+        ids=["negative", "past-end"],
+    )
+    def test_machine_id_in_range(self, holds):
+        for model in self.derived_models():
+            assert model.machine.shape == model.dual_coefs.shape
+            assert holds(model.machine, model.biases.size)
+            assert (np.diff(model.machine) >= 0).all()  # machine by machine
 
     def test_one_machine_per_pair(self):
         with pytest.raises(DomainError):
-            pack(2, ((0, 1),), (self.machine(), self.machine()))
+            pack(np.ones((2, 2)), [0, 1], (self.machine(), self.machine()))
 
     @pytest.mark.parametrize("biases", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]], ids=["short", "long"])
     def test_one_bias_per_pair(self, biases):
@@ -765,22 +816,21 @@ class TestModelInvariants:
 
     def test_at_least_two_classes(self):
         with pytest.raises(ClassError):
-            self.model(num_classes=1, class_pairs=(), biases=[])
+            self.model(num_classes=1, labels=[0, 0, 0, 0], dual_coefs=[], biases=[])
 
-    @pytest.mark.parametrize("index", [[0, 1, 3, 1, 0], [0, 1, -1, 1, 0]], ids=["past-end", "negative"])
-    def test_column_index_in_range(self, index):
+    @pytest.mark.parametrize("labels", [[0, 1, 3, 1], [0, 1, -1, 1]], ids=["past-end", "negative"])
+    def test_label_in_range(self, labels):
         with pytest.raises(DomainError):
-            self.model(sv_index=index)
+            self.model(labels=labels)
 
-    @pytest.mark.parametrize("ids", [[0, 0, 1, 2, 3], [0, 0, -1, 2, 2]], ids=["past-end", "negative"])
-    def test_machine_id_in_range(self, ids):
-        with pytest.raises(DomainError):
-            self.model(machine=ids)
+    def test_every_class_has_a_point(self):
+        with pytest.raises(DomainError, match="every class"):
+            self.model(labels=[0, 1, 1, 1])
 
     @pytest.mark.parametrize(
         "field, value",
-        [("sv_index", [0, 1, 2, 1]), ("machine", [0, 0, 1, 2, 2, 2]), ("dual_coefs", [1.0] * 4)],
-        ids=["index-short", "machine-long", "coefs-short"],
+        [("labels", [0, 1, 2]), ("dual_coefs", [1.0] * 9), ("dual_coefs", [1.0] * 7)],
+        ids=["labels-short", "coefs-long", "coefs-short"],
     )
     def test_entry_counts_agree(self, field, value):
         with pytest.raises(DimensionError):
@@ -788,17 +838,24 @@ class TestModelInvariants:
 
     def test_support_vectors_form_a_matrix(self):
         with pytest.raises(DimensionError):
-            self.model(support_vectors=np.arange(3.0))
+            self.model(points=np.arange(4.0))
 
     def test_machines_share_dimension(self):
         with pytest.raises(DimensionError):
-            pack(3, ((0, 1), (0, 2), (1, 2)),
+            pack(np.ones((2, 3)), [0, 1, 2],
                  (self.machine(), self.machine(dim=3), self.machine()))
 
     def test_machines_share_kernel(self):
         with pytest.raises(DomainError):
-            pack(3, ((0, 1), (0, 2), (1, 2)),
+            pack(np.ones((2, 3)), [0, 1, 2],
                  (self.machine(), self.machine(kernel=LINEAR), self.machine()))
+
+    def test_pack_refuses_a_vector_outside_its_two_classes(self):
+        # machine (0, 1) holds the point of class 2
+        points = np.arange(6.0).reshape(2, 3)
+        outside = svm.BinarySvm(points[:, [0, 2]], np.ones(2), 0.0, RBF2)
+        with pytest.raises(DomainError, match="no point of its classes"):
+            pack(points, [0, 1, 2], (outside, self.machine(n=0), self.machine(n=0)))
 
     def test_one_coefficient_per_support_vector(self):
         with pytest.raises(DimensionError):

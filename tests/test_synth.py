@@ -113,3 +113,29 @@ class TestProbes:
         rec = synth.synth_utterance(profile, np.random.default_rng(1),
                                     sample_rate=16000, duration_s=0.5)
         assert rec.sample_rate == 16000 and rec.samples.shape == (8000,)
+
+
+class TestVoiceNoise:
+    def test_no_snr_draws_nothing_more(self, data):
+        # the default adds no noise and leaves the generator where it was,
+        # so every gallery and probe drawn after it is as before
+        profile = data[2][0]
+        plain, none = np.random.default_rng(7), np.random.default_rng(7)
+        np.testing.assert_array_equal(synth.synth_utterance(profile, plain).samples,
+                                      synth.synth_utterance(profile, none, snr_db=None).samples)
+        assert plain.bit_generator.state == none.bit_generator.state
+        np.testing.assert_array_equal(synth.render_face(data[1][0], plain).gray,
+                                      synth.render_face(data[1][0], none).gray)
+
+    @pytest.mark.parametrize("snr_db", [20.0, 10.0, 0.0])
+    def test_noise_power_follows_the_snr(self, data, snr_db):
+        profile = data[2][0]
+        clean = synth.synth_utterance(profile, np.random.default_rng(8)).samples.astype(np.float64)
+        noisy = synth.synth_utterance(profile, np.random.default_rng(8), snr_db=snr_db).samples
+        noise = noisy.astype(np.float64) - clean
+        measured = 10.0 * np.log10(np.mean(clean * clean) / np.mean(noise * noise))
+        assert abs(measured - snr_db) < 0.2  # 8000 draws of the noise power
+
+    def test_loud_noise_is_clipped(self, data):
+        rec = synth.synth_utterance(data[2][0], np.random.default_rng(9), snr_db=-40.0)
+        assert np.abs(rec.samples).max() == 1.0
