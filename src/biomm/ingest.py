@@ -45,6 +45,16 @@ def _integer(value, error, what: str) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _real(values, what: str) -> np.ndarray:
+    """values as an array of real numbers: a complex or text array is
+    refused before any cast, which would keep only its real part or parse
+    the text."""
+    array = np.asarray(values)
+    if array.dtype.kind in "cSU":
+        raise DomainError(f"{what} must be real numbers, got dtype {array.dtype}")
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
     """Grayscale image; `gray` is row-major uint8, length width*height.
@@ -52,7 +62,8 @@ class ImageRecord:
     uint8 pixels are stored as given. Pixels of another type are stored as
     uint8 only if every value is an integer in 0..255; any other value,
     NaN and infinities among them, is refused before the cast, which would
-    otherwise wrap, truncate or zero it.
+    otherwise wrap, truncate or zero it, and so is a complex or text (str or
+    bytes) array, whatever its values.
     """
 
     width: int
@@ -62,7 +73,7 @@ class ImageRecord:
     def __post_init__(self):
         width = _integer(self.width, DimensionError, "image width")
         height = _integer(self.height, DimensionError, "image height")
-        gray = np.asarray(self.gray)
+        gray = _real(self.gray, "pixel values")
         if gray.dtype != np.uint8:
             values = gray.astype(np.float64)
             # NaN fails every comparison, so it is refused with the rest
@@ -82,12 +93,13 @@ class ImageRecord:
 class AudioRecord:
     """Mono audio at one of VALID_SAMPLE_RATES; samples lie in [-1, 1].
 
-    The given samples are checked as float64 values (finite, within
-    [-1, 1]) and stored as a float32 copy, which halves the memory an
-    enrollment holds until its fit. A 16-bit PCM value scaled by 1/32768,
-    as `load_wav` gives, is exact in float32; other float64 audio is
-    rounded once to the nearest float32 (a relative error of at most 2**-24
-    for magnitudes of 2**-126 and more).
+    The given samples, which may not be complex or text (str or bytes), are
+    checked as float64 values (finite, within [-1, 1]) and stored as a
+    float32 copy, which halves the memory an enrollment holds until its
+    fit. A 16-bit PCM value scaled by 1/32768, as `load_wav` gives, is
+    exact in float32; other float64 audio is rounded once to the nearest
+    float32 (a relative error of at most 2**-24 for magnitudes of 2**-126
+    and more).
     """
 
     sample_rate: int
@@ -97,7 +109,7 @@ class AudioRecord:
         rate = _integer(self.sample_rate, DomainError, "sample rate")
         if rate not in VALID_SAMPLE_RATES:
             raise DomainError(f"unsupported sample rate {rate}")
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(_real(self.samples, "samples"), dtype=np.float64)
         if samples.ndim != 1 or samples.size < 1:
             raise DimensionError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):

@@ -102,6 +102,11 @@ def _valid_client_id(client_id: str) -> bool:
     )
 
 
+def _check_weight(w_face: float) -> None:
+    if not 0.0 <= w_face <= 1.0:  # a NaN weight fails this test too
+        raise DomainError(f"w_face must lie in [0, 1], got {w_face}")
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """A fitted or loaded system. Its parts must fit together: a fusion
@@ -126,8 +131,7 @@ class SystemModel:
     face_size: tuple
 
     def __post_init__(self):
-        if not 0.0 <= self.w_face <= 1.0:  # a NaN weight fails this test too
-            raise DomainError(f"w_face must lie in [0, 1], got {self.w_face}")
+        _check_weight(self.w_face)
         rate = _integer(self.sample_rate, DomainError, "enrollment sample rate")
         if rate not in VALID_SAMPLE_RATES:
             raise DomainError(f"unsupported enrollment sample rate {rate}")
@@ -278,16 +282,20 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     Refits from scratch (PCA/LDA/SVM are batch learners) and calibrates the
     rejection threshold tau_dist from the genuine enrollment scores: the
     99th percentile of leave-one-out gallery distances (every gallery point
-    against the rest, by `knn.leave_one_out`, through the `knn.distances`
-    that identify and verify use), times DIST_HEADROOM.
+    against the rest, by `knn.leave_one_out` in blocks of points, through
+    the `knn.distances` and `knn.vote` that identify and verify use),
+    times DIST_HEADROOM.
 
     The face PCA and the LDA fitted in its coordinates are kept only as their
     product W_opt^T = W_fld^T W_pca^T, the Fisherface map from pixels; the
     gallery is projected with that map, so fitted and reloaded models agree.
 
-    Raises DatasetError when no client enrolled two different faces, or two
-    different recordings: that modality has no within-class variation.
+    Raises DomainError before any work when w_face lies outside [0, 1], by
+    the check SystemModel makes, and DatasetError when no client enrolled
+    two different faces, or two different recordings: that modality has no
+    within-class variation.
     """
+    _check_weight(w_face)
     if len(enrollment.client_ids) < 2:
         raise ClassError("at least two enrolled clients are required to fit")
 

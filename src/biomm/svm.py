@@ -11,6 +11,9 @@ predict by majority vote. The machines of a one-vs-one model are solved
 together in lock step: one vectorized step moves every machine that has
 not yet converged, and each machine takes exactly the steps it would take
 alone, so the model equals the one that training them one at a time gives.
+The step works on a stack that holds the moving machines alone and shrinks
+as they converge, and the biases are taken per group of machines with
+equal free-multiplier counts, not machine by machine.
 
 A one-vs-one model is stored in one dense layout, in memory and in the
 model file, as LIBSVM stores one (Chang & Lin, "LIBSVM", ACM TIST 2(3),
@@ -224,6 +227,15 @@ def _smo(k: np.ndarray, y: np.ndarray, size, c: float, tol: float):
     takes exactly the steps it would take alone. Its bias is the mean score
     over its free multipliers, or (m + M) / 2 when every multiplier is at a
     bound.
+
+    The stack holds the state of the moving machines alone: v, score, the
+    bounds and the kernel and curvature blocks. A machine that stops has its
+    v, score, m and M written back and leaves the stack, so no step gathers
+    the state of every machine. The biases are then taken per group of
+    machines with one count f of free multipliers: their free scores form
+    a B_f x f matrix, summed along its rows and divided by f, which adds in
+    the order score[b, free[b]].mean() adds, bit for bit. np.add.reduceat
+    adds a segment in another order and moves the last bit of some biases.
     """
     batch, n = y.shape
     real = np.arange(n) < np.asarray(size)[:, None]
@@ -231,42 +243,55 @@ def _smo(k: np.ndarray, y: np.ndarray, size, c: float, tol: float):
     upper = np.where(real & (y > 0), c, 0.0)
     diag = np.diagonal(k, axis1=1, axis2=2)
     curvature = np.maximum(diag[:, :, None] + diag[:, None, :] - 2.0 * k, TAU)
-    v = np.zeros((batch, n))
-    score = y.copy()
+    # each machine's final state, written when it stops
+    v_out, score_out = np.empty((batch, n)), np.empty((batch, n))
     top, bottom = np.empty(batch), np.empty(batch)
-    moving = np.arange(batch)
+    # the stack: row r of v, score, lo and hi holds the state of moving
+    # machine ids[r], and rows r * n .. r * n + n - 1 of k and curvature its
+    # blocks, so entry (r, i) of a state array is its flat entry base[r] + i
+    ids, v, score, lo, hi = np.arange(batch), np.zeros((batch, n)), y.copy(), lower, upper
+    k, curvature, base = k.reshape(-1, n), curvature.reshape(-1, n), np.arange(batch) * n
     for steps in range(MAX_ITERATIONS + 1):
-        up = np.where(v[moving] < upper[moving], score[moving], -np.inf)
-        low = np.where(v[moving] > lower[moving], score[moving], np.inf)
+        up = np.where(v < hi, score, -np.inf)
+        low = np.where(v > lo, score, np.inf)
         i = up.argmax(axis=1)
-        top[moving] = up[np.arange(moving.size), i]
-        bottom[moving] = low.min(axis=1)
-        open_ = top[moving] - bottom[moving] > tol
-        moving, i, low = moving[open_], i[open_], low[open_]
-        if moving.size == 0:
-            break
+        m, least = up.take(base + i), low.min(axis=1)
+        open_ = m - least > tol
+        if not open_.all():
+            done, stopped = ~open_, ids[~open_]
+            v_out[stopped], score_out[stopped] = v[done], score[done]
+            top[stopped], bottom[stopped] = m[done], least[done]
+            ids, v, score, lo, hi, i, m, least, low = (
+                a[open_] for a in (ids, v, score, lo, hi, i, m, least, low))
+            if ids.size == 0:
+                break
+            blocks = np.repeat(open_, n)
+            k, curvature, base = k[blocks], curvature[blocks], np.arange(ids.size) * n
         if steps == MAX_ITERATIONS:
-            gap = (top[moving] - bottom[moving]).max()
             raise ConvergenceError(
                 f"SMO hit the {MAX_ITERATIONS}-iteration cap with KKT gap "
-                f"{gap:.3e} > tol {tol:.3e}"
+                f"{(m - least).max():.3e} > tol {tol:.3e}"
             )
-        rows = np.arange(moving.size)
-        gain = np.maximum(top[moving, None] - low, 0.0)
-        j = (gain * gain / curvature[moving, i]).argmax(axis=1)
-        v_i, v_j = v[moving, i], v[moving, j]
-        room_up, room_down = upper[moving, i] - v_i, v_j - lower[moving, j]
-        step = np.minimum(np.minimum(gain[rows, j] / curvature[moving, i, j], room_up), room_down)
-        new_i = np.where(step == room_up, upper[moving, i], v_i + step)
-        new_j = np.where(step == room_down, lower[moving, j], v_j - step)
-        score[moving] -= (k[moving, i] * (new_i - v_i)[:, None]
-                          + k[moving, j] * (new_j - v_j)[:, None])
-        v[moving, i], v[moving, j] = new_i, new_j
-    free = (v > lower) & (v < upper)
+        fi = base + i
+        gain = np.maximum(m[:, None] - low, 0.0)
+        curve_i = curvature.take(fi, axis=0)
+        fj = base + (gain * gain / curve_i).argmax(axis=1)
+        v_i, v_j, hi_i, lo_j = v.take(fi), v.take(fj), hi.take(fi), lo.take(fj)
+        room_up, room_down = hi_i - v_i, v_j - lo_j
+        step = np.minimum(np.minimum(gain.take(fj) / curve_i.take(fj), room_up), room_down)
+        new_i = np.where(step == room_up, hi_i, v_i + step)
+        new_j = np.where(step == room_down, lo_j, v_j - step)
+        score -= (k.take(fi, axis=0) * (new_i - v_i)[:, None]
+                  + k.take(fj, axis=0) * (new_j - v_j)[:, None])
+        v.put(fi, new_i)
+        v.put(fj, new_j)
+    free = (v_out > lower) & (v_out < upper)
+    counts = free.sum(axis=1)
     biases = 0.5 * (top + bottom)
-    for b in np.flatnonzero(free.any(axis=1)):
-        biases[b] = score[b, free[b]].mean()
-    return y * v, biases
+    for count in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == count)
+        biases[group] = score_out[group][free[group]].reshape(-1, count).sum(axis=1) / count
+    return y * v_out, biases
 
 
 def _check_problem(x: np.ndarray, y: np.ndarray) -> None:

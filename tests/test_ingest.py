@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,32 @@ class TestRecordInvariants:
         samples[3] = value
         with pytest.raises(DomainError, match=match):
             AudioRecord(8000, samples)
+
+    # a cast to float would keep only the real part, with no more than a
+    # ComplexWarning, or parse the text as numbers: the type is refused
+    # before any cast
+    @pytest.mark.parametrize(
+        "samples",
+        [np.full(300, 0.1 + 0.9j), np.full(300, 0.1 + 0j), ["0.1"] * 300, [b"0.1"] * 300],
+        ids=["complex", "complex-real-valued", "str", "bytes"],
+    )
+    def test_audio_refuses_complex_and_text(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="real numbers"):
+                AudioRecord(8000, samples)
+
+    @pytest.mark.parametrize(
+        "gray",
+        [[1 + 1j, 2, 3, 4], np.array([1, 2, 3, 4], dtype=complex), ["1", "2", "3", "4"],
+         np.array([b"1", b"2", b"3", b"4"])],
+        ids=["complex", "complex-real-valued", "str", "bytes"],
+    )
+    def test_image_refuses_complex_and_text(self, gray):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="real numbers"):
+                ImageRecord(2, 2, gray)
 
     def test_numpy_integers_are_stored_as_int(self):
         audio = AudioRecord(np.int64(16000), np.zeros(10))

@@ -107,6 +107,17 @@ class TestClassify:
         with pytest.raises(DimensionError):
             knn.classify(m, np.ones(3))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 10])
+    def test_block_vote_equals_its_rows(self, k):
+        rng = np.random.RandomState(k)
+        labels = rng.randint(0, 4, size=30)
+        # thirds of small integers: many equal distances, within a class and across
+        ties = rng.randint(0, 6, size=(40, 30)) / 3.0
+        for block in (ties, rng.standard_normal((40, 30)) ** 2, ties[:1]):
+            got = knn.vote(labels, block, k)
+            assert isinstance(got, tuple) and len(got) == block.shape[0]
+            assert list(got) == [knn.vote(labels, row, k) for row in block]
+
 
 
 class TestGalleryArrays:
@@ -148,12 +159,28 @@ class TestLeaveOneOut:
         points[n // 2:] = points[: n - n // 2]
         return points, rng.randint(0, classes, size=n)
 
+    def special_galleries(self, rng, dim):
+        """Galleries whose votes turn on the tie rules."""
+        point = rng.standard_normal(dim)
+        # exact duplicates of one point in two classes, and a far pair
+        duplicates = np.array([point, point, point, point + 5.0, point + 5.0])
+        yield duplicates, np.array([0, 1, 1, 2, 0])
+        # points of a 0/1 lattice: many equal distances across classes
+        lattice = rng.randint(0, 2, size=(24, dim)).astype(np.float64)
+        yield lattice, rng.randint(0, 4, size=24)
+        # client 2 has one point, which the others vote on alone
+        points, labels = self.random_gallery(rng, dim, 12, 2)
+        yield np.vstack([points, rng.standard_normal(dim)]), np.append(labels, 2)
+        # two points vote among one, fewer than K
+        yield rng.standard_normal((2, dim)), np.array([1, 0])
+
     @pytest.mark.parametrize("dim", [1, 3, 19, 150])
     def test_equals_a_gallery_built_without_each_point(self, dim):
         rng = np.random.RandomState(dim)
-        # two points vote among one, fewer than K
-        for n, classes in ((2, 2), (4, 2), (9, 3), (40, 5)):
-            points, labels = self.random_gallery(rng, dim, n, classes)
+        galleries = [self.random_gallery(rng, dim, n, classes)
+                     for n, classes in ((2, 2), (4, 2), (9, 3), (40, 5))]
+        for points, labels in galleries + list(self.special_galleries(rng, dim)):
+            n = points.shape[0]
             results = knn.leave_one_out(knn.KnnModel(points, labels))
             assert len(results) == n
             for i, got in enumerate(results):

@@ -465,6 +465,14 @@ class TestSingleModality:
         with pytest.raises(DomainError, match="w_face"):
             pipeline.enroll_and_fit(world.gallery, w_face=w_face)
 
+    @pytest.mark.parametrize("w_face", [2.0, float("nan"), -0.1], ids=["above-one", "nan", "negative"])
+    def test_w_face_refused_before_any_fit_work(self, world, monkeypatch, w_face):
+        extracted = []
+        monkeypatch.setattr(mfcc, "extract", lambda *args: extracted.append(args))
+        with pytest.raises(DomainError, match="w_face"):
+            pipeline.enroll_and_fit(world.gallery, w_face=w_face)
+        assert extracted == []
+
 
 class TestModelFile:
     def test_reload_gives_equal_decisions(self, world, model_file):

@@ -330,9 +330,23 @@ class TestLockStepSolver:
         rng = np.random.RandomState(24)
         c, tol = 10.0, 1e-4
         problems = [ONE_STEP, random_problem(rng, 9), THREE_STEPS, random_problem(rng, 9), ONE_STEP]
-        steps = [steps_alone(svm.kernel_matrix(LINEAR, x, x), y, c, tol) for x, y in problems]
-        assert min(steps) == 1 and max(steps) >= 100
-        assert_lock_step_equals_reference(problems, LINEAR, c, tol)
+        # the same machines among every kind of bias: no free multiplier, so
+        # the bias is (m + M) / 2 (M = 0.09999999999999998 here); a single
+        # free multiplier, a residue of rounding (y'a = 0 holds a lone free
+        # one at 0 or c in exact arithmetic), whose bias 1.0 is not (m + M) / 2;
+        # and every multiplier free (ONE_STEP)
+        no_free = (np.array([[0.7, 0.3, 0.0]]), np.array([1.0, 1.0, -1.0]))
+        one_free = (np.array([[0.0, 2.0, 3.0, 3.0]]), np.array([1.0, 1.0, 1.0, -1.0]))
+        free = []
+        for x, y in (no_free, one_free, ONE_STEP):
+            v = reference_smo(svm.kernel_matrix(LINEAR, x, x), y, c, tol)[0] * y
+            free.append(int(((v > np.minimum(0.0, y * c)) & (v < np.maximum(0.0, y * c))).sum()))
+        assert free == [0, 1, ONE_STEP[1].size]
+        mixed = [no_free, *problems[:2], one_free, *problems[2:], no_free]
+        for stack in (problems, mixed):
+            steps = [steps_alone(svm.kernel_matrix(LINEAR, x, x), y, c, tol) for x, y in stack]
+            assert min(steps) == 1 and max(steps) >= 100
+            assert_lock_step_equals_reference(stack, LINEAR, c, tol)
 
     def test_iteration_cap_counts_each_machines_steps(self, monkeypatch):
         problems = [ONE_STEP, THREE_STEPS, ONE_STEP]
