@@ -2,18 +2,17 @@
 
 `ImageRecord` and `AudioRecord` are the raw inputs that enrollment and
 probes take; `LabeledDataset` is the feature matrix the subspace fits read.
-An enrollment holds its records until the batch fit, so they are kept
-compact: pixels as uint8 and audio as float32, which holds every 16-bit PCM
-sample exactly.
+Records are kept compact: pixels as uint8 and audio as float32, which holds
+every 16-bit PCM sample exactly.
 
 Supported carriers are deliberately minimal: binary PGM (P5, maxval <= 255)
 for images, 16-bit mono PCM WAV for audio, and TAB-separated UTF-8
 manifests mapping sample paths to class names. The codecs return single
-records and (path, class name) rows, not feature matrices: `fit_system`
-takes raw records per client and checks their image size and sample rate
-itself, so a command-line front end reads a manifest, loads each sample
-and enrolls it. Matching writers exist so tests and demos can synthesize
-fixtures.
+records and (path, class name) rows, not feature matrices: `Enrollment.add`
+takes raw records per client, checks their image size and sample rate and
+keeps only their features, so a command-line front end reads a manifest,
+loads each client's samples and enrolls them. Matching writers exist so
+tests and demos can synthesize fixtures.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ def _integer(value, error, what: str) -> int:
 
 
 def _real(values, what: str) -> np.ndarray:
-    """values as an array of real numbers: a complex or text array is
-    refused before any cast, which would keep only its real part or parse
-    the text."""
+    """values as an array of real numbers: a complex, text or object array
+    is refused before any cast, which would keep only its real part or parse
+    the text (an object array's cast calls float() on each element)."""
     array = np.asarray(values)
-    if array.dtype.kind in "cSU":
+    if array.dtype.kind in "cSUO":
         raise DomainError(f"{what} must be real numbers, got dtype {array.dtype}")
     return array
 
@@ -62,8 +61,8 @@ class ImageRecord:
     uint8 pixels are stored as given. Pixels of another type are stored as
     uint8 only if every value is an integer in 0..255; any other value,
     NaN and infinities among them, is refused before the cast, which would
-    otherwise wrap, truncate or zero it, and so is a complex or text (str or
-    bytes) array, whatever its values.
+    otherwise wrap, truncate or zero it, and so is a complex, text (str or
+    bytes) or object array, whatever its values.
     """
 
     width: int
@@ -93,10 +92,10 @@ class ImageRecord:
 class AudioRecord:
     """Mono audio at one of VALID_SAMPLE_RATES; samples lie in [-1, 1].
 
-    The given samples, which may not be complex or text (str or bytes), are
-    checked as float64 values (finite, within [-1, 1]) and stored as a
-    float32 copy, which halves the memory an enrollment holds until its
-    fit. A 16-bit PCM value scaled by 1/32768, as `load_wav` gives, is
+    The given samples, which may not be complex, text (str or bytes) or
+    objects, are checked as float64 values (finite, within [-1, 1]) and
+    stored as a float32 copy, which halves the memory a record holds. A
+    16-bit PCM value scaled by 1/32768, as `load_wav` gives, is
     exact in float32; other float64 audio is rounded once to the nearest
     float32 (a relative error of at most 2**-24 for magnitudes of 2**-126
     and more).

@@ -15,9 +15,12 @@ gallery's knn.K and the MFCC analysis constants of the mfcc module); PCA and
 LDA fix their widths from the data. The one setting a caller chooses is the
 fusion weight w_face.
 
+An Enrollment keeps features, not records, each image and recording checked
+against the first client's image size and sample rate; a probe is refused
+by the same two checks.
+
 save_model and load_model both walk LAYOUT, the model file's one list of
-its sections and records; the comment above it gives their encoding. A
-probe whose rate or image size differs from enrollment is refused.
+its sections and records; the comment above it gives their encoding.
 
 Verification is 1:1, with no gallery built per claim: the face against the
 claimed client's slice of gallery rows, the voice by the claimed client's
@@ -181,39 +184,43 @@ class SystemModel:
 
 
 class Enrollment:
-    """Accumulates per-client raw biometrics until the batch fit.
-
-    It holds every record it is given, not features, until `fit_system`
-    reads them, so an enrollment's memory is that of its records: a
-    second of 8 kHz audio is 32 KB as an AudioRecord keeps it (float32).
-    """
+    """Accumulates per-client features until the batch fit: `add` keeps a
+    client's face pixels as one uint8 block and its recordings' MFCC
+    summaries as one float64 block, a row per sample, and no record
+    (1,792 bytes for 4 16x16 faces and 4 recordings of any length)."""
 
     def __init__(self):
-        self._clients: dict[str, tuple[list, list]] = {}
+        self._clients: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._inputs = None  # (face_size, sample_rate) of the first client
 
     def add(self, client_id: str, face_images, voice_recordings) -> "Enrollment":
+        """Enroll one client, or raise and leave the enrollment as it was."""
         if not _valid_client_id(client_id):
             raise EnrollmentError(
                 f"client id {client_id!r} must be a non-empty UTF-8 string without whitespace"
             )
+        whose = f"client {client_id!r}"
         if client_id in self._clients:
-            raise EnrollmentError(f"client {client_id!r} is already enrolled")
+            raise EnrollmentError(f"{whose} is already enrolled")
         faces = list(face_images)
         voices = list(voice_recordings)
         if len(faces) < 2 or len(voices) < 2:
-            raise EnrollmentError(
-                f"client {client_id!r} needs >= 2 face images and >= 2 recordings"
-            )
-        _require_records(EnrollmentError, f"client {client_id!r}", faces, voices)
-        self._clients[client_id] = (faces, voices)
+            raise EnrollmentError(f"{whose} needs >= 2 face images and >= 2 recordings")
+        _require_records(EnrollmentError, whose, faces, voices)
+        size, rate = self._inputs or ((faces[0].width, faces[0].height), voices[0].sample_rate)
+        for image in faces:
+            _check_size(whose, image, size)
+        for recording in voices:
+            _check_rate(whose, recording, rate)
+        pixels = np.array([image.gray for image in faces])
+        summaries = np.array([mfcc_mod.extract(recording).summary for recording in voices])
+        self._inputs = size, rate
+        self._clients[client_id] = (pixels, summaries)
         return self
 
     @property
     def client_ids(self) -> tuple:
         return tuple(self._clients)
-
-    def items(self):
-        return self._clients.items()
 
 
 def _require_records(error: type, whose: str, faces, voices) -> None:
@@ -224,40 +231,29 @@ def _require_records(error: type, whose: str, faces, voices) -> None:
                 raise error(f"{whose} {what} must be an {kind.__name__}, got {type(record).__name__}")
 
 
-def _face_dataset(enrollment: Enrollment) -> tuple:
-    """The face columns and the (width, height) that every image shares."""
-    columns, labels = [], []
-    shape = None
-    for label, (client_id, (faces, _)) in enumerate(enrollment.items()):
-        for img in faces:
-            if shape is None:
-                shape = (img.width, img.height)
-            elif (img.width, img.height) != shape:
-                raise DatasetError(
-                    f"client {client_id!r} image is {img.width}x{img.height}, "
-                    f"expected {shape[0]}x{shape[1]}"
-                )
-            columns.append(image_to_vector(img))
-            labels.append(label)
-    return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), shape
+def _check_size(whose: str, image: ImageRecord, size: tuple) -> None:
+    if (image.width, image.height) != size:
+        raise DatasetError(
+            f"{whose} image is {image.width}x{image.height}, expected {size[0]}x{size[1]}"
+        )
 
 
-def _voice_dataset(enrollment: Enrollment) -> tuple:
-    """The MFCC summary columns and the sample rate that every recording shares."""
-    columns, labels = [], []
-    rate = None
-    for label, (client_id, (_, voices)) in enumerate(enrollment.items()):
-        for rec in voices:
-            if rate is None:
-                rate = rec.sample_rate
-            elif rec.sample_rate != rate:
-                raise DatasetError(
-                    f"client {client_id!r} recording is at {rec.sample_rate} Hz, "
-                    f"expected {rate} Hz"
-                )
-            columns.append(mfcc_mod.extract(rec).summary)
-            labels.append(label)
-    return LabeledDataset(np.column_stack(columns), labels, enrollment.client_ids), rate
+def _check_rate(whose: str, recording: AudioRecord, rate: int) -> None:
+    if recording.sample_rate != rate:
+        raise DatasetError(
+            f"{whose} recording is at {recording.sample_rate} Hz, expected {rate} Hz"
+        )
+
+
+def _stacked(blocks, class_names: tuple) -> LabeledDataset:
+    """The clients' feature blocks, a row per sample, as the columns of one
+    float64 matrix in enrollment order, cast in the one copy that stacks
+    them. The matrix is row-major: the fits' BLAS products depend on the
+    layout, and the pinned model files were made from a row-major one."""
+    labels = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    columns = np.empty((blocks[0].shape[1], labels.size))
+    np.concatenate([block.T for block in blocks], axis=1, out=columns)
+    return LabeledDataset(columns, labels, class_names)
 
 
 def _require_within_class_variation(ds: LabeledDataset, what: str) -> None:
@@ -298,8 +294,10 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     _check_weight(w_face)
     if len(enrollment.client_ids) < 2:
         raise ClassError("at least two enrolled clients are required to fit")
+    pixels, summaries = zip(*enrollment._clients.values())
+    face_size, sample_rate = enrollment._inputs
 
-    face_ds, face_size = _face_dataset(enrollment)
+    face_ds = _stacked(pixels, enrollment.client_ids)
     _require_within_class_variation(face_ds, "faces")
     face_pca = pca_mod.fit_pca(face_ds)
     pca_coords = pca_mod.project(face_pca, face_ds.features)
@@ -314,7 +312,7 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
     # one row per enrolled face, in enrollment order: grouped by client
     face_gallery = knn_mod.KnnModel(pca_mod.project(face, face_ds.features).T, face_ds.labels)
 
-    voice_ds, sample_rate = _voice_dataset(enrollment)
+    voice_ds = _stacked(summaries, enrollment.client_ids)
     _require_within_class_variation(voice_ds, "recordings")
     voice_lda = lda_mod.fit_lda(voice_ds)
     voice_coords = pca_mod.project(voice_lda, voice_ds.features)
@@ -342,7 +340,9 @@ def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
 
 
 def enroll_and_fit(gallery: dict, w_face: float = 0.5) -> SystemModel:
-    """Convenience: enroll {client_id: (faces, voices)} in dict order and fit."""
+    """Convenience: enroll {client_id: (faces, voices)} in dict order and
+    fit. An invalid w_face is refused before any client is enrolled."""
+    _check_weight(w_face)
     enrollment = Enrollment()
     for client_id, (faces, voices) in gallery.items():
         enrollment.add(client_id, faces, voices)
@@ -350,16 +350,12 @@ def enroll_and_fit(gallery: dict, w_face: float = 0.5) -> SystemModel:
 
 
 def _face_probe(m: SystemModel, face_image: ImageRecord):
-    size = (face_image.width, face_image.height)
-    if size != m.face_size:
-        raise DatasetError("probe image is %dx%d, enrolled ones %dx%d" % (*size, *m.face_size))
+    _check_size("probe", face_image, m.face_size)
     return pca_mod.project(m.face, image_to_vector(face_image))
 
 
 def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
-    rate = voice_recording.sample_rate
-    if rate != m.sample_rate:
-        raise DatasetError(f"probe voice is at {rate} Hz, enrolled ones at {m.sample_rate} Hz")
+    _check_rate("probe", voice_recording, m.sample_rate)
     summary = mfcc_mod.extract(voice_recording).summary
     return pca_mod.project(m.voice_lda, summary)
 

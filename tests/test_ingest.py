@@ -234,12 +234,13 @@ class TestRecordInvariants:
             AudioRecord(8000, samples)
 
     # a cast to float would keep only the real part, with no more than a
-    # ComplexWarning, or parse the text as numbers: the type is refused
-    # before any cast
+    # ComplexWarning, or parse the text as numbers, also text held as Python
+    # objects: the type is refused before any cast
     @pytest.mark.parametrize(
         "samples",
-        [np.full(300, 0.1 + 0.9j), np.full(300, 0.1 + 0j), ["0.1"] * 300, [b"0.1"] * 300],
-        ids=["complex", "complex-real-valued", "str", "bytes"],
+        [np.full(300, 0.1 + 0.9j), np.full(300, 0.1 + 0j), ["0.1"] * 300, [b"0.1"] * 300,
+         np.array(["0.1"] * 300, dtype=object), np.array([0.1] * 300, dtype=object)],
+        ids=["complex", "complex-real-valued", "str", "bytes", "object-text", "object-numbers"],
     )
     def test_audio_refuses_complex_and_text(self, samples):
         with warnings.catch_warnings():
@@ -250,8 +251,9 @@ class TestRecordInvariants:
     @pytest.mark.parametrize(
         "gray",
         [[1 + 1j, 2, 3, 4], np.array([1, 2, 3, 4], dtype=complex), ["1", "2", "3", "4"],
-         np.array([b"1", b"2", b"3", b"4"])],
-        ids=["complex", "complex-real-valued", "str", "bytes"],
+         np.array([b"1", b"2", b"3", b"4"]), np.array(["1", "2", "3", "4"], dtype=object),
+         np.array([1, 2, 3, 4], dtype=object)],
+        ids=["complex", "complex-real-valued", "str", "bytes", "object-text", "object-numbers"],
     )
     def test_image_refuses_complex_and_text(self, gray):
         with warnings.catch_warnings():

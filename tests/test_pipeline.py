@@ -4,6 +4,7 @@ import base64
 import errno
 import re
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from biomm.errors import (
     DomainError,
     EnrollmentError,
     FormatError,
+    TooShortError,
 )
 from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
 from biomm.ingest import image_to_vector
@@ -189,6 +191,61 @@ class TestEnrollmentRefusals:
         with pytest.raises(EnrollmentError, match=">= 2"):
             enrollment.add(world.names[0], faces[:num_faces], voices[:num_voices])
         assert enrollment.client_ids == ()
+
+    # The defect is in the client's last record, so add has checked the
+    # records before it (and, for a short recording, extracted their MFCC)
+    # when it refuses the client. A refused first client's records are at
+    # 16 kHz and 8x32, not the gallery's 8 kHz and 16x16, so that if it left
+    # its rate or size behind, the gallery's clients would be refused.
+    @pytest.mark.parametrize("enrolled_before", [0, 1], ids=["first-client", "second-client"])
+    @pytest.mark.parametrize(
+        "defect, error, match",
+        [("short-recording", TooShortError, "frame"),
+         ("other-rate", DatasetError, r"recording is at \d+ Hz, expected \d+ Hz"),
+         ("other-size", DatasetError, r"image is \d+x\d+, expected \d+x\d+")],
+        ids=["short-recording", "other-rate", "other-size"],
+    )
+    def test_refused_client_leaves_the_enrollment_as_it_was(
+        self, world, model_file, enrolled_before, defect, error, match
+    ):
+        name = world.names[enrolled_before]
+        rates, sizes = [8000, 16000], [(16, 16), (8, 32)]
+        if enrolled_before == 0:
+            rates.reverse()
+            sizes.reverse()
+        faces = [ImageRecord(*sizes[0], face.gray) for face in world.gallery[name][0]]
+        voices = [AudioRecord(rates[0], voice.samples) for voice in world.gallery[name][1]]
+        if defect == "short-recording":
+            voices[-1] = AudioRecord(rates[0], voices[-1].samples[:100])
+        elif defect == "other-rate":
+            voices[-1] = AudioRecord(rates[1], voices[-1].samples)
+        else:
+            faces[-1] = ImageRecord(*sizes[1], faces[-1].gray)
+        enrollment = pipeline.Enrollment()
+        for before in world.names[:enrolled_before]:
+            enrollment.add(before, *world.gallery[before])
+        with pytest.raises(error, match=match):
+            enrollment.add(name, faces, voices)
+        assert enrollment.client_ids == tuple(world.names[:enrolled_before])
+        for after in world.names[enrolled_before:]:
+            enrollment.add(after, *world.gallery[after])
+        path = model_file.with_name(f"refused-{enrolled_before}-{defect}.biomm")
+        pipeline.save_model(pipeline.fit_system(enrollment), path)
+        assert path.read_bytes() == model_file.read_bytes()
+
+    def test_enrollment_keeps_no_record(self, model_file):
+        # the same seed synthesizes the world's gallery afresh
+        gallery = synth.make_enrollment_data(num_clients=NUM_CLIENTS, seed=3)[0]
+        enrollment = pipeline.Enrollment()
+        records = []
+        for name, (faces, voices) in gallery.items():
+            enrollment.add(name, faces, voices)
+            records += [weakref.ref(record) for record in (*faces, *voices)]
+        del gallery, faces, voices
+        assert len(records) == 40 and [ref() for ref in records] == [None] * 40
+        path = model_file.with_name("no-records.biomm")
+        pipeline.save_model(pipeline.fit_system(enrollment), path)
+        assert path.read_bytes() == model_file.read_bytes()
 
     def test_one_client_cannot_be_fitted(self, world):
         faces, voices = world.gallery[world.names[0]]
