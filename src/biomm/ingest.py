@@ -184,7 +184,7 @@ def _pgm_tokens(data: bytes, count: int, start: int):
 
 
 def load_pgm(path) -> ImageRecord:
-    """Load a binary PGM ("P5") image with maxval <= 255."""
+    """Load a binary PGM ("P5") image with maxval <= 255 and no gray value above it."""
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise FormatError(f"bad PGM magic {data[:2]!r} (only binary P5 is supported)")
@@ -203,7 +203,10 @@ def load_pgm(path) -> ImageRecord:
         raise FormatError(
             f"truncated PGM payload: {len(payload)} of {width * height} bytes"
         )
-    return ImageRecord(width, height, np.frombuffer(payload, dtype=np.uint8).copy())
+    gray = np.frombuffer(payload, dtype=np.uint8).copy()
+    if gray.max() > maxval:
+        raise FormatError(f"PGM gray value {gray.max()} above maxval {maxval}")
+    return ImageRecord(width, height, gray)
 
 
 def write_pgm(path, img: ImageRecord) -> None:
@@ -213,6 +216,9 @@ def write_pgm(path, img: ImageRecord) -> None:
 
 def load_wav(path) -> AudioRecord:
     """Load a 16-bit mono PCM RIFF/WAVE file; samples scaled by 1/32768.
+
+    The fmt chunk's block_align must be 2 and the data chunk must hold a
+    whole number of samples; FormatError otherwise.
 
     Every scaled value is a float32 value, so the record holds the file's
     samples exactly.
@@ -240,14 +246,18 @@ def load_wav(path) -> AudioRecord:
         raise FormatError("missing fmt chunk")
     if payload is None:
         raise FormatError("missing data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
+    audio_format, channels, sample_rate, _, block_align, bits = fmt
     if audio_format != 1:
         raise UnsupportedFormatError(f"only PCM supported, got format code {audio_format}")
     if channels != 1:
         raise UnsupportedFormatError(f"only mono supported, got {channels} channels")
     if bits != 16:
         raise UnsupportedFormatError(f"only 16-bit supported, got {bits}")
-    raw = np.frombuffer(payload[: len(payload) - (len(payload) % 2)], dtype="<i2")
+    if block_align != 2:
+        raise FormatError(f"block_align {block_align} contradicts 16-bit mono (must be 2)")
+    if len(payload) % 2:
+        raise FormatError(f"data chunk of {len(payload)} bytes holds no whole number of samples")
+    raw = np.frombuffer(payload, dtype="<i2")
     return AudioRecord(sample_rate, raw.astype(np.float64) / 32768.0)
 
 

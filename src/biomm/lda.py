@@ -2,11 +2,13 @@
 
 The between-class scatter is sum_i n_i (m_i - m)(m_i - m)^T, the standard
 Fisherface form; together with the within-class scatter it decomposes the
-total scatter exactly, which the test suite certifies. One sort puts the
+total scatter exactly, which the test suite certifies. A sort puts the
 samples in a canonical order, grouped by class and within a class by their
-values, so a permuted dataset yields bit-identical results; the class sums
-are then taken over each group, and S_W is one product of all the columns
-centred on their class means.
+values from the first row down, so a permuted dataset yields bit-identical
+results. The sort keys on the label and the first row alone, and sorts on
+every row only when two columns of one class tie on the first; both give
+the same order. The class sums are then taken over each group, and S_W is
+one product of all the columns centred on their class means.
 """
 
 from __future__ import annotations
@@ -43,8 +45,14 @@ def scatter(ds: LabeledDataset) -> ScatterPair:
         raise DomainError(f"dimension {d} too large for dense scatter (max 2000)")
     counts = np.bincount(ds.labels)  # a LabeledDataset holds every class
 
-    # label first, then the values from the first row down: the canonical order
-    order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
+    # label first, then the values from the first row down: the canonical
+    # order. Label and first row settle it unless two columns of one class
+    # tie on that row; only then do the later rows take part.
+    first = ds.features[0]
+    order = np.lexsort((first, ds.labels))
+    labels, first = ds.labels[order], first[order]
+    if np.any((labels[1:] == labels[:-1]) & (first[1:] == first[:-1])):
+        order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
     columns = ds.features[:, order]
     starts = np.cumsum(counts) - counts
     class_sums = np.add.reduceat(columns, starts, axis=1)

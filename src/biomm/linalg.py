@@ -5,7 +5,7 @@ each column is one sample vector. Every function is pure and returns
 freshly allocated arrays.
 
 The factorizations are numpy's LAPACK routines (`eigh`, `cholesky`,
-`solve`); this module adds the contracts the rest of the package relies
+`inv`); this module adds the contracts the rest of the package relies
 on: input validation (`as_matrix`, and symmetry for the eigensolvers),
 descending eigenvalue order, a deterministic sign for every eigenvector,
 and SingularityError in place of the LinAlgError of a failed Cholesky
@@ -63,14 +63,20 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _eigh_descending(a: np.ndarray):
+    # a is symmetric already; eigh's ascending order reversed
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1].copy(), vectors[:, ::-1]
+
+
 def sym_eig(a) -> EigenPairs:
     """Full eigendecomposition of a symmetric matrix (LAPACK via np.linalg.eigh).
 
     Returns eigenvalues sorted descending with matching orthonormal
     eigenvector columns, each oriented by _fix_signs.
     """
-    values, vectors = np.linalg.eigh(_check_symmetric(a, "a"))
-    return EigenPairs(values[::-1].copy(), _fix_signs(vectors[:, ::-1]))
+    values, vectors = _eigh_descending(_check_symmetric(a, "a"))
+    return EigenPairs(values, _fix_signs(vectors))
 
 
 def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
@@ -78,8 +84,9 @@ def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
 
     Solved by Cholesky whitening: with L L^T = s_w + reg*I the symmetric
     problem L^-1 s_b L^-T shares the eigenvalues, and its eigenvectors map
-    back through L^-T. Returned vectors are unit Euclidean norm (they are
-    not mutually orthogonal in general). Raises SingularityError when
+    back through L^-T; L is inverted once and both products reuse the
+    inverse. Returned vectors are unit Euclidean norm (they are not
+    mutually orthogonal in general). Raises SingularityError when
     s_w + reg*I has no Cholesky factor or a condition estimate above
     SPD_COND_LIMIT.
     """
@@ -103,8 +110,9 @@ def gen_eig(s_b, s_w, reg: float) -> EigenPairs:
         )
 
     # B = L^-1 s_b L^-T, symmetrized against round-off
-    b = np.linalg.solve(l, np.linalg.solve(l, s_b).T).T
-    pairs = sym_eig(0.5 * (b + b.T))
-    vectors = np.linalg.solve(l.T, pairs.vectors)
+    linv = np.linalg.inv(l)
+    b = linv @ s_b @ linv.T
+    values, vectors = _eigh_descending(0.5 * (b + b.T))
+    vectors = linv.T @ vectors
     vectors = vectors / np.sqrt((vectors * vectors).sum(axis=0))
-    return EigenPairs(pairs.values, _fix_signs(vectors))
+    return EigenPairs(values, _fix_signs(vectors))

@@ -5,7 +5,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from biomm import knn, pipeline, svm
+from biomm import knn, lda, pipeline, svm
 from biomm.errors import ConvergenceError, DimensionError, DomainError
 
 
@@ -177,6 +177,24 @@ def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.S
             keep = np.flatnonzero(a[:y.size] > svm.PRUNE_TOL)
             machines.append(svm.BinarySvm(x[:, keep], (a[:y.size] * y)[keep], float(bias), kernel))
     return pack(ds.features, ds.labels, machines)
+
+
+def reference_scatter(ds) -> lda.ScatterPair:
+    """`lda.scatter` with the canonical order taken by one lexsort on the
+    label and every feature row, first row first, whatever ties there are.
+    `lda.scatter` must give the same bits."""
+    counts = np.bincount(ds.labels)
+    order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
+    columns = ds.features[:, order]
+    starts = np.cumsum(counts) - counts
+    class_sums = np.add.reduceat(columns, starts, axis=1)
+    class_means = class_sums / counts
+    total_mean = class_sums.sum(axis=1) / counts.sum()
+    centered = columns - np.repeat(class_means, counts, axis=1)
+    s_w = centered @ centered.T
+    diff = class_means - total_mean[:, None]
+    s_b = (diff * counts) @ diff.T
+    return lda.ScatterPair(0.5 * (s_w + s_w.T), 0.5 * (s_b + s_b.T), class_means, total_mean)
 
 
 def reference_loo_distances(points, labels) -> np.ndarray:

@@ -42,6 +42,12 @@ class TestPgm:
         with pytest.raises(FormatError, match="maxval"):
             ingest.load_pgm(p)
 
+    def test_gray_above_maxval_rejected(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 200, 15, 255]))
+        with pytest.raises(FormatError, match="maxval"):
+            ingest.load_pgm(p)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n2 2\n255\n\x00\x01")
@@ -82,6 +88,28 @@ class TestWav:
         p = tmp_path / "st.wav"
         p.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
         with pytest.raises(UnsupportedFormatError, match="mono"):
+            ingest.load_wav(p)
+
+    @staticmethod
+    def write_mono(path, body, block_align=2):
+        import struct
+
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, block_align, 16)
+        chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        chunks += b"data" + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+
+    def test_odd_length_data_rejected(self, tmp_path):
+        # three bytes are one and a half 16-bit samples
+        p = tmp_path / "odd.wav"
+        self.write_mono(p, b"\x01\x00\x02")
+        with pytest.raises(FormatError, match="whole number of samples"):
+            ingest.load_wav(p)
+
+    def test_block_align_must_match_16_bit_mono(self, tmp_path):
+        p = tmp_path / "align.wav"
+        self.write_mono(p, np.zeros(4, dtype="<i2").tobytes(), block_align=7)
+        with pytest.raises(FormatError, match="block_align"):
             ingest.load_wav(p)
 
     def test_missing_data_chunk(self, tmp_path):

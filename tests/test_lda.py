@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from conftest import reference_scatter
 
-from biomm import lda, pca
+from biomm import lda, pca, pipeline, synth
 from biomm.errors import ClassError, RankError, SingularityError
 from biomm.ingest import LabeledDataset
 
@@ -34,7 +35,7 @@ def random_labeled(rng, dim, classes, per_class, spread=3.0):
     return make_ds(np.column_stack(features), labels)
 
 
-def reference_scatter(features, labels, classes):
+def loop_scatter(features, labels, classes):
     """S_W, S_B and the class means the long way: a loop over the classes and
     over each class's samples, summing one outer product at a time."""
     d = features.shape[0]
@@ -61,7 +62,55 @@ def interleaved_with_duplicates(rng, dim, sizes):
     return make_ds(features, labels.tolist())
 
 
+def first_row_ties(rng, dim, sizes, tied):
+    """Shuffled columns of classes of the given sizes whose first row holds
+    only the values in `tied`, so many columns of one class tie on it, and
+    whose later rows all differ."""
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    features = 1e3 * rng.standard_normal((dim, labels.size))
+    features[0] = rng.choice(tied, size=labels.size)
+    return make_ds(features, labels.tolist())
+
+
+def enrollment_datasets():
+    """The face pixels, their PCA coordinates and the voice summaries that
+    fit_system fits on for the 20-client gallery of seed 1."""
+    gallery, _, _, _ = synth.make_enrollment_data(20, 4, 4, seed=1)
+    enrollment = pipeline.Enrollment()
+    for client_id, (faces, voices) in gallery.items():
+        enrollment.add(client_id, faces, voices)
+    pixels, summaries = zip(*enrollment._clients.values())
+    face_ds = pipeline._stacked(pixels, enrollment.client_ids)
+    coords = pca.project(pca.fit_pca(face_ds), face_ds.features)
+    pca_ds = LabeledDataset(coords, face_ds.labels, face_ds.class_names)
+    return face_ds, pca_ds, pipeline._stacked(summaries, enrollment.client_ids)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestScatter:
+    def test_matches_the_sort_on_every_row(self):
+        # the sort on label and first row alone must give the order of the
+        # sort on every row: ties on the first row, 0.0 against -0.0 among
+        # them, and duplicate columns fall back to it
+        rng = np.random.RandomState(12)
+        cases = []
+        for _ in range(10):
+            sizes = rng.randint(1, 13, size=rng.randint(2, 7))
+            labels = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+            cases.append(make_ds(rng.standard_normal((rng.randint(1, 9), labels.size)), labels.tolist()))
+            cases.append(first_row_ties(rng, rng.randint(2, 9), sizes, [-1.5, 0.25, 3.0]))
+            cases.append(first_row_ties(rng, rng.randint(2, 9), sizes, [0.0, -0.0]))
+            cases.append(interleaved_with_duplicates(rng, rng.randint(1, 9), sizes))
+        cases.extend(enrollment_datasets())
+        for ds in cases:
+            pair, want = lda.scatter(ds), reference_scatter(ds)
+            for name in ("s_w", "s_b", "class_means", "total_mean"):
+                assert_same_bits(getattr(pair, name), getattr(want, name))
+
     def test_matches_a_per_class_loop(self):
         # classes of 8 or more samples are where a pairwise and a
         # sequential sum can differ in their last bits
@@ -70,7 +119,7 @@ class TestScatter:
             sizes = rng.randint(1, 13, size=rng.randint(2, 7))
             ds = interleaved_with_duplicates(rng, rng.randint(1, 9), sizes)
             pair = lda.scatter(ds)
-            want = reference_scatter(ds.features, ds.labels, ds.num_classes)
+            want = loop_scatter(ds.features, ds.labels, ds.num_classes)
             for got, expected in zip((pair.s_w, pair.s_b, pair.class_means), want):
                 np.testing.assert_allclose(
                     got, expected, rtol=0, atol=1e-12 * np.abs(expected).max()

@@ -148,6 +148,17 @@ class TestGenEig:
             m = np.linalg.solve(s_w + reg * np.eye(n), s_b)
             residual = m @ pairs.vectors - pairs.vectors * pairs.values
             assert np.abs(residual).max() <= 1e-7 * max(1.0, np.abs(m).max())
+        # the sizes the fits reach, with s_w of a set condition number; the
+        # residual s_b v - lambda s_w v grows with it
+        for n in (24, 60, 256):
+            for cond in (1e2, 1e6, 1e10):
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                s_w = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
+                s_w = 0.5 * (s_w + s_w.T)
+                s_b = random_symmetric(rng, n)
+                pairs = linalg.gen_eig(s_b, s_w, 0.0)
+                residual = s_b @ pairs.vectors - (s_w @ pairs.vectors) * pairs.values
+                assert np.abs(residual).max() <= 1e-15 * cond * np.abs(s_b).max()
 
     def test_singular_without_reg(self):
         with pytest.raises(SingularityError):
