@@ -184,7 +184,10 @@ def _pgm_tokens(data: bytes, count: int, start: int):
 
 
 def load_pgm(path) -> ImageRecord:
-    """Load a binary PGM ("P5") image with maxval <= 255 and no gray value above it."""
+    """Load a binary PGM ("P5") image with maxval <= 255 and no gray value above it.
+
+    Gray g becomes round(g * 255 / maxval), ties to even, so maxval 255 loads as is.
+    """
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise FormatError(f"bad PGM magic {data[:2]!r} (only binary P5 is supported)")
@@ -203,10 +206,11 @@ def load_pgm(path) -> ImageRecord:
         raise FormatError(
             f"truncated PGM payload: {len(payload)} of {width * height} bytes"
         )
-    gray = np.frombuffer(payload, dtype=np.uint8).copy()
+    gray = np.frombuffer(payload, dtype=np.uint8)
     if gray.max() > maxval:
         raise FormatError(f"PGM gray value {gray.max()} above maxval {maxval}")
-    return ImageRecord(width, height, gray)
+    # g * 255 is exact, so the one division gives a tie as exactly k + 1/2
+    return ImageRecord(width, height, np.rint(gray * 255.0 / maxval).astype(np.uint8))
 
 
 def write_pgm(path, img: ImageRecord) -> None:
@@ -217,8 +221,9 @@ def write_pgm(path, img: ImageRecord) -> None:
 def load_wav(path) -> AudioRecord:
     """Load a 16-bit mono PCM RIFF/WAVE file; samples scaled by 1/32768.
 
-    The fmt chunk's block_align must be 2 and the data chunk must hold a
-    whole number of samples; FormatError otherwise.
+    The fmt chunk's block_align must be 2, its byte_rate twice the sample
+    rate, and the data chunk must hold a whole number of samples;
+    FormatError otherwise.
 
     Every scaled value is a float32 value, so the record holds the file's
     samples exactly.
@@ -246,7 +251,7 @@ def load_wav(path) -> AudioRecord:
         raise FormatError("missing fmt chunk")
     if payload is None:
         raise FormatError("missing data chunk")
-    audio_format, channels, sample_rate, _, block_align, bits = fmt
+    audio_format, channels, sample_rate, byte_rate, block_align, bits = fmt
     if audio_format != 1:
         raise UnsupportedFormatError(f"only PCM supported, got format code {audio_format}")
     if channels != 1:
@@ -255,6 +260,8 @@ def load_wav(path) -> AudioRecord:
         raise UnsupportedFormatError(f"only 16-bit supported, got {bits}")
     if block_align != 2:
         raise FormatError(f"block_align {block_align} contradicts 16-bit mono (must be 2)")
+    if byte_rate != sample_rate * block_align:
+        raise FormatError(f"byte_rate {byte_rate} contradicts {sample_rate} Hz 16-bit mono")
     if len(payload) % 2:
         raise FormatError(f"data chunk of {len(payload)} bytes holds no whole number of samples")
     raw = np.frombuffer(payload, dtype="<i2")
@@ -311,7 +318,3 @@ def manifest_class_ids(records):
         labels.append(names.index(class_name))
     return np.asarray(labels, dtype=np.int64), tuple(names)
 
-
-def image_to_vector(img: ImageRecord) -> np.ndarray:
-    """Row-major flattening of pixel intensities, cast to float (not rescaled)."""
-    return img.gray.astype(np.float64)

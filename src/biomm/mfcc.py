@@ -36,14 +36,13 @@ frame) follow from the sample rate, so the Hamming window and the
 filterbank weights are built once per rate in VALID_SAMPLE_RATES, and the
 cosine-transform matrix once; every utterance shares them, read-only.
 
-An utterance is summarized by the per-coefficient mean and standard
-deviation across frames, giving a fixed-length vector of 2 * NUM_CEPS
-values for LDA/SVM.
+`extract` summarizes an utterance by the per-coefficient mean and then
+standard deviation across frames: a float64 vector of 2 * NUM_CEPS values
+for LDA/SVM. It keeps no per-frame cepstra; the public stages give them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,18 +75,6 @@ def frame_geometry(sample_rate: int) -> tuple:
     frame_len = int(round(FRAME_MS * sample_rate / 1000.0))
     hop = int(round(SHIFT_MS * sample_rate / 1000.0))
     return frame_len, hop, 1 << (frame_len - 1).bit_length()
-
-
-@dataclass(frozen=True, eq=False)
-class MfccFeatures:
-    """Per-frame cepstra (NUM_CEPS x frames) and the utterance summary.
-
-    summary = per-coefficient mean across frames followed by the
-    per-coefficient standard deviation (length 2 * NUM_CEPS).
-    """
-
-    frames: np.ndarray
-    summary: np.ndarray
 
 
 @lru_cache(maxsize=len(VALID_SAMPLE_RATES))
@@ -130,13 +117,14 @@ def frame_and_window(audio: AudioRecord) -> np.ndarray:
 
 
 def power_spectrum(frames) -> np.ndarray:
-    """One-sided power spectrum of a real frame, or of every row of a matrix.
+    """One-sided power spectrum of every row of a frames x N matrix.
 
-    Returns |X_k|^2 for k = 0..N/2, where X_k = sum_n x_n exp(-2j*pi*k*n/N)
-    is the plain DFT of length N (the frame length, or the column count of a
-    matrix), which must be a power of two. The bins above N/2 mirror these
-    for real input and are not computed: numpy's real FFT yields only
-    X_0..X_{N/2}.
+    Returns the frames x (N/2 + 1) matrix of |X_k|^2 for k = 0..N/2, where
+    X_k = sum_n x_n exp(-2j*pi*k*n/N) is the plain DFT of the row's length N,
+    which must be a power of two. The bins above N/2 mirror these for real
+    input and are not computed: numpy's real FFT yields only X_0..X_{N/2}.
+    Anything but a non-empty 2-D matrix, a single 1-D frame included, raises
+    DimensionError.
 
     The power is formed inside the transform's own memory: the complex
     result is viewed as interleaved float64 (re, im) pairs, squared in place,
@@ -145,15 +133,15 @@ def power_spectrum(frames) -> np.ndarray:
     transform.
     """
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.size < 1:
-        raise DimensionError("frames must be a non-empty 1-D or 2-D array")
-    n = x.shape[-1]
+    if x.ndim != 2 or x.size < 1:
+        raise DimensionError("frames must be a non-empty frames x N matrix")
+    n = x.shape[1]
     if n & (n - 1) != 0:
         raise DimensionError(f"frame length {n} is not a power of two")
     pairs = np.fft.rfft(x).view(np.float64)
     np.square(pairs, out=pairs)
-    power = pairs[..., 0::2]
-    np.add(power, pairs[..., 1::2], out=power)
+    power = pairs[:, 0::2]
+    np.add(power, pairs[:, 1::2], out=power)
     return power
 
 
@@ -184,8 +172,9 @@ def filter_weights(sample_rate: int) -> np.ndarray:
 def mel_filterbank(power_spectrum, sample_rate: int) -> np.ndarray:
     """Apply the triangular filterbank; energies are floored at ENERGY_FLOOR.
 
-    Takes one spectrum, or a frames x bins matrix of them, and returns the
-    NUM_FILTERS energies, or a NUM_FILTERS x frames matrix. The product reads
+    Takes a non-empty frames x bins matrix of spectra and returns the
+    NUM_FILTERS x frames matrix of their energies; anything else, a single
+    1-D spectrum included, raises DimensionError. The product reads
     the spectra as a C-ordered bins x frames matrix (a copy, unless they
     already lie in that layout), so each energy is rounded the same whatever
     layout they came in. Refuses with DomainError any entry that is negative
@@ -196,11 +185,10 @@ def mel_filterbank(power_spectrum, sample_rate: int) -> np.ndarray:
     """
     spectrum = np.asarray(power_spectrum, dtype=np.float64)
     weights = filter_weights(sample_rate)
-    if (spectrum.ndim not in (1, 2) or spectrum.size == 0
-            or spectrum.shape[-1] != weights.shape[1]):
+    if spectrum.ndim != 2 or spectrum.size == 0 or spectrum.shape[1] != weights.shape[1]:
         raise DimensionError(
-            f"power spectrum of shape {spectrum.shape} does not end in "
-            f"fft_size/2+1 = {weights.shape[1]} bins"
+            f"power spectrum of shape {spectrum.shape} is not a frames x "
+            f"(fft_size/2+1 = {weights.shape[1]}) matrix"
         )
     columns = np.ascontiguousarray(spectrum.T)
     if columns.view(np.uint64).max() >= _INF_BITS:
@@ -222,19 +210,21 @@ DCT_MATRIX = _dct_matrix()
 
 
 def dct_cepstra(log_energies) -> np.ndarray:
-    """Cepstra c_1..c_NUM_CEPS from NUM_FILTERS log filterbank energies.
+    """Cepstra c_1..c_NUM_CEPS of each column of a non-empty NUM_FILTERS x
+    frames matrix of log filterbank energies, as a NUM_CEPS x frames matrix;
+    anything else, a single 1-D frame included, raises DimensionError.
 
     c_n = sum_k logS_k * cos[n (k - 1/2) pi / K]; c_0 (the mean log
     energy) is excluded.
     """
     log_s = np.asarray(log_energies, dtype=np.float64)
-    if log_s.shape[:1] != (NUM_FILTERS,):
-        raise DimensionError(f"need {NUM_FILTERS} log energies per frame, got {log_s.shape}")
+    if log_s.ndim != 2 or log_s.shape[0] != NUM_FILTERS or log_s.size == 0:
+        raise DimensionError(f"log energies of shape {log_s.shape} are not {NUM_FILTERS} x frames")
     return DCT_MATRIX @ log_s
 
 
-def extract(audio: AudioRecord) -> MfccFeatures:
-    """Run the full MFCC chain on one utterance.
+def extract(audio: AudioRecord) -> np.ndarray:
+    """Run the full MFCC chain on one utterance and return its summary.
 
     The log is taken in place over the filterbank's energies. The summary
     is spelled out in the arithmetic numpy's mean and std perform (a sum
@@ -252,4 +242,4 @@ def extract(audio: AudioRecord) -> MfccFeatures:
     summary = np.empty(2 * NUM_CEPS)
     summary[:NUM_CEPS] = mean[:, 0]
     np.sqrt(deviations.sum(axis=1) / count, out=summary[NUM_CEPS:])
-    return MfccFeatures(cepstra, summary)
+    return summary

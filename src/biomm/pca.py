@@ -83,7 +83,9 @@ def fit_pca(ds: LabeledDataset) -> Subspace:
 
 
 def project(s: Subspace, x: np.ndarray) -> np.ndarray:
-    """Project a vector (or matrix of column vectors) into the subspace."""
+    """Project a vector (or matrix of column vectors) into the subspace.
+
+    x may have any real dtype, an image's uint8 pixels included."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != s.ambient_dim:
         raise DimensionError(

@@ -54,7 +54,7 @@ from .errors import (
     IdentityError,
 )
 from .ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
-from .ingest import _integer, image_to_vector
+from .ingest import _integer
 
 MAGIC = "BIOMM 9"
 DIST_HEADROOM = 6.0
@@ -213,7 +213,7 @@ class Enrollment:
         for recording in voices:
             _check_rate(whose, recording, rate)
         pixels = np.array([image.gray for image in faces])
-        summaries = np.array([mfcc_mod.extract(recording).summary for recording in voices])
+        summaries = np.array([mfcc_mod.extract(recording) for recording in voices])
         self._inputs = size, rate
         self._clients[client_id] = (pixels, summaries)
         return self
@@ -351,13 +351,12 @@ def enroll_and_fit(gallery: dict, w_face: float = 0.5) -> SystemModel:
 
 def _face_probe(m: SystemModel, face_image: ImageRecord):
     _check_size("probe", face_image, m.face_size)
-    return pca_mod.project(m.face, image_to_vector(face_image))
+    return pca_mod.project(m.face, face_image.gray)
 
 
 def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
     _check_rate("probe", voice_recording, m.sample_rate)
-    summary = mfcc_mod.extract(voice_recording).summary
-    return pca_mod.project(m.voice_lda, summary)
+    return pca_mod.project(m.voice_lda, mfcc_mod.extract(voice_recording))
 
 
 def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioRecord) -> Decision:

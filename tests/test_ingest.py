@@ -48,6 +48,11 @@ class TestPgm:
         with pytest.raises(FormatError, match="maxval"):
             ingest.load_pgm(p)
 
+    def test_gray_scaled_to_255_by_maxval(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 5, 10, 15]))
+        np.testing.assert_array_equal(ingest.load_pgm(p).gray, [0, 85, 170, 255])
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n2 2\n255\n\x00\x01")
@@ -91,10 +96,10 @@ class TestWav:
             ingest.load_wav(p)
 
     @staticmethod
-    def write_mono(path, body, block_align=2):
+    def write_mono(path, body, block_align=2, byte_rate=16000):
         import struct
 
-        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, block_align, 16)
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, byte_rate, block_align, 16)
         chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         chunks += b"data" + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
         path.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
@@ -110,6 +115,12 @@ class TestWav:
         p = tmp_path / "align.wav"
         self.write_mono(p, np.zeros(4, dtype="<i2").tobytes(), block_align=7)
         with pytest.raises(FormatError, match="block_align"):
+            ingest.load_wav(p)
+
+    def test_byte_rate_must_match_rate_times_block_align(self, tmp_path):
+        p = tmp_path / "rate.wav"
+        self.write_mono(p, np.zeros(4, dtype="<i2").tobytes(), byte_rate=12345)
+        with pytest.raises(FormatError, match="byte_rate"):
             ingest.load_wav(p)
 
     def test_missing_data_chunk(self, tmp_path):
@@ -172,25 +183,6 @@ class TestManifest:
         assert len(records) == 20
         assert len(names) == 5
         assert np.bincount(labels).tolist() == [4] * 5
-
-
-class TestVectorize:
-    def test_definition(self):
-        img = ImageRecord(2, 2, np.array([0, 255, 128, 64], dtype=np.uint8))
-        np.testing.assert_array_equal(
-            ingest.image_to_vector(img), [0.0, 255.0, 128.0, 64.0]
-        )
-
-    def test_single_pixel(self):
-        img = ImageRecord(1, 1, np.array([42], dtype=np.uint8))
-        assert ingest.image_to_vector(img).shape == (1,)
-
-    def test_flatten_reshape_bijection(self):
-        rng = np.random.RandomState(1)
-        gray = rng.randint(0, 256, size=12).astype(np.uint8)
-        img = ImageRecord(4, 3, gray)
-        vec = ingest.image_to_vector(img)
-        np.testing.assert_array_equal(vec.astype(np.uint8), gray)
 
 
 class TestRecordInvariants:

@@ -16,6 +16,14 @@ def naive_dft(x):
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
 
 
+def stage_cepstra(audio):
+    """Per-frame cepstra (NUM_CEPS x frames), composed of the public stages."""
+    energies = mfcc.mel_filterbank(
+        mfcc.power_spectrum(mfcc.frame_and_window(audio)), audio.sample_rate
+    )
+    return mfcc.dct_cepstra(np.log(energies))
+
+
 def test_naive_oracle_self_check():
     # the oracle itself, spelled as an explicit double loop, on one case
     rng = np.random.RandomState(0)
@@ -90,10 +98,10 @@ class TestFraming:
         rng = np.random.RandomState(1)
         samples = rng.uniform(-0.5, 0.5, 4000)
         hop = mfcc.frame_geometry(8000)[1]
-        full = mfcc.extract(AudioRecord(8000, samples))
-        shifted = mfcc.extract(AudioRecord(8000, samples[hop:]))
-        assert shifted.frames.shape[1] == full.frames.shape[1] - 1
-        np.testing.assert_array_equal(shifted.frames, full.frames[:, 1:])
+        full = stage_cepstra(AudioRecord(8000, samples))
+        shifted = stage_cepstra(AudioRecord(8000, samples[hop:]))
+        assert shifted.shape[1] == full.shape[1] - 1
+        np.testing.assert_array_equal(shifted, full[:, 1:])
 
 
 def naive_power(x):
@@ -102,23 +110,24 @@ def naive_power(x):
 
 
 class TestDft:
-    """power_spectrum against the naive DFT oracle."""
+    """power_spectrum against the naive DFT oracle; a single frame is given
+    as a 1-row matrix."""
 
     def test_constant_is_dc_only(self):
         np.testing.assert_allclose(
-            mfcc.power_spectrum([1.0, 1.0, 1.0, 1.0]), [16.0, 0.0, 0.0], atol=1e-12
+            mfcc.power_spectrum([[1.0, 1.0, 1.0, 1.0]]), [[16.0, 0.0, 0.0]], atol=1e-12
         )
 
     def test_impulse_is_flat(self):
-        x = np.zeros(8)
-        x[0] = 1.0
-        np.testing.assert_allclose(mfcc.power_spectrum(x), np.ones(5), atol=1e-12)
+        x = np.zeros((1, 8))
+        x[0, 0] = 1.0
+        np.testing.assert_allclose(mfcc.power_spectrum(x), np.ones((1, 5)), atol=1e-12)
 
     def test_matches_naive_length_64(self):
         rng = np.random.RandomState(2)
         x = rng.standard_normal(64)
         expected = naive_power(x)
-        got = mfcc.power_spectrum(x)
+        got = mfcc.power_spectrum(x[None, :])[0]
         rel = np.abs(got - expected).max() / np.abs(expected).max()
         assert rel <= 1e-9
 
@@ -128,7 +137,8 @@ class TestDft:
             for _ in range(5):
                 x = rng.standard_normal(size)
                 expected = naive_power(x)
-                rel = np.abs(mfcc.power_spectrum(x) - expected).max() / np.abs(expected).max()
+                got = mfcc.power_spectrum(x[None, :])[0]
+                rel = np.abs(got - expected).max() / np.abs(expected).max()
                 assert rel <= 1e-9
 
     def test_parseval(self):
@@ -136,7 +146,7 @@ class TestDft:
         rng = np.random.RandomState(4)
         for size in (64, 256, 1024):
             x = rng.standard_normal(size)
-            power = mfcc.power_spectrum(x)
+            power = mfcc.power_spectrum(x[None, :])[0]
             time_energy = (x * x).sum()
             freq_energy = (power[0] + 2.0 * power[1:-1].sum() + power[-1]) / size
             assert abs(time_energy - freq_energy) <= 1e-9 * time_energy
@@ -149,39 +159,42 @@ class TestDft:
         assert rel <= 1e-9
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(DimensionError):
-            mfcc.power_spectrum(np.zeros(12))
-        with pytest.raises(DimensionError):
-            mfcc.power_spectrum(np.zeros((16, 12)))
+        for shape in ((1, 12), (16, 12)):
+            with pytest.raises(DimensionError, match="power of two"):
+                mfcc.power_spectrum(np.zeros(shape))
+
+    def test_only_a_non_empty_frame_matrix_accepted(self):
+        for shape in ((16,), (0, 16), (2, 3, 16)):
+            with pytest.raises(DimensionError, match="frames x N matrix"):
+                mfcc.power_spectrum(np.zeros(shape))
 
 
 class TestFilterbank:
     def test_zero_spectrum_floored(self):
         n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        out = mfcc.mel_filterbank(np.zeros(n_bins), 8000)
-        np.testing.assert_array_equal(out, np.full(mfcc.NUM_FILTERS, 1e-10))
+        out = mfcc.mel_filterbank(np.zeros((1, n_bins)), 8000)
+        np.testing.assert_array_equal(out, np.full((mfcc.NUM_FILTERS, 1), 1e-10))
 
     def test_flat_spectrum_positive(self):
         n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        out = mfcc.mel_filterbank(np.ones(n_bins), 8000)
+        out = mfcc.mel_filterbank(np.ones((1, n_bins)), 8000)
         assert np.all(out > 1e-10)
 
     def test_spectrum_length_and_sign_checked(self):
         n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        with pytest.raises(DimensionError):
-            mfcc.mel_filterbank(np.ones(n_bins - 1), 8000)
-        for shape in ((0, n_bins), (2, 3, n_bins)):
+        # a single spectrum must come as a 1-row matrix
+        for shape in ((1, n_bins - 1), (n_bins,), (0, n_bins), (2, 3, n_bins)):
             with pytest.raises(DimensionError):
                 mfcc.mel_filterbank(np.ones(shape), 8000)
         with pytest.raises(DomainError):
-            mfcc.mel_filterbank(-np.ones(n_bins), 8000)
+            mfcc.mel_filterbank(-np.ones((1, n_bins)), 8000)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
                              ids=["nan", "inf", "minus-inf", "negative"])
     def test_non_finite_or_negative_entry_refused(self, bad):
         n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        spectrum = np.ones(n_bins)
-        spectrum[7] = bad
+        spectrum = np.ones((1, n_bins))
+        spectrum[0, 7] = bad
         with pytest.raises(DomainError):
             mfcc.mel_filterbank(spectrum, 8000)
         frames = np.ones((3, n_bins))
@@ -196,7 +209,7 @@ class TestFilterbank:
         assert energies.shape == (mfcc.NUM_FILTERS, 4)
         for i in range(4):
             np.testing.assert_allclose(
-                energies[:, i], mfcc.mel_filterbank(spectra[i], 8000), rtol=1e-14
+                energies[:, i], mfcc.mel_filterbank(spectra[i : i + 1], 8000)[:, 0], rtol=1e-14
             )
 
     def test_mel_of_1khz(self):
@@ -237,9 +250,11 @@ class TestTableCache:
 
 
 class TestDctCepstra:
+    """A single frame's energies are given as a 1-column matrix."""
+
     def test_constant_input_vanishes(self):
-        out = mfcc.dct_cepstra(np.full(20, 3.7))
-        np.testing.assert_allclose(out, np.zeros(12), atol=1e-12)
+        out = mfcc.dct_cepstra(np.full((20, 1), 3.7))
+        np.testing.assert_allclose(out, np.zeros((12, 1)), atol=1e-12)
 
     def test_matches_loop_oracle(self):
         # c_n = sum_k logS_k cos[n (k - 1/2) pi / K], k = 1..K, for n = 1..12
@@ -250,17 +265,21 @@ class TestDctCepstra:
                 for k in range(1, 21):
                     expected[n - 1, j] += log_s[k - 1, j] * np.cos(n * (k - 0.5) * np.pi / 20)
         np.testing.assert_allclose(mfcc.dct_cepstra(log_s), expected, atol=1e-12)
-        np.testing.assert_allclose(mfcc.dct_cepstra(log_s[:, 0]), expected[:, 0], atol=1e-12)
+        np.testing.assert_allclose(mfcc.dct_cepstra(log_s[:, :1]), expected[:, :1], atol=1e-12)
 
     def test_output_length(self):
-        assert mfcc.dct_cepstra(np.arange(20.0)).shape == (12,)
         for frames in (1, 7):
             assert mfcc.dct_cepstra(np.ones((20, frames))).shape == (12, frames)
 
     def test_filter_count_checked(self):
         for rows in (19, 21):
             with pytest.raises(DimensionError):
-                mfcc.dct_cepstra(np.zeros(rows))
+                mfcc.dct_cepstra(np.zeros((rows, 1)))
+
+    def test_only_a_filters_x_frames_matrix_accepted(self):
+        for shape in ((20,), (20, 0), (20, 2, 3)):
+            with pytest.raises(DimensionError, match="are not 20 x frames"):
+                mfcc.dct_cepstra(np.zeros(shape))
 
 
 class TestExtract:
@@ -305,25 +324,25 @@ class TestExtract:
         rng = np.random.RandomState(5)
         samples = rng.uniform(-0.9, 0.9, 8000)
         audio = AudioRecord(8000, samples)
-        f1 = mfcc.extract(audio)
-        f2 = mfcc.extract(AudioRecord(8000, samples.copy()))
-        np.testing.assert_array_equal(f1.frames, f2.frames)
-        np.testing.assert_array_equal(f1.summary, f2.summary)
+        np.testing.assert_array_equal(
+            mfcc.extract(audio), mfcc.extract(AudioRecord(8000, samples.copy()))
+        )
 
     def test_silence_summary_std_zero(self):
         audio = AudioRecord(8000, np.zeros(8000))
-        feats = mfcc.extract(audio)
-        num_ceps = feats.frames.shape[0]
-        np.testing.assert_allclose(feats.summary[num_ceps:], 0.0, atol=1e-12)
+        summary = mfcc.extract(audio)
+        np.testing.assert_allclose(summary[mfcc.NUM_CEPS :], 0.0, atol=1e-12)
 
     def test_summary_layout(self):
         rng = np.random.RandomState(6)
         audio = AudioRecord(8000, rng.uniform(-0.5, 0.5, 4000))
-        feats = mfcc.extract(audio)
-        n = feats.frames.shape[0]
-        assert feats.summary.shape == (2 * n,)
-        np.testing.assert_allclose(feats.summary[:n], feats.frames.mean(axis=1))
-        np.testing.assert_allclose(feats.summary[n:], feats.frames.std(axis=1))
+        summary = mfcc.extract(audio)
+        cepstra = stage_cepstra(audio)
+        n = mfcc.NUM_CEPS
+        assert cepstra.shape[0] == n
+        assert summary.dtype == np.float64 and summary.shape == (2 * n,)
+        np.testing.assert_allclose(summary[:n], cepstra.mean(axis=1))
+        np.testing.assert_allclose(summary[n:], cepstra.std(axis=1))
 
     def test_matches_uncached_composition(self):
         rng = np.random.RandomState(7)
@@ -337,10 +356,9 @@ class TestExtract:
         log_e = np.log(np.maximum(weights @ np.ascontiguousarray(power.T), mfcc.ENERGY_FLOOR))
         cepstra = mfcc._dct_matrix() @ log_e
         for _ in range(2):  # the first call may build the tables, the second reuses them
-            feats = mfcc.extract(audio)
-            np.testing.assert_array_equal(feats.frames, cepstra)
+            np.testing.assert_array_equal(stage_cepstra(audio), cepstra)
             np.testing.assert_array_equal(
-                feats.summary, np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])
+                mfcc.extract(audio), np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])
             )
 
 
@@ -383,11 +401,10 @@ class TestRowLayout:
         n = edge_length(rate, edge)
         frame_len, hop, _ = mfcc.frame_geometry(rate)
         audio = AudioRecord(rate, np.random.RandomState(n).uniform(-0.9, 0.9, n))
-        feats = mfcc.extract(audio)
         cepstra, summary = spelled_out_chain(audio)
-        assert feats.frames.shape == (mfcc.NUM_CEPS, 1 + (n - frame_len) // hop)
-        np.testing.assert_array_equal(feats.frames, cepstra)
-        np.testing.assert_array_equal(feats.summary, summary)
+        assert cepstra.shape == (mfcc.NUM_CEPS, 1 + (n - frame_len) // hop)
+        np.testing.assert_array_equal(stage_cepstra(audio), cepstra)
+        np.testing.assert_array_equal(mfcc.extract(audio), summary)
 
     @pytest.mark.parametrize("rate", VALID_SAMPLE_RATES)
     def test_matches_per_frame_loop_oracle(self, rate):
@@ -398,12 +415,12 @@ class TestRowLayout:
         held = audio.samples.astype(np.float64)
         window = mfcc.hamming_window(frame_len)
         weights = mfcc.filter_weights(rate)
-        feats = mfcc.extract(audio)
-        assert feats.frames.shape[1] == 1 + (n - frame_len) // hop
-        for i in range(feats.frames.shape[1]):
+        cepstra = stage_cepstra(audio)
+        assert cepstra.shape[1] == 1 + (n - frame_len) // hop
+        for i in range(cepstra.shape[1]):
             frame = np.zeros(fft_size)
             frame[:frame_len] = held[i * hop : i * hop + frame_len] * window
             power = np.abs(np.fft.rfft(frame)) ** 2
             log_e = np.log(np.maximum(weights @ power, mfcc.ENERGY_FLOOR))
-            np.testing.assert_allclose(feats.frames[:, i], mfcc.DCT_MATRIX @ log_e, rtol=1e-12)
+            np.testing.assert_allclose(cepstra[:, i], mfcc.DCT_MATRIX @ log_e, rtol=1e-12)
 

@@ -148,6 +148,17 @@ class TestProject:
             pca.project(s, np.array([1.0, 2.0, 3.0, 4.0])), [1.0, 2.0]
         )
 
+    def test_uint8_pixels_project_as_their_float64_values(self):
+        # the face probe hands project an image's uint8 pixels uncast
+        rng = np.random.RandomState(12)
+        gray = rng.randint(0, 256, (16, 6)).astype(np.uint8)
+        s = pca.fit_pca(make_ds(gray))
+        for x in (gray[:, 0], gray):
+            expected = pca.project(s, x.astype(np.float64))
+            got = pca.project(s, x)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, expected)
+
     def test_dimension_mismatch(self):
         s = pca.Subspace(np.zeros(3), np.eye(3))
         with pytest.raises(DimensionError):

@@ -24,7 +24,6 @@ from biomm.errors import (
     TooShortError,
 )
 from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
-from biomm.ingest import image_to_vector
 from conftest import reference_loo_distances, reference_verify
 
 NUM_CLIENTS = 5
@@ -385,7 +384,7 @@ def _two_step_fisherface(gallery, x):
     """Pixels -> PCA -> LDA as two projections, each fitted with its defaults."""
     faces = [(c, f) for c, (fs, _) in enumerate(gallery.values()) for f in fs]
     ds = LabeledDataset(
-        np.column_stack([image_to_vector(f) for _, f in faces]),
+        np.column_stack([f.gray for _, f in faces]).astype(np.float64),
         [c for c, _ in faces],
         tuple(gallery),
     )
@@ -476,7 +475,7 @@ class TestFisherfaceMap:
             (gallery20, model20, probes20),
         ):
             faces = [f for fs, _ in gallery.values() for f in fs] + probes
-            x = np.column_stack([image_to_vector(f) for f in faces])
+            x = np.column_stack([f.gray for f in faces]).astype(np.float64)
             two_step = _two_step_fisherface(gallery, x)
             one_step = pca.project(model.face, x)
             assert np.abs(one_step - two_step).max() <= 1e-12 * np.abs(two_step).max()
@@ -645,7 +644,7 @@ class TestModelFile:
         )
         name, face, voice = world.genuine[0]
         distance = np.linalg.norm(
-            pca.project(model.face, image_to_vector(face)) - gallery.points[first]
+            pca.project(model.face, face.gray.astype(np.float64)) - gallery.points[first]
         )
         d = pipeline.verify(model, face, voice, name)
         assert d.face_score == pytest.approx(1.0 / (1.0 + distance), rel=1e-12)
