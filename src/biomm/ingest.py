@@ -161,6 +161,14 @@ class LabeledDataset:
         return self.features.shape[0]
 
 
+def _comment_end(data: bytes, i: int) -> int:
+    """Index of the CR or LF that ends the comment starting at data[i], or
+    len(data) when none does."""
+    while i < len(data) and data[i] not in b"\r\n":
+        i += 1
+    return i
+
+
 def _pgm_tokens(data: bytes, count: int, start: int):
     """Read `count` whitespace-separated header tokens, honoring '#' comments."""
     tokens = []
@@ -172,8 +180,7 @@ def _pgm_tokens(data: bytes, count: int, start: int):
         if b in b" \t\r\n":
             i += 1
         elif b == ord("#"):
-            while i < len(data) and data[i] not in b"\r\n":
-                i += 1
+            i = _comment_end(data, i)
         else:
             j = i
             while j < len(data) and data[j] not in b" \t\r\n#":
@@ -200,7 +207,11 @@ def load_pgm(path) -> ImageRecord:
         raise FormatError(f"bad PGM dimensions {width}x{height}")
     if maxval > 255 or maxval < 1:
         raise FormatError(f"unsupported PGM maxval {maxval} (must be 1..255)")
-    pos += 1  # exactly one whitespace byte separates maxval from the payload
+    # exactly one whitespace byte separates maxval from the payload; a comment
+    # between them runs through the next CR or LF, which is then that byte
+    if data[pos : pos + 1] == b"#":
+        pos = _comment_end(data, pos)
+    pos += 1
     payload = data[pos : pos + width * height]
     if len(payload) < width * height:
         raise FormatError(
@@ -310,11 +321,7 @@ def load_manifest(path):
 
 def manifest_class_ids(records):
     """Assign contiguous class ids by first appearance; returns (labels, names)."""
-    names = []
-    labels = []
-    for _, class_name in records:
-        if class_name not in names:
-            names.append(class_name)
-        labels.append(names.index(class_name))
-    return np.asarray(labels, dtype=np.int64), tuple(names)
+    ids = {}  # class name -> id, in order of first appearance
+    labels = [ids.setdefault(class_name, len(ids)) for _, class_name in records]
+    return np.asarray(labels, dtype=np.int64), tuple(ids)
 

@@ -4,37 +4,41 @@ Chain per frame: Hamming window -> one-sided power spectrum (a real FFT,
 numpy's pocketfft, over all frames of the utterance at once) ->
 triangular mel filterbank -> natural log -> cosine transform, dropping
 the zeroth coefficient (it carries frame energy, not speaker identity).
-Each step is a public function, and `extract` is their composition. The
-frames are float64 whatever the record holds: windowing multiplies the
+Each step but the log is a public function (`mel_energies` takes the
+spectrum and the filterbank together), and `extract` is their composition.
+The frames are float64 whatever the record holds: windowing multiplies the
 (float32) samples by the float64 window into a float64 matrix, so the whole
 chain computes in float64 from its first product.
 
 Layout: each frame is one contiguous row of a frames x FFT-size matrix, so
 the real FFT runs along the last axis, where each transform reads and writes
-one contiguous row. The power is formed inside the transform's output, the
-filterbank multiplies a C-ordered bins x frames copy of it and floors its
-energies in place, and `extract` takes their log in place; every later
-array is NUM_FILTERS or NUM_CEPS rows by frames.
+one contiguous row. A filter's energy is sum_k w_k (Re_k^2 + Im_k^2), so
+`mel_energies` squares the transform's output in place, read as interleaved
+float64 (re, im) pairs, and multiplies those frames x (2 * bins) squares by
+a (2 * bins) x NUM_FILTERS table that gives each bin's weight once for its
+real and once for its imaginary part. The power spectrum is never formed as
+an array of its own. The product is frames x NUM_FILTERS; `extract` takes
+its log in place and hands its transpose, a view, to `dct_cepstra`, so every
+later array is NUM_CEPS rows by frames.
 
-Working set: the frame buffer and its spectrum are alive together only
-during the transform; the buffer is freed when `power_spectrum` returns,
-before the filterbank makes its copy (half the spectrum's size). So the
-frames, spectrum and power copy are never all alive at once, and a call
-peaks at about 395 KiB for one second at 8 kHz: the 98 x 256 frame buffer
-and its 98 x 129 complex spectrum. This bound matters for speed: when a
-call frees more than glibc's heap trim threshold, glibc hands the memory
-back and the next call faults the pages in afresh. The layout with frames
-in columns, which held the frames, spectrum and power at once, peaked at
-494 KiB; a variant of this one that held 175 KiB more (684 KiB) faulted
-about 79 pages per verification, against 0.03, and served verifications
-at a p90 of 0.76 ms instead of 0.44 ms.
+Working set: the frame buffer, its complex spectrum and the small energies
+matrix are all that a call allocates, and the first two are alive together
+only while `mel_energies` runs. A call peaks at about 412 KiB for one second
+at 8 kHz: the 98 x 256 frame buffer, its 98 x 129 complex spectrum and the
+98 x 20 energies. This bound matters for speed: when a call frees more than
+glibc's heap trim threshold, glibc hands the memory back and the next call
+faults the pages in afresh. The layout with frames in columns, which held
+the frames, spectrum and power at once, peaked at 494 KiB; a variant that
+held 684 KiB faulted about 79 pages per verification, against 0.03, and
+served verifications at a p90 of 0.76 ms instead of 0.44 ms.
 
 The analysis settings are fixed: FRAME_MS frames every SHIFT_MS, NUM_FILTERS
 mel filters spanning 0 Hz to half the sample rate, and NUM_CEPS cepstra.
 The frame length, hop and FFT size (the smallest power of two that holds a
-frame) follow from the sample rate, so the Hamming window and the
-filterbank weights are built once per rate in VALID_SAMPLE_RATES, and the
-cosine-transform matrix once; every utterance shares them, read-only.
+frame) follow from the sample rate, so the Hamming window, the filterbank
+weights and their (re, im) pair table are built once per rate in
+VALID_SAMPLE_RATES, and the cosine-transform matrix once; every utterance
+shares them, read-only.
 
 `extract` summarizes an utterance by the per-coefficient mean and then
 standard deviation across frames: a float64 vector of 2 * NUM_CEPS values
@@ -55,9 +59,6 @@ SHIFT_MS = 10.0
 NUM_FILTERS = 20
 NUM_CEPS = 12
 ENERGY_FLOOR = 1e-10
-# the bit pattern of +inf: a float64 whose bits, read as an unsigned integer,
-# are below it is finite with its sign bit clear
-_INF_BITS = 0x7FF0000000000000
 
 
 def mel(f):
@@ -111,38 +112,10 @@ def frame_and_window(audio: AudioRecord) -> np.ndarray:
     step = samples.itemsize
     frames = np.ndarray((1 + (n - frame_len) // hop, frame_len), samples.dtype,
                         samples, strides=(hop * step, step))
-    out = np.zeros((frames.shape[0], fft_size))
+    out = np.empty((frames.shape[0], fft_size))
     np.multiply(frames, hamming_window(frame_len), out=out[:, :frame_len])
+    out[:, frame_len:] = 0.0
     return out
-
-
-def power_spectrum(frames) -> np.ndarray:
-    """One-sided power spectrum of every row of a frames x N matrix.
-
-    Returns the frames x (N/2 + 1) matrix of |X_k|^2 for k = 0..N/2, where
-    X_k = sum_n x_n exp(-2j*pi*k*n/N) is the plain DFT of the row's length N,
-    which must be a power of two. The bins above N/2 mirror these for real
-    input and are not computed: numpy's real FFT yields only X_0..X_{N/2}.
-    Anything but a non-empty 2-D matrix, a single 1-D frame included, raises
-    DimensionError.
-
-    The power is formed inside the transform's own memory: the complex
-    result is viewed as interleaved float64 (re, im) pairs, squared in place,
-    and each imaginary part is added into its real part. The returned array
-    is that strided view of the real parts; it allocates nothing beyond the
-    transform.
-    """
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2 or x.size < 1:
-        raise DimensionError("frames must be a non-empty frames x N matrix")
-    n = x.shape[1]
-    if n & (n - 1) != 0:
-        raise DimensionError(f"frame length {n} is not a power of two")
-    pairs = np.fft.rfft(x).view(np.float64)
-    np.square(pairs, out=pairs)
-    power = pairs[:, 0::2]
-    np.add(power, pairs[:, 1::2], out=power)
-    return power
 
 
 @lru_cache(maxsize=len(VALID_SAMPLE_RATES))
@@ -169,31 +142,48 @@ def filter_weights(sample_rate: int) -> np.ndarray:
     return weights
 
 
-def mel_filterbank(power_spectrum, sample_rate: int) -> np.ndarray:
-    """Apply the triangular filterbank; energies are floored at ENERGY_FLOOR.
+@lru_cache(maxsize=len(VALID_SAMPLE_RATES))
+def _pair_weights(sample_rate: int) -> np.ndarray:
+    """filter_weights(sample_rate).T with each bin's row given twice, once
+    for its real and once for its imaginary part (read-only): a (2 * bins) x
+    NUM_FILTERS table that weighs the squared (re, im) pairs of a real FFT."""
+    table = np.repeat(filter_weights(sample_rate).T, 2, axis=0)
+    table.flags.writeable = False
+    return table
 
-    Takes a non-empty frames x bins matrix of spectra and returns the
-    NUM_FILTERS x frames matrix of their energies; anything else, a single
-    1-D spectrum included, raises DimensionError. The product reads
-    the spectra as a C-ordered bins x frames matrix (a copy, unless they
-    already lie in that layout), so each energy is rounded the same whatever
-    layout they came in. Refuses with DomainError any entry that is negative
-    or not finite, in one pass over that matrix: an entry is accepted when
-    its sign bit is clear and its exponent is not all ones. -0.0 therefore
-    counts as negative; a power spectrum never holds it, since a sum of
-    squares is +0.0 or more.
+
+def mel_energies(frames, sample_rate: int) -> np.ndarray:
+    """Mel filterbank energies of every row of a frames x FFT-size matrix.
+
+    Returns the frames x NUM_FILTERS matrix of sum_k w_ik |X_k|^2, floored at
+    ENERGY_FLOOR, where X_k = sum_n x_n exp(-2j*pi*k*n/N) is the plain DFT of
+    the row, k = 0..N/2, and w = filter_weights(sample_rate). The bins above
+    N/2 mirror these for real input and are not computed: numpy's real FFT
+    yields only X_0..X_{N/2}. Anything but a non-empty 2-D matrix whose rows
+    are this rate's FFT size, a single 1-D frame included, raises
+    DimensionError; a frame whose spectrum is not finite or whose power
+    overflows (a NaN or infinite sample, say) raises DomainError.
+
+    The power spectrum is never formed: |X_k|^2 = Re^2 + Im^2, so the
+    transform's complex result is viewed as interleaved float64 (re, im)
+    pairs, squared in place, and multiplied by a table that repeats each
+    bin's weights for both parts of the pair. The call allocates the
+    transform and the energies only.
     """
-    spectrum = np.asarray(power_spectrum, dtype=np.float64)
-    weights = filter_weights(sample_rate)
-    if spectrum.ndim != 2 or spectrum.size == 0 or spectrum.shape[1] != weights.shape[1]:
+    x = np.asarray(frames, dtype=np.float64)
+    fft_size = frame_geometry(sample_rate)[2]
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != fft_size:
         raise DimensionError(
-            f"power spectrum of shape {spectrum.shape} is not a frames x "
-            f"(fft_size/2+1 = {weights.shape[1]}) matrix"
+            f"frames of shape {x.shape} are not a frames x (fft_size = {fft_size}) matrix"
         )
-    columns = np.ascontiguousarray(spectrum.T)
-    if columns.view(np.uint64).max() >= _INF_BITS:
-        raise DomainError("power spectrum entries must be finite and >= 0")
-    energies = weights @ columns
+    # a non-finite or overflowing pair reaches every filter's sum as inf or
+    # NaN (0 * inf is NaN), so the small energies matrix is the one checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = np.fft.rfft(x).view(np.float64)
+        np.square(pairs, out=pairs)
+        energies = pairs @ _pair_weights(sample_rate)
+    if not np.isfinite(energies).all():
+        raise DomainError("frames must have a finite power spectrum")
     np.maximum(energies, ENERGY_FLOOR, out=energies)
     return energies
 
@@ -226,15 +216,16 @@ def dct_cepstra(log_energies) -> np.ndarray:
 def extract(audio: AudioRecord) -> np.ndarray:
     """Run the full MFCC chain on one utterance and return its summary.
 
-    The log is taken in place over the filterbank's energies. The summary
+    The log is taken in place over the frames x NUM_FILTERS energies, and
+    the cosine transform reads them through their transposed view. The summary
     is spelled out in the arithmetic numpy's mean and std perform (a sum
     over frames divided by the count; the squared deviations from that mean
     summed, divided by the count, square-rooted), so it equals theirs to the
     bit while computing the mean once.
     """
-    log_e = mel_filterbank(power_spectrum(frame_and_window(audio)), audio.sample_rate)
+    log_e = mel_energies(frame_and_window(audio), audio.sample_rate)
     np.log(log_e, out=log_e)
-    cepstra = dct_cepstra(log_e)
+    cepstra = dct_cepstra(log_e.T)
     count = cepstra.shape[1]
     mean = cepstra.sum(axis=1, keepdims=True) / count
     deviations = cepstra - mean

@@ -463,10 +463,12 @@ def verify(
 # vector, and one bias per machine. No index is stored, as the labels give
 # each coefficient's machine and point, and a 0.0 coefficient adds a zero
 # to its machine's sum, so decisions are those of the support vectors alone.
-# knn.K, VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS
-# and NUM_CEPS belong to the format, as no record holds them; nor does
-# anything the loader computes (tau_fused). A change to any of these or to
-# LAYOUT bumps MAGIC; files of other versions are refused.
+# knn.K, VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS,
+# NUM_CEPS and ENERGY_FLOOR (the floor under every filterbank energy, so it
+# sets every summary the voice LDA and SVM were fitted to), with its Hamming
+# window and mel scale formulas, belong to the format, as no record holds
+# them; nor does anything the loader computes (tau_fused). A change to any of
+# these or to LAYOUT bumps MAGIC; files of other versions are refused.
 # ---------------------------------------------------------------------------
 
 # The sections in file order: each one's name, the SystemModel field whose

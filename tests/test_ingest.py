@@ -36,6 +36,15 @@ class TestPgm:
         assert (img.width, img.height) == (2, 1)
         np.testing.assert_array_equal(img.gray, [7, 9])
 
+    @pytest.mark.parametrize("comment", [b"#x\n", b"# made by hand\r", b"#\n"],
+                             ids=["lf", "cr", "empty"])
+    def test_comment_after_maxval(self, tmp_path, comment):
+        # the comment runs through the next CR or LF, and that byte is the
+        # one whitespace byte that delimits the raster
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n2 2\n255" + comment + bytes([1, 2, 3, 4]))
+        np.testing.assert_array_equal(ingest.load_pgm(p).gray, [1, 2, 3, 4])
+
     def test_maxval_over_255_rejected(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
@@ -183,6 +192,22 @@ class TestManifest:
         assert len(records) == 20
         assert len(names) == 5
         assert np.bincount(labels).tolist() == [4] * 5
+
+
+    def test_ids_by_first_appearance_on_a_shuffled_manifest(self, tmp_path):
+        rng = np.random.RandomState(4)
+        rows = [(f"c{c}_{i}.pgm", f"client{c}") for c in range(300) for i in range(3)]
+        rows = [rows[j] for j in rng.permutation(len(rows))]
+        p = tmp_path / "m.tsv"
+        p.write_text("".join(f"{path}\t{name}\n" for path, name in rows))
+        labels, names = ingest.manifest_class_ids(ingest.load_manifest(p))
+        reference = []  # each class name at its first appearance
+        for _, name in rows:
+            if name not in reference:
+                reference.append(name)
+        assert names == tuple(reference)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [reference.index(name) for _, name in rows])
 
 
 class TestRecordInvariants:

@@ -8,20 +8,30 @@ from biomm.errors import DimensionError, DomainError, TooShortError
 from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord
 
 
-def naive_dft(x):
-    """O(N^2) DFT oracle: X_k = sum_n x_n exp(-2j pi k n / N)."""
+def naive_dft(x, bins=None):
+    """O(N^2) DFT oracle: X_k = sum_n x_n exp(-2j pi k n / N) for k below
+    bins (all N by default), 128 values of k at a time to bound memory."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+    k = np.arange(n if bins is None else bins)
+    blocks = np.array_split(k, -(-k.size // 128))
+    return np.concatenate(
+        [np.exp(-2j * np.pi * np.outer(block, np.arange(n)) / n) @ x for block in blocks]
+    )
 
 
 def stage_cepstra(audio):
     """Per-frame cepstra (NUM_CEPS x frames), composed of the public stages."""
-    energies = mfcc.mel_filterbank(
-        mfcc.power_spectrum(mfcc.frame_and_window(audio)), audio.sample_rate
-    )
-    return mfcc.dct_cepstra(np.log(energies))
+    energies = mfcc.mel_energies(mfcc.frame_and_window(audio), audio.sample_rate)
+    return mfcc.dct_cepstra(np.log(energies).T)
+
+
+def pair_weighted_energies(frames, weights):
+    """The filterbank energies as mel_energies computes them, from a given
+    NUM_FILTERS x bins weight table: the transform's squared (re, im) pairs
+    times the table with each bin's weights given for both parts, floored."""
+    pairs = np.fft.rfft(frames).view(np.float64) ** 2
+    return np.maximum(pairs @ np.repeat(weights.T, 2, axis=0), mfcc.ENERGY_FLOOR)
 
 
 def test_naive_oracle_self_check():
@@ -106,110 +116,137 @@ class TestFraming:
 
 def naive_power(x):
     """One-sided power spectrum from the oracle: |X_k|^2 for k = 0..N/2."""
-    return np.abs(naive_dft(x)[: len(x) // 2 + 1]) ** 2
+    return np.abs(naive_dft(x, len(x) // 2 + 1)) ** 2
+
+
+def fft_width(rate):
+    return mfcc.frame_geometry(rate)[2]
 
 
 class TestDft:
-    """power_spectrum against the naive DFT oracle; a single frame is given
-    as a 1-row matrix."""
+    """mel_energies against the naive DFT oracle: each row's energies are
+    filter_weights(rate) @ naive_power(row). A single frame is given as a
+    1-row matrix."""
 
     def test_constant_is_dc_only(self):
-        np.testing.assert_allclose(
-            mfcc.power_spectrum([[1.0, 1.0, 1.0, 1.0]]), [[16.0, 0.0, 0.0]], atol=1e-12
-        )
+        # all of a constant frame's power is at DC, which no filter weighs
+        # (the lowest filter rises from 0 Hz), so every energy is floored
+        out = mfcc.mel_energies(np.full((1, fft_width(8000)), 0.25), 8000)
+        np.testing.assert_array_equal(out, np.full((1, mfcc.NUM_FILTERS), mfcc.ENERGY_FLOOR))
 
     def test_impulse_is_flat(self):
-        x = np.zeros((1, 8))
+        # |X_k|^2 = 1 at every bin, so each energy is its filter's weight sum
+        x = np.zeros((1, fft_width(8000)))
         x[0, 0] = 1.0
-        np.testing.assert_allclose(mfcc.power_spectrum(x), np.ones((1, 5)), atol=1e-12)
+        np.testing.assert_allclose(
+            mfcc.mel_energies(x, 8000)[0], mfcc.filter_weights(8000).sum(axis=1), rtol=1e-14
+        )
 
     def test_matches_naive_length_64(self):
+        # 64 samples at the head of an 8 kHz frame, the rest zero as
+        # frame_and_window pads: X_k = sum_{n<64} x_n exp(-2j pi k n / 256)
         rng = np.random.RandomState(2)
         x = rng.standard_normal(64)
-        expected = naive_power(x)
-        got = mfcc.power_spectrum(x[None, :])[0]
+        size = fft_width(8000)
+        k = np.arange(size // 2 + 1)
+        spectrum = np.exp(-2j * np.pi * np.outer(k, np.arange(64)) / size) @ x
+        expected = mfcc.filter_weights(8000) @ (np.abs(spectrum) ** 2)
+        frame = np.zeros((1, size))
+        frame[0, :64] = x
+        got = mfcc.mel_energies(frame, 8000)[0]
         rel = np.abs(got - expected).max() / np.abs(expected).max()
         assert rel <= 1e-9
 
     def test_matches_naive_many_sizes(self):
+        # each rate has its own FFT size: 256, 512, 1024 and 2048 points
         rng = np.random.RandomState(3)
-        for size in (64, 128, 256, 512, 1024):
-            for _ in range(5):
-                x = rng.standard_normal(size)
-                expected = naive_power(x)
-                got = mfcc.power_spectrum(x[None, :])[0]
+        for rate in VALID_SAMPLE_RATES:
+            weights = mfcc.filter_weights(rate)
+            for _ in range(3):
+                x = rng.standard_normal(fft_width(rate))
+                expected = weights @ naive_power(x)
+                got = mfcc.mel_energies(x[None, :], rate)[0]
                 rel = np.abs(got - expected).max() / np.abs(expected).max()
                 assert rel <= 1e-9
 
-    def test_parseval(self):
-        # one-sided: the bins strictly between DC and Nyquist stand for two
-        rng = np.random.RandomState(4)
-        for size in (64, 256, 1024):
-            x = rng.standard_normal(size)
-            power = mfcc.power_spectrum(x[None, :])[0]
-            time_energy = (x * x).sum()
-            freq_energy = (power[0] + 2.0 * power[1:-1].sum() + power[-1]) / size
-            assert abs(time_energy - freq_energy) <= 1e-9 * time_energy
-
     def test_matrix_transforms_each_row(self):
         rng = np.random.RandomState(5)
-        x = rng.standard_normal((6, 128))
-        expected = np.vstack([naive_power(x[i]) for i in range(6)])
-        rel = np.abs(mfcc.power_spectrum(x) - expected).max() / np.abs(expected).max()
+        x = rng.standard_normal((6, fft_width(8000)))
+        weights = mfcc.filter_weights(8000)
+        expected = np.vstack([weights @ naive_power(x[i]) for i in range(6)])
+        rel = np.abs(mfcc.mel_energies(x, 8000) - expected).max() / np.abs(expected).max()
         assert rel <= 1e-9
 
     def test_non_power_of_two_rejected(self):
-        for shape in ((1, 12), (16, 12)):
-            with pytest.raises(DimensionError, match="power of two"):
-                mfcc.power_spectrum(np.zeros(shape))
+        # a frame must be as wide as the rate's FFT size, a power of two
+        for shape in ((1, 200), (16, 255), (16, 257)):
+            with pytest.raises(DimensionError, match="fft_size = 256"):
+                mfcc.mel_energies(np.zeros(shape), 8000)
 
     def test_only_a_non_empty_frame_matrix_accepted(self):
-        for shape in ((16,), (0, 16), (2, 3, 16)):
-            with pytest.raises(DimensionError, match="frames x N matrix"):
-                mfcc.power_spectrum(np.zeros(shape))
+        for shape in ((256,), (0, 256), (2, 3, 256)):
+            with pytest.raises(DimensionError, match="are not a frames x"):
+                mfcc.mel_energies(np.zeros(shape), 8000)
 
 
 class TestFilterbank:
     def test_zero_spectrum_floored(self):
-        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        out = mfcc.mel_filterbank(np.zeros((1, n_bins)), 8000)
-        np.testing.assert_array_equal(out, np.full((mfcc.NUM_FILTERS, 1), 1e-10))
+        out = mfcc.mel_energies(np.zeros((3, fft_width(8000))), 8000)
+        np.testing.assert_array_equal(out, np.full((3, mfcc.NUM_FILTERS), 1e-10))
 
     def test_flat_spectrum_positive(self):
-        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        out = mfcc.mel_filterbank(np.ones((1, n_bins)), 8000)
-        assert np.all(out > 1e-10)
+        # an impulse has a flat spectrum, and every filter covers some bin
+        for rate in VALID_SAMPLE_RATES:
+            x = np.zeros((1, fft_width(rate)))
+            x[0, 0] = 1.0
+            assert np.all(mfcc.mel_energies(x, rate) > 1e-10)
 
     def test_spectrum_length_and_sign_checked(self):
-        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        # a single spectrum must come as a 1-row matrix
-        for shape in ((1, n_bins - 1), (n_bins,), (0, n_bins), (2, 3, n_bins)):
+        width = fft_width(8000)
+        # a single frame must come as a 1-row matrix, as wide as the FFT size
+        for shape in ((1, width - 1), (1, width + 1), (1, fft_width(16000)), (width,),
+                      (0, width), (2, 3, width)):
             with pytest.raises(DimensionError):
-                mfcc.mel_filterbank(np.ones(shape), 8000)
-        with pytest.raises(DomainError):
-            mfcc.mel_filterbank(-np.ones((1, n_bins)), 8000)
+                mfcc.mel_energies(np.ones(shape), 8000)
+        # the power has no sign to check: a negated frame has the same energies
+        x = np.random.RandomState(11).uniform(-1.0, 1.0, (4, width))
+        np.testing.assert_array_equal(mfcc.mel_energies(-x, 8000), mfcc.mel_energies(x, 8000))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
-                             ids=["nan", "inf", "minus-inf", "negative"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus-inf"])
     def test_non_finite_or_negative_entry_refused(self, bad):
-        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        spectrum = np.ones((1, n_bins))
-        spectrum[0, 7] = bad
-        with pytest.raises(DomainError):
-            mfcc.mel_filterbank(spectrum, 8000)
-        frames = np.ones((3, n_bins))
+        # a non-finite sample spreads over every bin of its frame's spectrum;
+        # the refusal raises DomainError and no RuntimeWarning
+        frames = np.ones((3, fft_width(8000)))
         frames[1, 7] = bad
         with pytest.raises(DomainError):
-            mfcc.mel_filterbank(frames, 8000)
+            mfcc.mel_energies(frames, 8000)
+        with pytest.raises(DomainError):
+            mfcc.mel_energies(frames[1:2], 8000)
+
+    @pytest.mark.parametrize("frame", ["impulse", "constant", "nyquist"])
+    def test_overflowing_power_refused(self, frame):
+        # finite samples whose squared spectrum overflows; a constant frame's
+        # and an alternating one's overflow only at DC and at N/2, the two
+        # bins that no filter weighs, and still reach the energies as NaN
+        width = fft_width(8000)
+        x = {
+            "impulse": np.eye(1, width) * 1e160,
+            "constant": np.full((1, width), 1e153),
+            "nyquist": np.tile([1e153, -1e153], (1, width // 2)),
+        }[frame]
+        with pytest.raises(DomainError):
+            mfcc.mel_energies(np.vstack([np.zeros(width), x]), 8000)
 
     def test_frames_in_rows_give_energies_in_columns(self):
-        n_bins = mfcc.frame_geometry(8000)[2] // 2 + 1
-        spectra = np.random.RandomState(10).uniform(0.0, 2.0, (4, n_bins))
-        energies = mfcc.mel_filterbank(spectra, 8000)
-        assert energies.shape == (mfcc.NUM_FILTERS, 4)
+        # extract hands the transpose to dct_cepstra: one column per frame,
+        # each the energies of that frame alone
+        frames = np.random.RandomState(10).uniform(-1.0, 1.0, (4, fft_width(8000)))
+        columns = mfcc.mel_energies(frames, 8000).T
+        assert columns.shape == (mfcc.NUM_FILTERS, 4)
         for i in range(4):
             np.testing.assert_allclose(
-                energies[:, i], mfcc.mel_filterbank(spectra[i : i + 1], 8000)[:, 0], rtol=1e-14
+                columns[:, i], mfcc.mel_energies(frames[i : i + 1], 8000)[0], rtol=1e-14
             )
 
     def test_mel_of_1khz(self):
@@ -229,13 +266,18 @@ class TestFilterbank:
 class TestTableCache:
     def test_tables_are_shared_and_read_only(self):
         weights = mfcc.filter_weights(8000)
+        pair_table = mfcc._pair_weights(8000)
         assert mfcc.filter_weights(8000) is weights
-        for table in (weights, mfcc.DCT_MATRIX):
+        assert mfcc._pair_weights(8000) is pair_table
+        for table in (weights, pair_table, mfcc.DCT_MATRIX):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
             with pytest.raises(ValueError):
                 table *= 2.0
         np.testing.assert_array_equal(weights, mfcc.filter_weights.__wrapped__(8000))
+        # each bin's weights once for the real and once for the imaginary part
+        np.testing.assert_array_equal(pair_table[0::2], weights.T)
+        np.testing.assert_array_equal(pair_table[1::2], weights.T)
         np.testing.assert_array_equal(mfcc.DCT_MATRIX, mfcc._dct_matrix())
 
     def test_distinct_rates_get_their_own_tables(self):
@@ -293,18 +335,13 @@ class TestExtract:
         centers = grid[1:-1]
         expected_filter = int(np.argmin(np.abs(centers - 1000.0)))
 
-        frames = mfcc.frame_and_window(audio)
-        spectrum = np.fft.rfft(frames)
-        power = spectrum.real**2 + spectrum.imag**2
-        np.testing.assert_array_equal(mfcc.power_spectrum(frames), power)
-        weights = mfcc.filter_weights(fs)
-        energies = weights @ np.ascontiguousarray(power.T)
-        dominant = np.argmax(energies, axis=0)
+        energies = mfcc.mel_energies(mfcc.frame_and_window(audio), fs)
+        dominant = np.argmax(energies, axis=1)
         assert np.all(np.abs(dominant - expected_filter) <= 1)
 
     def test_peak_memory_of_one_second(self):
-        # A 1 s, 8 kHz utterance peaks at about 395 KiB: the 98 x 256 frame
-        # buffer and its 98 x 129 complex spectrum during the transform. The
+        # A 1 s, 8 kHz utterance peaks at about 412 KiB: the 98 x 256 frame
+        # buffer, its 98 x 129 complex spectrum and the 98 x 20 energies. The
         # layout with frames in columns, which also held the power copy,
         # peaked at 494 KiB. Page faults start well below 1 MB: when a call
         # frees more than glibc's heap trim threshold, the next call faults
@@ -347,14 +384,9 @@ class TestExtract:
     def test_matches_uncached_composition(self):
         rng = np.random.RandomState(7)
         audio = AudioRecord(8000, rng.uniform(-0.8, 0.8, 6000))
-        frames = mfcc.frame_and_window(audio)
-        spectrum = np.fft.rfft(frames)
-        power = spectrum.real**2 + spectrum.imag**2
         weights = mfcc.filter_weights.__wrapped__(audio.sample_rate)
-        # the filterbank reads a C-ordered bins x frames matrix; the product
-        # with a Fortran-ordered one (power.T itself) rounds differently
-        log_e = np.log(np.maximum(weights @ np.ascontiguousarray(power.T), mfcc.ENERGY_FLOOR))
-        cepstra = mfcc._dct_matrix() @ log_e
+        log_e = np.log(pair_weighted_energies(mfcc.frame_and_window(audio), weights))
+        cepstra = mfcc._dct_matrix() @ log_e.T
         for _ in range(2):  # the first call may build the tables, the second reuses them
             np.testing.assert_array_equal(stage_cepstra(audio), cepstra)
             np.testing.assert_array_equal(
@@ -364,8 +396,9 @@ class TestExtract:
 
 def spelled_out_chain(audio):
     """extract's steps written out: frames in rows, one windowed frame per
-    slice, the transform along rows, the filterbank on a C-ordered bins x
-    frames copy, and numpy's own mean and std."""
+    slice, the transform along rows, its squared (re, im) pairs times the
+    pair table, the cosine transform on the energies' transpose, and numpy's
+    own mean and std."""
     frame_len, hop, fft_size = mfcc.frame_geometry(audio.sample_rate)
     count = 1 + (audio.samples.size - frame_len) // hop
     frames = np.zeros((count, fft_size))
@@ -373,10 +406,8 @@ def spelled_out_chain(audio):
         frames[i, :frame_len] = (
             audio.samples[i * hop : i * hop + frame_len] * mfcc.hamming_window(frame_len)
         )
-    spectrum = np.fft.rfft(frames)
-    power = spectrum.real**2 + spectrum.imag**2
-    energies = mfcc.filter_weights(audio.sample_rate) @ np.ascontiguousarray(power.T)
-    cepstra = mfcc.DCT_MATRIX @ np.log(np.maximum(energies, mfcc.ENERGY_FLOOR))
+    energies = pair_weighted_energies(frames, mfcc.filter_weights(audio.sample_rate))
+    cepstra = mfcc.DCT_MATRIX @ np.log(energies).T
     return cepstra, np.concatenate([cepstra.mean(axis=1), cepstra.std(axis=1)])
 
 

@@ -6,9 +6,13 @@ module or of its import alias (`pca_mod.project`), as a name imported from
 the module (`from .pca import Subspace`), as a bare name inside the module
 that defines it, or as a "module.function" string such as the benchmark's
 traced list. A method call of the same name (`line.split`) is not a use.
+Each name on the benchmark tracer's traced list must also exist, since the
+tracer looks every one of them up when a traced run starts.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,3 +105,18 @@ def test_method_call_is_not_a_use_of_a_function_of_that_name():
     ])
     assert "ingest.load_manifest" in named
     assert "ingest.split" not in named
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer looks up each TRACED name on its biomm module
+    # when a traced run starts, so a renamed or deleted function breaks every
+    # traced run; no test runs one
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name in tracer.TRACED:
+        module, attr = name.rsplit(".", 1)
+        if not callable(getattr(importlib.import_module(f"biomm.{module}"), attr, None)):
+            missing.append(name)
+    assert tracer.TRACED and missing == []
