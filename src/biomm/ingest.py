@@ -291,10 +291,10 @@ def write_wav(path, samples, sample_rate: int) -> None:
 
 
 def load_manifest(path):
-    """Parse "relative/path<TAB>class_name" lines; returns list of tuples.
+    """Parse "relative/path<TAB>class_name" lines; returns the list of
+    (path, class name) pairs in file order, which manifest_class_ids numbers.
 
-    Blank lines and '#' comments are skipped; class ids follow first
-    appearance order of the class names.
+    Blank lines and '#' comments are skipped.
     """
     text = Path(path).read_text(encoding="utf-8")
     records = []
@@ -320,7 +320,8 @@ def load_manifest(path):
 
 
 def manifest_class_ids(records):
-    """Assign contiguous class ids by first appearance; returns (labels, names)."""
+    """Assign contiguous class ids in first appearance order of the class
+    names; returns (labels, names)."""
     ids = {}  # class name -> id, in order of first appearance
     labels = [ids.setdefault(class_name, len(ids)) for _, class_name in records]
     return np.asarray(labels, dtype=np.int64), tuple(ids)

@@ -20,7 +20,10 @@ against the first client's image size and sample rate; a probe is refused
 by the same two checks.
 
 save_model and load_model both walk LAYOUT, the model file's one list of
-its sections and records; the comment above it gives their encoding.
+its sections and records, and both take each record kind from _KINDS: its
+writer is the file's one spelling of that kind, and the loader accepts a
+header line only if the writer spells the value parsed from it back to the
+same bytes. The comment above LAYOUT gives the encoding.
 
 Verification is 1:1, with no gallery built per claim: the face against the
 claimed client's slice of gallery rows, the voice by the claimed client's
@@ -31,7 +34,6 @@ derives once when it is built.
 from __future__ import annotations
 
 import os
-import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -455,20 +457,24 @@ def verify(
 # "KEYWORD rows cols" (rows is 1 for a row), and is followed by exactly
 # 8 * rows * cols bytes, the row-major little-endian float64 values, then
 # "\n"; the loader finds a payload's end from that shape, never by searching.
-# A file loads only as save_model writes it: any other spelling of a header
-# line, or a NaN or infinite value, is refused. Gallery rows are grouped by
-# client in class order, with at least one point per client. VOICE_SVM is
-# svm's dense layout: each point's class, the points, one coefficient per
-# (machine, point of its two classes), 0.0 where the point is not a support
-# vector, and one bias per machine. No index is stored, as the labels give
-# each coefficient's machine and point, and a 0.0 coefficient adds a zero
-# to its machine's sum, so decisions are those of the support vectors alone.
+# The writers of _KINDS are the one spelling of the records: the loader parses
+# each header line and re-spells it with its kind's writer, so a file loads
+# only as save_model writes it. Any other spelling of a header line, a NaN or
+# infinite value, or an integer beyond int64 is refused. Gallery rows are
+# grouped by client in class order, with at least one point per client.
+# VOICE_SVM is svm's dense layout: each point's class, the points, one
+# coefficient per (machine, point of its two classes), 0.0 where the point is
+# not a support vector, and one bias per machine. No index is stored, as the
+# labels give each coefficient's machine and point, and a 0.0 coefficient adds
+# a zero to its machine's sum, so decisions are those of the support vectors
+# alone.
 # knn.K, VOICE_KERNEL and the mfcc module's FRAME_MS, SHIFT_MS, NUM_FILTERS,
 # NUM_CEPS and ENERGY_FLOOR (the floor under every filterbank energy, so it
 # sets every summary the voice LDA and SVM were fitted to), with its Hamming
 # window and mel scale formulas, belong to the format, as no record holds
 # them; nor does anything the loader computes (tau_fused). A change to any of
-# these or to LAYOUT bumps MAGIC; files of other versions are refused.
+# these, to LAYOUT or to a writer of _KINDS bumps MAGIC; files of other
+# versions are refused.
 # ---------------------------------------------------------------------------
 
 # The sections in file order: each one's name, the SystemModel field whose
@@ -494,9 +500,6 @@ LAYOUT = (
     ("THRESHOLDS", None, (("W_FACE", "float", "w_face"), ("TAU_DIST", "float", "tau_dist"))),
 )
 
-TRAILER_BYTES = len("CRC32 00000000\n")
-
-
 def _line(text: str) -> bytes:
     return text.encode("utf-8") + b"\n"
 
@@ -511,63 +514,81 @@ def _matrix(keyword: str, matrix) -> bytes:
     return b"".join((_ints(keyword, matrix.shape), payload, b"\n"))
 
 
-# one writer per record kind: (keyword, value) -> the record's bytes
-_WRITERS = {
-    "int": _ints,
-    "ints": _ints,
-    "float": lambda keyword, value: _line(f"{keyword} {float(value):.17g}"),
-    "names": lambda keyword, names: _line(" ".join([keyword, *names])),
-    "row": _matrix,
-    "matrix": _matrix,
+def _trailer(body) -> bytes:
+    return b"CRC32 %08x\n" % zlib.crc32(body)
+
+
+TRAILER_BYTES = len(_trailer(b""))
+
+
+def _int64s(fields) -> np.ndarray:
+    return np.array([int(field) for field in fields], dtype=np.int64)
+
+
+def _finite(fields) -> float:
+    (field,) = fields
+    value = float(field)
+    if not np.isfinite(value):  # float() reads "nan" and "inf", and the writer spells them back
+        raise ValueError(f"non-finite value {value}")
+    return value
+
+
+def _shape(fields) -> tuple:
+    rows, cols = _int64s(fields).tolist()
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative shape {rows} x {cols}")
+    return rows, cols
+
+
+# Each record kind's writer, (keyword, value) -> the record's bytes, and its
+# parser, the header's fields after the keyword -> the value. The parser of a
+# row or a matrix gives its shape, which _ints writes before the payload.
+_KINDS = {
+    "int": (_ints, lambda fields: _int64s(fields).item()),  # item() refuses all counts but one
+    "ints": (_ints, _int64s),
+    "float": (lambda keyword, value: _line(f"{keyword} {float(value):.17g}"), _finite),
+    "names": (lambda keyword, names: _line(" ".join([keyword, *names])), tuple),
+    "row": (_matrix, lambda fields: (1, _shape(fields)[1])),  # spells back only 1 row
+    "matrix": (_matrix, _shape),
 }
 
 
 def save_model(m: SystemModel, path) -> None:
     """Write m as LAYOUT lays it out. The bytes go to a new file beside path,
     which then replaces path, so a save that fails part-way leaves the file
-    that was at path as it was."""
+    that was at path as it was. That file's name is of fixed length, so any
+    name the directory takes for path will do."""
     out = [_line(MAGIC)]
     for section, part, records in LAYOUT:
         owner = m if part is None else getattr(m, part)
         out.append(_line(f"SECTION {section}"))
-        out += [_WRITERS[kind](keyword, getattr(owner, name)) for keyword, kind, name in records]
+        out += [_KINDS[kind][0](keyword, getattr(owner, name)) for keyword, kind, name in records]
     body = b"".join(out)
     path = Path(path)
-    partial = path.with_name(f"{path.name}.{os.urandom(8).hex()}.partial")
+    partial = path.with_name(f"biomm-{os.urandom(8).hex()}.partial")
     try:
         with open(partial, "xb") as f:  # bytes, so no platform turns "\n" into "\r\n"
             f.write(body)
-            f.write(b"CRC32 %08x\n" % zlib.crc32(body))
+            f.write(_trailer(body))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
-# the values of an int, ints, row or matrix header as _ints writes them, each
-# after one space and of at most 18 digits, so that none overflows int64; one
-# match costs less than a str() round trip per value
-_CANONICAL_INTS = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*", re.ASCII)
-
-
 class _Reader:
-    """A byte cursor over a model file body, data[:end], with one method per
-    record kind. A header line is decoded on its own and must be exactly the
-    line that kind's writer makes of the values read from it; a payload is
-    read only after its stated size is checked against the bytes left."""
+    """A byte cursor over a model file body, data[:end]. A header line is
+    decoded on its own and accepted only if its kind's writer spells the
+    value parsed from it back to the same bytes; a payload is read only
+    after its stated size is checked against the bytes left."""
 
     def __init__(self, data: bytes, end: int):
         self.data = data
         self.end = end
         self.pos = 0
-        self.start = 0  # where the last header line began
         self.where = "the magic line"
 
-    def at_end(self) -> bool:
-        return self.pos == self.end
-
     def line(self) -> str:
-        self.start = self.pos
         stop = self.data.find(b"\n", self.pos, self.end)
         if stop < 0:
             raise FormatError(f"truncated model file in {self.where}")
@@ -584,48 +605,32 @@ class _Reader:
             raise FormatError(f"expected section {name}, found {line[:40]!r}")
         self.where = f"section {name}"
 
-    def values(self, keyword: str) -> str:
-        """The text after `keyword` on the next header line."""
+    def record(self, keyword: str, kind: str):
+        """The value of the next record, a `kind` record under `keyword`. The
+        kind's parser reads the header's fields after the keyword, and the
+        header is accepted only if the kind's writer spells that value back
+        to its bytes. For a row or a matrix the parsed value is the shape,
+        which _ints spells, and the value returned is the payload after it."""
+        start = self.pos
         line = self.line()
-        if line.partition(" ")[0] != keyword:
-            raise FormatError(f"expected {keyword} in {self.where}")
-        return line[len(keyword):]
-
-    def written(self, kind: str, keyword: str, value):
-        """value, if the last header line is what the writer of `kind` makes of it."""
-        if _WRITERS[kind](keyword, value) != self.data[self.start:self.pos]:
-            raise FormatError(f"{keyword} in {self.where} is not written as save_model writes it")
-        return value
-
-    def ints(self, keyword: str) -> np.ndarray:
-        text = self.values(keyword)
-        if not _CANONICAL_INTS.fullmatch(text):
-            raise FormatError(f"{keyword} in {self.where} is not integers as save_model writes them")
-        return np.fromstring(text, dtype=np.int64, sep=" ")
-
-    def int(self, keyword: str) -> int:
-        values = self.ints(keyword)
-        if values.size != 1:
-            raise FormatError(f"{keyword} in {self.where} needs one value, found {values.size}")
-        return values.item()
-
-    def float(self, keyword: str) -> float:
+        write, parse = _KINDS[kind]
+        shaped = kind in ("row", "matrix")
         try:
-            value = float(self.values(keyword))  # the builtin: methods do not see the class scope
-        except ValueError as exc:
-            raise FormatError(f"bad {keyword} value in {self.where}") from exc
-        if not np.isfinite(value):  # float() accepts "nan" and "inf"
-            raise FormatError(f"non-finite {keyword} value in {self.where}")
-        return self.written("float", keyword, value)
+            value = parse(line.split(" ")[1:])
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(
+                f"expected {keyword} values in {self.where}, found {line[:40]!r}"
+            ) from exc
+        if (_ints if shaped else write)(keyword, value) != self.data[start:self.pos]:
+            raise FormatError(
+                f"expected {keyword} in {self.where} as save_model writes it, found {line[:40]!r}"
+            )
+        if not shaped:
+            return value
+        matrix = self.payload(keyword, *value)
+        return matrix[0] if kind == "row" else matrix
 
-    def names(self, keyword: str) -> tuple:
-        return self.written("names", keyword, tuple(self.values(keyword).split()))
-
-    def matrix(self, keyword: str) -> np.ndarray:
-        shape = self.ints(keyword)
-        if shape.size != 2 or shape.min() < 0:
-            raise FormatError(f"matrix {keyword} in {self.where} needs a shape rows cols")
-        rows, cols = shape.tolist()
+    def payload(self, keyword: str, rows: int, cols: int) -> np.ndarray:
         start, stop = self.pos, self.pos + 8 * rows * cols
         if stop >= self.end:  # the payload and its "\n" must both fit
             raise FormatError(
@@ -643,27 +648,6 @@ class _Reader:
             raise FormatError(f"non-finite {keyword} value in {self.where}")
         return matrix
 
-    def row(self, keyword: str) -> np.ndarray:
-        matrix = self.matrix(keyword)
-        if matrix.shape[0] != 1:
-            raise FormatError(f"{keyword} must be a single row, found {matrix.shape[0]}")
-        return matrix[0]
-
-
-def _body_length(raw: bytes) -> int:
-    """The number of body bytes of a model file: all but its last
-    TRAILER_BYTES, which must be exactly "CRC32 <8 lowercase hex digits>\n"
-    stating the checksum of the body."""
-    trailer = re.fullmatch(rb"CRC32 ([0-9a-f]{8})\n", raw[-TRAILER_BYTES:])
-    if trailer is None:
-        raise FormatError("missing or malformed CRC32 trailer (file truncated?)")
-    cut = len(raw) - TRAILER_BYTES
-    stated = trailer[1].decode("ascii")
-    actual = f"{zlib.crc32(memoryview(raw)[:cut]):08x}"
-    if stated != actual:
-        raise FormatError(f"checksum mismatch: stated {stated}, computed {actual}")
-    return cut
-
 
 def load_model(path) -> SystemModel:
     """Parse a model file as LAYOUT lays it out; the CRC is verified before
@@ -673,7 +657,13 @@ def load_model(path) -> SystemModel:
     not describe a valid model, raises FormatError.
     """
     raw = Path(path).read_bytes()
-    reader = _Reader(raw, _body_length(raw))
+    end = max(len(raw) - TRAILER_BYTES, 0)
+    if raw[end:] != _trailer(memoryview(raw)[:end]):
+        raise FormatError(
+            f"trailer {raw[end:]!r} is not the CRC32 line of the body "
+            f"(file truncated or altered?)"
+        )
+    reader = _Reader(raw, end)
     if reader.line() != MAGIC:
         raise FormatError(f"bad magic line (expected {MAGIC!r})")
     parts = {}
@@ -681,8 +671,8 @@ def load_model(path) -> SystemModel:
         reader.section(section)
         fields = parts.setdefault(part, {})
         for keyword, kind, name in records:
-            fields[name] = getattr(reader, kind)(keyword)
-    if not reader.at_end():
+            fields[name] = reader.record(keyword, kind)
+    if reader.pos != reader.end:
         raise FormatError(f"unexpected bytes after the last record of {reader.where}")
     try:
         return SystemModel(

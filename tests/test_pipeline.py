@@ -2,6 +2,7 @@
 
 import base64
 import errno
+import os
 import re
 import tracemalloc
 import weakref
@@ -550,33 +551,40 @@ class TestModelFile:
         # trailer: "\n\nCRC32 deadbeef"
         awkward = np.frombuffer(b"\n" * 8 + b"\n\nCRC32 deadbeef", "<f8").reshape(1, 3)
         matrices = {"M": rows, "E": np.zeros((1, 0)), "F": np.zeros((0, 3)), "A": awkward}
-        write = pipeline._WRITERS["matrix"]
+        write = pipeline._KINDS["matrix"][0]
         body = b"".join(write(name, matrix) for name, matrix in matrices.items())
         assert body.startswith(b"M %d %d\n" % rows.shape)
         assert body.count(b"CRC32 ") == 1 and body.endswith(b"\nCRC32 deadbeef\n")
         # the body's last record is that payload, right before the real trailer
         data = body + b"CRC32 %08x\n" % zlib.crc32(body)
-        reader = pipeline._Reader(data, pipeline._body_length(data))
+        end = len(data) - pipeline.TRAILER_BYTES
+        assert end == len(body) and data[end:] == pipeline._trailer(data[:end])
+        reader = pipeline._Reader(data, end)
         for name, matrix in matrices.items():
-            back = reader.matrix(name)
+            back = reader.record(name, "matrix")
             assert back.dtype == np.float64 and back.flags.writeable
             assert back.shape == matrix.shape
             np.testing.assert_array_equal(back.view(np.uint64), matrix.view(np.uint64))
-        assert reader.at_end()
+        assert reader.pos == reader.end
 
-    def test_saved_where_text_mode_turns_newlines_into_crlf(self, world, tmp_path, monkeypatch):
-        # Windows text mode writes every "\n" as "\r\n"; a file saved through
-        # it would fail its own CRC, which covers the "\n" body
-        def write_crlf(self, data, encoding=None, errors=None, newline=None):
-            with self.open("w", encoding=encoding, errors=errors, newline="\r\n") as f:
-                return f.write(data)
+    def test_saved_where_text_mode_turns_newlines_into_crlf(self, model_file, tmp_path):
+        # Windows text mode writes every "\n" as "\r\n": the trailer no
+        # longer ends the file as written, and with the CRC recomputed over
+        # the rewritten body, the magic line ends in "\r"
+        data = model_file.read_bytes().replace(b"\n", b"\r\n")
+        body = data[:-len(b"CRC32 00000000\r\n")]
+        for crlf in (data, body + b"CRC32 %08x\n" % zlib.crc32(body)):
+            with pytest.raises(FormatError):
+                pipeline.load_model(damaged(tmp_path, crlf))
 
-        monkeypatch.setattr(Path, "write_text", write_crlf)
-        path = tmp_path / "crlf.biomm"
+    def test_saved_under_the_longest_name_the_filesystem_takes(self, world, tmp_path):
+        # the file written first, then renamed over path, must not need a
+        # longer name than path's own
+        path = tmp_path / ("m" * os.pathconf(tmp_path, "PC_NAME_MAX"))
         pipeline.save_model(world.model, path)
-        loaded = pipeline.load_model(path)
+        assert list(tmp_path.iterdir()) == [path]
         name, face, voice = world.genuine[0]
-        assert pipeline.verify(loaded, face, voice, name) == pipeline.verify(
+        assert pipeline.verify(pipeline.load_model(path), face, voice, name) == pipeline.verify(
             world.model, face, voice, name
         )
 
@@ -909,6 +917,21 @@ MALFORMED_BODIES = {
         _set_line("BIASES ", "BIASES " + "9" * 30 + " 0"), _edit_payload("BIASES", lambda raw: b"")
     ),
     "svm-label-beyond-int64": _edit_tokens(SVM + "LABELS ", _replaced(0, "9" * 20)),
+    # 19 digits, within int64
+    "sample-rate-19-digits": _set_line("SAMPLE_RATE ", "SAMPLE_RATE " + "1" * 19),
+    "face-size-19-digits": _set_line("FACE_SIZE ", "FACE_SIZE 16 " + "1" * 19),
+    "points-rows-19-digits": _set_line("POINTS ", "POINTS " + "1" * 19 + " 4"),
+    # more digits than int() converts by default
+    "label-5000-digits": _edit_tokens("LABELS ", _replaced(0, "1" * 5000)),
+    # a row stated as two rows, the second a copy of the first: read as a
+    # matrix, its first row is the saved row
+    "row-of-two-rows": _edits(
+        _set_line("MEAN ", "MEAN 2 256"), _edit_payload("MEAN", lambda raw: raw * 2)
+    ),
+    # the most rows int64 holds, of no columns: more than numpy can shape
+    "matrix-rows-int64-max": _edits(
+        _set_line("POINTS ", f"POINTS {2**63 - 1} 0"), _edit_payload("POINTS", lambda raw: b"")
+    ),
     "tau-dist-inf": _set_line("TAU_DIST ", "TAU_DIST inf"),
     "w-face-out-of-range": _set_line("W_FACE ", "W_FACE 1.5"),
     # a BIOMM 4 body ended in a TAU_FUSED line after TAU_DIST
@@ -987,16 +1010,18 @@ class TestMalformedBody:
 
     def test_class_count_refused_before_its_pairs_are_listed(self, model_file, tmp_path):
         # 2000 classes have 1,999,000 pairs, whose list costs seconds and
-        # about 180 MiB; the file stores 10, so the shapes refuse it first
-        path = rewritten(model_file, tmp_path, _set_line("CLASSES ", "CLASSES 2000"))
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="pair"):
-                pipeline.load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 1024 * 1024
+        # about 180 MiB; the file stores 10, so the shapes refuse it first,
+        # and so they do for the largest class count int64 holds
+        for classes in (2000, 2**63 - 1):
+            path = rewritten(model_file, tmp_path, _set_line("CLASSES ", f"CLASSES {classes}"))
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match="pair"):
+                    pipeline.load_model(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 1024 * 1024, classes
 
     def test_payload_larger_than_the_file_refused_before_it_is_read(self, model_file, tmp_path):
         # 152 TB stated: the size is checked against the bytes left, so
