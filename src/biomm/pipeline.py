@@ -25,10 +25,12 @@ writer is the file's one spelling of that kind, and the loader accepts a
 header line only if the writer spells the value parsed from it back to the
 same bytes. The comment above LAYOUT gives the encoding.
 
-Verification is 1:1, with no gallery built per claim: the face against the
-claimed client's slice of gallery rows, the voice by the claimed client's
-share of the machines' decision values, from the row-major points the SVM
-derives once when it is built.
+Both modes gather a probe's evidence in one step, _evidence (the records
+checked, both features projected, the voice SVM's one-vs-one vote), and map
+it to scores by one rule, _scores. Identification votes over the whole face
+gallery. Verification is 1:1, with no gallery built per claim: the face
+against the claimed client's slice of gallery rows, the voice by the claimed
+client's count in the vote identification reads.
 """
 
 from __future__ import annotations
@@ -181,8 +183,7 @@ class SystemModel:
     def tau_fused(self) -> float:
         """The distance gate mapped into score space under a unanimous voice
         vote: a probe farther than tau_dist scores below it."""
-        w = self.w_face
-        return w * _distance_score(self.tau_dist) + (1.0 - w)
+        return _scores(self, self.tau_dist, self.num_classes - 1)[2]
 
 
 class Enrollment:
@@ -267,10 +268,6 @@ def _require_within_class_variation(ds: LabeledDataset, what: str) -> None:
             f"no client enrolled two different {what}, so there is no within-class "
             f"variation to fit a discriminant against"
         )
-
-
-def _distance_score(distance: float) -> float:
-    return 1.0 / (1.0 + distance)
 
 
 def fit_system(enrollment: Enrollment, w_face: float = 0.5) -> SystemModel:
@@ -361,6 +358,26 @@ def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
     return pca_mod.project(m.voice_lda, mfcc_mod.extract(voice_recording))
 
 
+def _evidence(m: SystemModel, face_image: ImageRecord, voice_recording: AudioRecord):
+    """A probe's evidence, which both modes decide from: (q_face, (voice_label,
+    votes)), its face in Fisher space and the voice SVM's one-vs-one vote.
+    The records are checked first, and each against the enrolled image size
+    or sample rate before its feature is computed."""
+    _require_records(DatasetError, "probe", [face_image], [voice_recording])
+    q_face = _face_probe(m, face_image)
+    return q_face, svm_mod.predict_multiclass(m.voice_svm, _voice_probe(m, voice_recording))
+
+
+def _scores(m: SystemModel, distance: float, votes) -> tuple:
+    """(face, voice, fused): the face score 1/(1+distance), the voice score
+    votes/(C-1), the share of its C-1 machines a class won, and their convex
+    fusion under w_face."""
+    face = 1.0 / (1.0 + distance)
+    voice = votes / (m.num_classes - 1)
+    w = m.w_face
+    return face, voice, w * face + (1.0 - w) * voice
+
+
 def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioRecord) -> Decision:
     """1-of-N identification with fraud rejection.
 
@@ -370,22 +387,11 @@ def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioReco
     unknown when the face distance exceeds tau_dist AND the fused score
     falls below tau_fused.
     """
-    _require_records(DatasetError, "probe", [face_image], [voice_recording])
-    q_face = _face_probe(m, face_image)
+    q_face, (voice_label, votes) = _evidence(m, face_image, voice_recording)
     face_result = knn_mod.classify(m.face_gallery, q_face)
-    face_score = _distance_score(face_result.mean_distance)
-
-    q_voice = _voice_probe(m, voice_recording)
-    voice_label, votes = svm_mod.predict_multiclass(m.voice_svm, q_voice)
-    voice_score = votes[voice_label] / (m.num_classes - 1)
-
+    face_score, voice_score, fused = _scores(m, face_result.mean_distance, votes[voice_label])
     w = m.w_face
-    fused = w * face_score + (1.0 - w) * voice_score
-    if w * face_score >= (1.0 - w) * voice_score:
-        candidate = face_result.label
-    else:
-        candidate = voice_label
-
+    candidate = face_result.label if w * face_score >= (1.0 - w) * voice_score else voice_label
     rejected = face_result.mean_distance > m.tau_dist and fused < m.tau_fused
     names = m.class_names
     return Decision(
@@ -411,31 +417,21 @@ def verify(
 
     The face score uses only the claimed client's gallery rows, one slice
     of the gallery since its labels are grouped by client, voted on by the
-    gallery's rule; the voice score is the fraction of the claimed client's
-    pairwise machines that vote for it, counted from every machine's
-    decision value. Neither builds a gallery or runs the one-vs-one vote.
+    gallery's rule, and no gallery is built for the claim; the voice score
+    is the claimed client's count in the one-vs-one vote identify reads.
+    An unenrolled claimed_id raises IdentityError before any feature is
+    computed.
     """
     names = m.class_names
     if claimed_id not in names:
         raise IdentityError(f"claimed id {claimed_id!r} is not enrolled")
     cid = names.index(claimed_id)
-    _require_records(DatasetError, "probe", [face_image], [voice_recording])
-
+    q_face, (_, votes) = _evidence(m, face_image, voice_recording)
     gallery = m.face_gallery
     lo, hi = np.searchsorted(gallery.labels, (cid, cid + 1))
-    dists = knn_mod.distances(gallery.points[lo:hi], _face_probe(m, face_image))
+    dists = knn_mod.distances(gallery.points[lo:hi], q_face)
     nearest = knn_mod.vote(gallery.labels[lo:hi], dists, min(knn_mod.K, hi - lo))
-    face_score = _distance_score(nearest.mean_distance)
-
-    q_voice = _voice_probe(m, voice_recording)
-    # a class can win only the C-1 machines it takes part in, so its vote
-    # count is the number of those that vote for it
-    scores = svm_mod.decision_values(m.voice_svm, q_voice)
-    won = np.count_nonzero(svm_mod.machine_winners(m.voice_svm, scores) == cid)
-    voice_score = int(won) / (m.voice_svm.num_classes - 1)
-
-    w = m.w_face
-    fused = w * face_score + (1.0 - w) * voice_score
+    face_score, voice_score, fused = _scores(m, nearest.mean_distance, votes[cid])
     accepted = fused >= m.tau_fused
     return Decision(
         mode=MODE_VERIFY,

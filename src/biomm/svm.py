@@ -398,12 +398,6 @@ def decision_values(m: SvmModel, x) -> np.ndarray:
     return sums + m.biases
 
 
-def machine_winners(m: SvmModel, scores: np.ndarray) -> np.ndarray:
-    """The class each machine votes for, given its decision value: the
-    positive class at a score >= 0, the negative class below."""
-    return np.where(scores >= 0, m.class_pairs[:, 0], m.class_pairs[:, 1])
-
-
 def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
     """Majority vote across pairwise machines.
 
@@ -412,12 +406,10 @@ def predict_multiclass(m: SvmModel, x) -> tuple[int, np.ndarray]:
     won, then by the smaller class id.
     """
     scores = decision_values(m, x)
-    winners = machine_winners(m, scores)
+    winners = np.where(scores >= 0, m.class_pairs[:, 0], m.class_pairs[:, 1])
     votes = np.bincount(winners, minlength=m.num_classes)
-    strengths = np.bincount(winners, weights=np.abs(scores), minlength=m.num_classes)
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
+    tied = np.flatnonzero(votes == votes.max())
     if tied.size == 1:
         return int(tied[0]), votes
-    best = tied[np.argmax(strengths[tied])]  # argmax keeps the smaller id on ties
-    return int(best), votes
+    strengths = np.bincount(winners, weights=np.abs(scores), minlength=m.num_classes)
+    return int(tied[np.argmax(strengths[tied])]), votes  # argmax keeps the smaller id on ties

@@ -211,22 +211,57 @@ def reference_loo_distances(points, labels) -> np.ndarray:
     return out
 
 
+def reference_tau_fused(m) -> float:
+    """`SystemModel.tau_fused` written out: the fused score of a face at
+    tau_dist and a unanimous voice vote."""
+    return m.w_face * (1.0 / (1.0 + m.tau_dist)) + (1.0 - m.w_face)
+
+
+def reference_identify(m, face_image, voice_recording) -> pipeline.Decision:
+    """`pipeline.identify` computed the long way: the face by `knn.classify`
+    over the whole gallery, the voice by `svm.predict_multiclass`, and the
+    score, fusion, candidate and rejection rules written out, with
+    `reference_tau_fused`. The served decision must equal it."""
+    nearest = knn.classify(m.face_gallery, pipeline._face_probe(m, face_image))
+    q_voice = pipeline._voice_probe(m, voice_recording)
+    voice_label, votes = svm.predict_multiclass(m.voice_svm, q_voice)
+    w = m.w_face
+    face_score = 1.0 / (1.0 + nearest.mean_distance)
+    voice_score = int(votes[voice_label]) / (m.voice_svm.num_classes - 1)
+    fused = w * face_score + (1.0 - w) * voice_score
+    rejected = nearest.mean_distance > m.tau_dist and fused < reference_tau_fused(m)
+    candidate = nearest.label if w * face_score >= (1.0 - w) * voice_score else voice_label
+    names = m.class_names
+    return pipeline.Decision(
+        mode=pipeline.MODE_IDENTIFY,
+        claimed_id=None,
+        face_score=face_score,
+        voice_score=voice_score,
+        fused_score=fused,
+        verdict=pipeline.VERDICT_REJECT if rejected else pipeline.VERDICT_ACCEPT,
+        client_id=None if rejected else names[candidate],
+        face_id=names[nearest.label],
+        voice_id=names[voice_label],
+    )
+
+
 def reference_verify(m, face_image, voice_recording, claimed_id) -> pipeline.Decision:
     """`pipeline.verify` computed the long way: a one-client gallery of the
     claimed client's rows, selected by mask and built for the claim, the vote
     among the min(knn.K, its points) of them nearest the probe, and the
     claimed client's vote count from the full one-vs-one vote of
-    `svm.predict_multiclass`. The served decision must equal it."""
+    `svm.predict_multiclass`, fused and thresholded at `reference_tau_fused`.
+    The served decision must equal it."""
     cid = m.class_names.index(claimed_id)
     points = m.face_gallery.points[m.face_gallery.labels == cid]
     client = knn.KnnModel(points, np.zeros(points.shape[0], dtype=np.int64))
     dists = knn.distances(client.points, pipeline._face_probe(m, face_image))
     nearest = knn.vote(client.labels, dists, min(knn.K, points.shape[0]))
-    face_score = pipeline._distance_score(nearest.mean_distance)
+    face_score = 1.0 / (1.0 + nearest.mean_distance)
     _, votes = svm.predict_multiclass(m.voice_svm, pipeline._voice_probe(m, voice_recording))
     voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)
     fused = m.w_face * face_score + (1.0 - m.w_face) * voice_score
-    accepted = fused >= m.tau_fused
+    accepted = fused >= reference_tau_fused(m)
     return pipeline.Decision(
         mode=pipeline.MODE_VERIFY,
         claimed_id=claimed_id,

@@ -22,10 +22,16 @@ from biomm.errors import (
     DomainError,
     EnrollmentError,
     FormatError,
+    IdentityError,
     TooShortError,
 )
 from biomm.ingest import VALID_SAMPLE_RATES, AudioRecord, ImageRecord, LabeledDataset
-from conftest import reference_loo_distances, reference_verify
+from conftest import (
+    reference_identify,
+    reference_loo_distances,
+    reference_tau_fused,
+    reference_verify,
+)
 
 NUM_CLIENTS = 5
 
@@ -134,6 +140,19 @@ class TestServing:
         for face, voice in world.unknown:
             d = pipeline.identify(world.model, face, voice)
             assert not d.accepted and d.client_id is None
+
+    @pytest.mark.parametrize("claimed_id", ["mallory", None], ids=["stranger", "none"])
+    def test_verify_refuses_an_unenrolled_claim_before_any_work(self, world, monkeypatch,
+                                                                claimed_id):
+        _, face, voice = world.genuine[0]
+
+        def no_work(*args):
+            raise AssertionError("a feature was computed for a refused claim")
+
+        monkeypatch.setattr(pca, "project", no_work)
+        monkeypatch.setattr(mfcc, "extract", no_work)
+        with pytest.raises(IdentityError, match="not enrolled"):
+            pipeline.verify(world.model, face, voice, claimed_id)
 
     def test_scores_are_python_floats_in_both_modes(self, world):
         name, face, voice = world.genuine[0]
@@ -506,6 +525,9 @@ class TestSingleModality:
             assert d.face_id != d.voice_id
             assert d.client_id == d.face_id
             assert d.fused_score == d.face_score
+        for claim in claims(world):
+            d = pipeline.verify(model, *claim)
+            assert d.fused_score == d.face_score
 
     def test_w_face_zero_is_voice_only(self, world):
         model = pipeline.enroll_and_fit(world.gallery, w_face=0.0)
@@ -513,6 +535,9 @@ class TestSingleModality:
             d = pipeline.identify(model, face, voice)
             assert d.face_id != d.voice_id
             assert d.client_id == d.voice_id
+            assert d.fused_score == d.voice_score
+        for claim in claims(world):
+            d = pipeline.verify(model, *claim)
             assert d.fused_score == d.voice_score
 
     @pytest.mark.parametrize("w_face", [-1.0, 1.5, float("nan")], ids=["negative", "above-one", "nan"])
@@ -1155,9 +1180,9 @@ def with_client_rows(model, client, change):
 
 
 class TestVerifyFromClientTables:
-    """verify reads the claimed client's slice of gallery rows and every
-    machine's value; its decisions equal the ones a per-claim gallery and
-    the full vote give."""
+    """verify reads the claimed client's slice of gallery rows and its count
+    in the one-vs-one vote; its decisions equal the ones a per-claim gallery
+    and the full vote give."""
 
     def assert_as_reference(self, model, world):
         served = [pipeline.verify(model, *claim) for claim in claims(world)]
@@ -1207,6 +1232,31 @@ class TestVerifyFromClientTables:
     def test_reloaded_and_replaced_models(self, world, model_file):
         self.assert_as_reference(pipeline.load_model(model_file), world)
         self.assert_as_reference(replace(world.model, w_face=0.3), world)
+
+
+class TestIdentifyAsReference:
+    """identify's decisions equal the ones the whole-gallery vote, the full
+    one-vs-one vote and the fusion and rejection rules written out give."""
+
+    def assert_as_reference(self, model, probes):
+        assert model.tau_fused == reference_tau_fused(model)
+        served = [pipeline.identify(model, face, voice) for face, voice in probes]
+        assert served == [reference_identify(model, face, voice) for face, voice in probes]
+        return served
+
+    def test_every_probe_of_the_world(self, world, model_file):
+        probes = [(face, voice) for _, face, voice in world.genuine] + world.unknown + world.mixed
+        decisions = self.assert_as_reference(world.model, probes)
+        assert {d.verdict for d in decisions} == {pipeline.VERDICT_ACCEPT, pipeline.VERDICT_REJECT}
+        self.assert_as_reference(pipeline.load_model(model_file), probes)
+        self.assert_as_reference(replace(world.model, w_face=0.3), probes)
+
+    def test_every_probe_at_twenty_clients(self, world20):
+        gallery, prototypes, _, model = world20
+        rng = np.random.default_rng(21)
+        probes = [(synth.render_face(prototype, rng), voices[0])
+                  for prototype, (_, voices) in zip(prototypes, gallery.values())]
+        self.assert_as_reference(model, probes)
 
 
 class TestGalleryLayout:

@@ -638,11 +638,18 @@ class TestStoredRows:
                     array[0] = 0.0
 
     def test_winners_follow_the_sign_of_each_score(self):
+        # with every coefficient 0.0, each machine's score is its bias
         model = random_shared_model(np.random.RandomState(23), 4, RBF2)
         scores = np.linspace(-1.0, 1.0, model.biases.size)
         scores[0] = 0.0  # exactly 0 votes for the positive class
-        expected = [i if s >= 0 else j for (i, j), s in zip(model.class_pairs, scores)]
-        assert svm.machine_winners(model, scores).tolist() == expected
+        model = replace(model, dual_coefs=np.zeros_like(model.dual_coefs), biases=scores)
+        q = np.random.RandomState(24).standard_normal(model.points.shape[0])
+        np.testing.assert_array_equal(svm.decision_values(model, q), scores)
+        winners = [i if s >= 0 else j for (i, j), s in zip(model.class_pairs, scores)]
+        label, votes = svm.predict_multiclass(model, q)
+        assert votes.tolist() == np.bincount(winners, minlength=model.num_classes).tolist()
+        # classes 1 and 2 tie at two votes; 2's won scores sum to 1.6, 1's to 0.8
+        assert votes.tolist() == [1, 2, 2, 1] and label == 2
 
 
 def assert_views_equal_trained_machines(ds):
