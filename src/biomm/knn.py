@@ -1,18 +1,18 @@
-"""Euclidean k-nearest-neighbor classification over projected features.
+"""Euclidean nearest-neighbor classification over projected features.
 
 Galleries are small (a few hundred points of dimension <= C-1 after LDA),
 so a linear scan is used. A gallery holds one point per C-ordered row, and
 a distance sums its row's squared differences along the row, so a query
-and a point have one distance whichever rows are scanned. Every vote is
-among the K nearest points, or among all of them when fewer are scanned;
-K is a constant, not a field, so a gallery rebuilt from its points and
-labels votes as the one it was saved from. Vote ties break by smaller mean
-distance, then by smaller class id, whatever the gallery's order.
-`distances` and `vote` each hold their rule once and take one query or a
-block of queries, each row of a block giving the bits it gives alone:
-`classify` applies them to one query, verification to one client's rows,
-and `leave_one_out` to blocks of gallery points against the whole gallery,
-one `distances` and one `vote` call per block.
+and a point have one distance whichever rows are scanned. A query takes
+the class of its nearest point in (distance, class id) order, whatever the
+gallery's order, at the mean distance of its K = 2 nearest when both are of
+that class, else at the nearest one's: the majority vote among the K
+nearest, a one-each tie going to the nearer class. K is a constant, so a
+gallery rebuilt from its points and labels votes as the one it was saved
+from. `distances` and `vote` each hold their rule once and take one query
+or a block, each row giving the bits it gives alone: `classify` applies
+them to one query, verification to one client's rows, and `leave_one_out`
+to blocks of gallery points.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-K = 2
+K = 2  # the nearest points a vote reads; `vote` is written for k <= K
 BLOCK_ENTRIES = 1 << 17  # the most squared differences `leave_one_out` forms at once: 1 MiB
 
 
@@ -69,42 +69,32 @@ def distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def vote(labels: np.ndarray, dists: np.ndarray, k: int):
-    """Majority vote among the k nearest of the gallery points labelled
-    `labels`. `dists` is one row of distances from a query to those points,
-    which gives one KnnResult, or a block of such rows, one per query, which
-    gives a tuple of KnnResults in row order; each row is voted on alone, by
-    the same rule and to the same bits.
+    """The vote among the k <= K nearest of the points labelled `labels`:
+    one KnnResult for `dists`, one row of distances from a query to them, a
+    tuple in row order for a block of such rows, each to its bits alone.
 
-    The k nearest are the first k in (distance, class id) order, so
-    equal-distance neighbors enter in a fixed class order regardless of how
-    the gallery was assembled. Vote ties break by the smaller mean distance,
-    a class's neighbor distances added in that order, then by the smaller
-    class id. The k nearest of every row are found in array passes; only the
-    tally over those k is per row.
+    The nearest are the first in (distance, class id) order. The label is
+    the first one's class; the distance is the mean of the first two's when
+    both are of that class, else the first one's, as a one-each tie goes to
+    the nearer point. The nearest are found in array passes and the rule is
+    applied per row, the faster form for identify's and verify's one row.
     """
-    # (distance, class id) as one complex number, which numpy orders
-    # lexicographically: the k smallest, then those k sorted
+    # (distance, class id) as one complex number, ordered lexicographically
     keys = dists.reshape(-1, dists.shape[-1]) + 1j * labels
     keys.partition(min(k, keys.shape[1]) - 1, axis=1)  # k may exceed the points
     near = keys[:, :k]
     near.sort(axis=1)
-    # the tally over k neighbors is per row: in array passes it would take
-    # about three times as long for the single row identify and verify vote on
     results = []
-    for row in near.tolist():
-        votes, sums = {}, {}
-        for z in row:
-            votes[z.imag] = votes.get(z.imag, 0) + 1
-            sums[z.imag] = sums.get(z.imag, 0.0) + z.real
-        top = max(votes.values())
-        # each tied class has `top` neighbors: its mean distance is their sum / top
-        mean, label = min((sums[c] / top, c) for c in votes if votes[c] == top)
-        results.append(KnnResult(int(label), mean))
+    for first, *rest in near.tolist():
+        mean = first.real
+        if rest and rest[0].imag == first.imag:
+            mean = (mean + rest[0].real) / 2
+        results.append(KnnResult(int(first.imag), mean))
     return tuple(results) if dists.ndim == 2 else results[0]
 
 
 def classify(m: KnnModel, q) -> KnnResult:
-    """Majority vote among the min(K, points) nearest gallery points."""
+    """The vote among the min(K, points) nearest gallery points."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (m.points.shape[1],):
         raise DimensionError(f"query dimension {q.shape} != gallery dimension {m.points.shape[1]}")

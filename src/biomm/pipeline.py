@@ -1,14 +1,19 @@
 """End-to-end multimodal system: enrollment, identification, verification,
 score-level fusion, and model persistence.
 
-Face chain: pixels -> PCA -> LDA -> KNN gallery, with PCA and LDA kept as
-one pixel -> Fisher-space map, their product (the Fisherface W_opt). Voice
+Face chain: pixels -> PCA -> LDA -> gallery rows, with PCA and LDA kept as
+one pixel -> Fisher-space map, their product (the Fisherface W_opt); a face
+takes its nearest row's class, at the mean distance of its two nearest rows
+when both are of that class, else at the nearest one's (knn.vote). Voice
 chain: MFCC summary -> LDA -> one-vs-one SVM. Scores from both chains are
 mapped to [0, 1] (1/(1+distance) for faces, vote fractions for voices) and
-fused by a convex combination. A probe is rejected as unknown when its face
-distance exceeds tau_dist AND its fused score falls below tau_fused.
-tau_dist is calibrated from the enrollment data; tau_fused is its image in
-score space under w_face, computed where it is used.
+fused by a convex combination. identify rejects a probe as unknown when its
+face distance exceeds tau_dist AND its fused score falls below tau_fused,
+the fused score of a face at tau_dist with a unanimous voice vote. As a
+voice score is at most 1, for w_face > 0 the face distance alone rejects
+(up to rounding), and at w_face = 0 a unanimous vote accepts any face.
+tau_dist is calibrated from the enrollment data; tau_fused is computed
+where it is used.
 
 The fit settings are module constants (VOICE_KERNEL, SVM_C, SVM_TOL, the
 gallery's knn.K and the MFCC analysis constants of the mfcc module); PCA and
@@ -90,12 +95,6 @@ class Decision:
     face_id: str | None = None
     voice_id: str | None = None
 
-    def __post_init__(self):
-        # scores derived from numpy votes and distances arrive as numpy
-        # scalars; a Decision holds plain floats whichever mode made it
-        for name in ("face_score", "voice_score", "fused_score"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
     @property
     def accepted(self) -> bool:
         return self.verdict == VERDICT_ACCEPT
@@ -125,7 +124,8 @@ class SystemModel:
     dimension equal to the next stage's input dimension, starting from the
     face_size = (width, height) pixels of an enrolled image. The sample rate
     and face_size are integers, as the records hold them and the file stores
-    them; NumPy integers are kept as int."""
+    them; NumPy integers are kept as int, and w_face as float, so every
+    score a Decision holds is a plain float."""
 
     face: pca_mod.Subspace
     face_gallery: knn_mod.KnnModel
@@ -172,6 +172,7 @@ class SystemModel:
         ):
             if produced != consumed:
                 raise DimensionError(f"{link}: {produced} dimensions feed {consumed}")
+        object.__setattr__(self, "w_face", float(self.w_face))
         object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "face_size", (width, height))
 
@@ -373,7 +374,7 @@ def _scores(m: SystemModel, distance: float, votes) -> tuple:
     votes/(C-1), the share of its C-1 machines a class won, and their convex
     fusion under w_face."""
     face = 1.0 / (1.0 + distance)
-    voice = votes / (m.num_classes - 1)
+    voice = int(votes) / (m.num_classes - 1)
     w = m.w_face
     return face, voice, w * face + (1.0 - w) * voice
 
@@ -385,7 +386,9 @@ def identify(m: SystemModel, face_image: ImageRecord, voice_recording: AudioReco
     the modality with the larger weighted score wins (so w_face of 0 or 1
     reduces exactly to a single-modality system). The probe is rejected as
     unknown when the face distance exceeds tau_dist AND the fused score
-    falls below tau_fused.
+    falls below tau_fused. For w_face > 0 a face beyond tau_dist scores
+    below tau_fused whatever the voice, up to rounding, so the distance
+    alone rejects; at w_face = 0 a unanimous voice vote accepts any face.
     """
     q_face, (voice_label, votes) = _evidence(m, face_image, voice_recording)
     face_result = knn_mod.classify(m.face_gallery, q_face)

@@ -164,6 +164,14 @@ class TestServing:
             assert type(d.voice_score) is float
             assert type(d.fused_score) is float
 
+    @pytest.mark.parametrize("w_face", [np.float64(0.3), np.float32(0.5)], ids=["float64", "float32"])
+    def test_scores_are_python_floats_under_a_numpy_weight(self, world, w_face):
+        model = replace(world.model, w_face=w_face)
+        assert type(model.w_face) is float and model.w_face == float(w_face)
+        name, face, voice = world.genuine[0]
+        for d in (pipeline.identify(model, face, voice), pipeline.verify(model, face, voice, name)):
+            assert {type(d.face_score), type(d.voice_score), type(d.fused_score)} == {float}
+
 
 def test_enrollment_mixing_sample_rates_is_refused():
     # filterbanks built for two rates give summaries of equal length that
@@ -1390,6 +1398,46 @@ def test_noisy_voice_probes_cost_fusion_at_most_one_probe():
     # although the face chain names all 40
     face, fused = identify_probes(20, seed=1, per_client=2, snr_db=10.0)
     assert fused >= face - 1
+
+
+class TestUnknownGate:
+    """identify rejects a probe whose face distance exceeds tau_dist AND whose
+    fused score falls below tau_fused, the fused score of a face at tau_dist
+    with a unanimous voice vote. A voice score is at most 1, so when the
+    face has weight the second clause follows from the first."""
+
+    @pytest.fixture(scope="class")
+    def probes(self, world20):
+        """A fresh face of each client with an enrolled voice of theirs, then
+        as many never-enrolled faces, each with a never-enrolled voice."""
+        gallery, prototypes, _, _ = world20
+        rng = np.random.default_rng(22)
+        genuine = [(synth.render_face(prototype, rng), voices[0])
+                   for prototype, (_, voices) in zip(prototypes, gallery.values())]
+        faces = synth.make_face_prototypes(len(genuine), rng)
+        voices = synth.make_voice_profiles(len(genuine), rng)
+        unknown = [(synth.render_face(f, rng), synth.synth_utterance(v, rng))
+                   for f, v in zip(faces, voices)]
+        return genuine + unknown
+
+    @pytest.mark.parametrize("w_face", [0.3, 0.5, 1.0])
+    def test_face_distance_alone_rejects(self, world20, probes, w_face):
+        model = replace(world20[3], w_face=w_face)
+        rejected = [not pipeline.identify(model, face, voice).accepted for face, voice in probes]
+        far = [knn.classify(model.face_gallery, pipeline._face_probe(model, face)).mean_distance
+               > model.tau_dist for face, _ in probes]
+        assert rejected == far
+        assert far == [False] * (len(probes) // 2) + [True] * (len(probes) // 2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at w_face = 0 the fused clause asks for a voice vote short of "
+                          "unanimous, and every never-enrolled voice here wins a unanimous vote, "
+                          "as do all 108 never-enrolled probes of the benchmark galleries at "
+                          "seeds 1-3 (ROADMAP item 4)")
+def test_voice_only_identify_rejects_a_never_enrolled_probe(world):
+    model = replace(world.model, w_face=0.0)
+    assert any(not pipeline.identify(model, face, voice).accepted for face, voice in world.unknown)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
