@@ -2,13 +2,11 @@
 
 The between-class scatter is sum_i n_i (m_i - m)(m_i - m)^T, the standard
 Fisherface form; together with the within-class scatter it decomposes the
-total scatter exactly, which the test suite certifies. A sort puts the
-samples in a canonical order, grouped by class and within a class by their
-values from the first row down, so a permuted dataset yields bit-identical
-results. The sort keys on the label and the first row alone, and sorts on
-every row only when two columns of one class tie on the first; both give
-the same order. The class sums are then taken over each group, and S_W is
-one product of all the columns centred on their class means.
+total scatter exactly, which the test suite certifies. The samples are
+grouped by class label, each class keeping its samples in the order given,
+so the bits of a fit depend on that order. The class sums are then taken
+over each group, and S_W is one product of all the columns centred on their
+class means.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ClassError, DomainError, RankError
+from .errors import ClassError, RankError
 from .ingest import LabeledDataset
 from .pca import Subspace
 
@@ -37,36 +35,22 @@ class ScatterPair:
 
 
 def scatter(ds: LabeledDataset) -> ScatterPair:
-    """Class scatter matrices S_W and S_B of a labeled dataset."""
+    """Class scatter matrices S_W and S_B of a labeled dataset.
+
+    The columns are grouped by label in one stable sort, so each class keeps
+    its samples in the order given; the bits depend on that order."""
     if ds.num_classes < 2:
         raise ClassError("scatter needs at least two classes")
-    d = ds.dim
-    if d > 2000:
-        raise DomainError(f"dimension {d} too large for dense scatter (max 2000)")
     counts = np.bincount(ds.labels)  # a LabeledDataset holds every class
-
-    # label first, then the values from the first row down: the canonical
-    # order. Label and first row settle it unless two columns of one class
-    # tie on that row; only then do the later rows take part.
-    first = ds.features[0]
-    order = np.lexsort((first, ds.labels))
-    labels, first = ds.labels[order], first[order]
-    if np.any((labels[1:] == labels[:-1]) & (first[1:] == first[:-1])):
-        order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
-    columns = ds.features[:, order]
+    columns = ds.features[:, np.argsort(ds.labels, kind="stable")]
     starts = np.cumsum(counts) - counts
     class_sums = np.add.reduceat(columns, starts, axis=1)
     class_means = class_sums / counts
     total_mean = class_sums.sum(axis=1) / counts.sum()
 
     centered = columns - np.repeat(class_means, counts, axis=1)
-    s_w = centered @ centered.T
     diff = class_means - total_mean[:, None]
-    s_b = (diff * counts) @ diff.T
-
-    s_w = 0.5 * (s_w + s_w.T)
-    s_b = 0.5 * (s_b + s_b.T)
-    return ScatterPair(s_w, s_b, class_means, total_mean)
+    return ScatterPair(centered @ centered.T, (diff * counts) @ diff.T, class_means, total_mean)
 
 
 def fit_lda(ds: LabeledDataset) -> Subspace:

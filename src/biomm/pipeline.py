@@ -251,13 +251,9 @@ def _check_rate(whose: str, recording: AudioRecord, rate: int) -> None:
 
 def _stacked(blocks, class_names: tuple) -> LabeledDataset:
     """The clients' feature blocks, a row per sample, as the columns of one
-    float64 matrix in enrollment order, cast in the one copy that stacks
-    them. The matrix is row-major: the fits' BLAS products depend on the
-    layout, and the pinned model files were made from a row-major one."""
+    matrix in enrollment order."""
     labels = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
-    columns = np.empty((blocks[0].shape[1], labels.size))
-    np.concatenate([block.T for block in blocks], axis=1, out=columns)
-    return LabeledDataset(columns, labels, class_names)
+    return LabeledDataset(np.concatenate(blocks).T, labels, class_names)
 
 
 def _require_within_class_variation(ds: LabeledDataset, what: str) -> None:

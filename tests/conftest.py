@@ -180,21 +180,18 @@ def reference_train_multiclass(ds, kernel, c: float, tol: float = 1e-3) -> svm.S
 
 
 def reference_scatter(ds) -> lda.ScatterPair:
-    """`lda.scatter` with the canonical order taken by one lexsort on the
-    label and every feature row, first row first, whatever ties there are.
+    """`lda.scatter` with the columns grouped by a mask per class, each
+    class's columns in the order given, then concatenated in class order.
     `lda.scatter` must give the same bits."""
     counts = np.bincount(ds.labels)
-    order = np.lexsort(np.vstack((ds.features[::-1], ds.labels)))
-    columns = ds.features[:, order]
+    columns = np.concatenate([ds.features[:, ds.labels == c] for c in range(counts.size)], axis=1)
     starts = np.cumsum(counts) - counts
     class_sums = np.add.reduceat(columns, starts, axis=1)
     class_means = class_sums / counts
     total_mean = class_sums.sum(axis=1) / counts.sum()
     centered = columns - np.repeat(class_means, counts, axis=1)
-    s_w = centered @ centered.T
     diff = class_means - total_mean[:, None]
-    s_b = (diff * counts) @ diff.T
-    return lda.ScatterPair(0.5 * (s_w + s_w.T), 0.5 * (s_b + s_b.T), class_means, total_mean)
+    return lda.ScatterPair(centered @ centered.T, (diff * counts) @ diff.T, class_means, total_mean)
 
 
 def reference_loo_distances(points, labels) -> np.ndarray:

@@ -18,6 +18,9 @@ same verdicts and ids, though a score may differ in its last bits.
 
 With --check, each seed's line must also meet PINS; the tool names every
 seed and field that does not on stderr and exits with status 1.
+
+`summary` writes the Markdown that compares two commits' lines, for the
+job summary of a pull request.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ PINS = {
     },
     "model_bytes_ceiling": 251_500,
 }
+
+
+# the fields of a digest line after its seed, as the job summary names them
+LINE_FIELDS = ("decision count", "decision sha256", "model-file sha256", "verdict sha256",
+               "model-file bytes")
 
 
 def digest(seed: int, work_dir: Path) -> tuple:
@@ -87,6 +95,26 @@ def broken_pins(seed: int, line: tuple) -> list:
     if model_bytes > PINS["model_bytes_ceiling"]:
         broken.append(f"model bytes {model_bytes}, ceiling {PINS['model_bytes_ceiling']}")
     return broken
+
+
+def summary(base_sha: str, base_lines: str, head_lines: str, note: str) -> str:
+    """The Markdown that compares the digest lines of a pull request's base
+    commit with its own: a line per seed of head_lines naming the fields that
+    moved from base_lines ("nothing moved" when none did), then both commits'
+    lines. When base_lines is empty, the note says why in their place."""
+    base, head = ({line.split()[0]: line.split()[1:] for line in lines.splitlines()}
+                  for lines in (base_lines, head_lines))
+    out = [f"### Decision digest: base {base_sha[:12]} and this pull request", ""]
+    if not base:
+        return "\n".join(out + [note])
+    for seed, fields in head.items():
+        old = base.get(seed, [])
+        moved = [name for i, name in enumerate(LINE_FIELDS) if old[i:i + 1] != fields[i:i + 1]]
+        out.append(f"- seed {seed}: " + ("moved " + ", ".join(moved) if moved else "nothing moved"))
+    out += ["", "~~~"]
+    for side, lines in (("base", base), ("head", head)):
+        out += [" ".join((side, seed, *fields)) for seed, fields in lines.items()]
+    return "\n".join(out + ["~~~"])
 
 
 def main(argv=None) -> int:
