@@ -1,4 +1,4 @@
-"""Biometric records, the labeled dataset container, and the file codecs.
+"""Biometric records, the labeled dataset container, and the file loaders.
 
 `ImageRecord` and `AudioRecord` are the raw inputs that enrollment and
 probes take; `LabeledDataset` is the feature matrix the subspace fits read.
@@ -7,12 +7,11 @@ every 16-bit PCM sample exactly.
 
 Supported carriers are deliberately minimal: binary PGM (P5, maxval <= 255)
 for images, 16-bit mono PCM WAV for audio, and TAB-separated UTF-8
-manifests mapping sample paths to class names. The codecs return single
+manifests mapping sample paths to class names. The loaders return single
 records and (path, class name) rows, not feature matrices: `Enrollment.add`
 takes raw records per client, checks their image size and sample rate and
 keeps only their features, so a command-line front end reads a manifest,
-loads each client's samples and enrolls them. Matching writers exist so
-tests and demos can synthesize fixtures.
+loads each client's samples and enrolls them.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BiommError,
     DatasetError,
     DimensionError,
     DomainError,
@@ -224,17 +224,12 @@ def load_pgm(path) -> ImageRecord:
     return ImageRecord(width, height, np.rint(gray * 255.0 / maxval).astype(np.uint8))
 
 
-def write_pgm(path, img: ImageRecord) -> None:
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.gray.tobytes())
-
-
 def load_wav(path) -> AudioRecord:
     """Load a 16-bit mono PCM RIFF/WAVE file; samples scaled by 1/32768.
 
     The fmt chunk's block_align must be 2, its byte_rate twice the sample
-    rate, and the data chunk must hold a whole number of samples;
-    FormatError otherwise.
+    rate, and the data chunk must hold a whole number of samples, which
+    make a valid AudioRecord; FormatError otherwise.
 
     Every scaled value is a float32 value, so the record holds the file's
     samples exactly.
@@ -276,23 +271,15 @@ def load_wav(path) -> AudioRecord:
     if len(payload) % 2:
         raise FormatError(f"data chunk of {len(payload)} bytes holds no whole number of samples")
     raw = np.frombuffer(payload, dtype="<i2")
-    return AudioRecord(sample_rate, raw.astype(np.float64) / 32768.0)
-
-
-def write_wav(path, samples, sample_rate: int) -> None:
-    """Write float samples in [-1, 1] as 16-bit mono PCM."""
-    samples = np.asarray(samples, dtype=np.float64)
-    ints = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
-    body = ints.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, sample_rate, sample_rate * 2, 2, 16)
-    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    chunks += b"data" + struct.pack("<I", len(body)) + body
-    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+    try:
+        return AudioRecord(sample_rate, raw.astype(np.float64) / 32768.0)
+    except BiommError as exc:  # a rate AudioRecord refuses, or no samples
+        raise FormatError(f"WAV file describes an invalid recording: {exc}") from exc
 
 
 def load_manifest(path):
     """Parse "relative/path<TAB>class_name" lines; returns the list of
-    (path, class name) pairs in file order, which manifest_class_ids numbers.
+    (path, class name) pairs in file order.
 
     Blank lines and '#' comments are skipped.
     """
@@ -317,12 +304,3 @@ def load_manifest(path):
     if not records:
         raise ManifestError(f"manifest {path} lists no samples")
     return records
-
-
-def manifest_class_ids(records):
-    """Assign contiguous class ids in first appearance order of the class
-    names; returns (labels, names)."""
-    ids = {}  # class name -> id, in order of first appearance
-    labels = [ids.setdefault(class_name, len(ids)) for _, class_name in records]
-    return np.asarray(labels, dtype=np.int64), tuple(ids)
-

@@ -345,24 +345,17 @@ def enroll_and_fit(gallery: dict, w_face: float = 0.5) -> SystemModel:
     return fit_system(enrollment, w_face)
 
 
-def _face_probe(m: SystemModel, face_image: ImageRecord):
-    _check_size("probe", face_image, m.face_size)
-    return pca_mod.project(m.face, face_image.gray)
-
-
-def _voice_probe(m: SystemModel, voice_recording: AudioRecord):
-    _check_rate("probe", voice_recording, m.sample_rate)
-    return pca_mod.project(m.voice_lda, mfcc_mod.extract(voice_recording))
-
-
 def _evidence(m: SystemModel, face_image: ImageRecord, voice_recording: AudioRecord):
     """A probe's evidence, which both modes decide from: (q_face, (voice_label,
     votes)), its face in Fisher space and the voice SVM's one-vs-one vote.
-    The records are checked first, and each against the enrolled image size
-    or sample rate before its feature is computed."""
+    The records are checked first, and against the enrolled image size and
+    sample rate, before either feature is computed."""
     _require_records(DatasetError, "probe", [face_image], [voice_recording])
-    q_face = _face_probe(m, face_image)
-    return q_face, svm_mod.predict_multiclass(m.voice_svm, _voice_probe(m, voice_recording))
+    _check_size("probe", face_image, m.face_size)
+    _check_rate("probe", voice_recording, m.sample_rate)
+    q_face = pca_mod.project(m.face, face_image.gray)
+    q_voice = pca_mod.project(m.voice_lda, mfcc_mod.extract(voice_recording))
+    return q_face, svm_mod.predict_multiclass(m.voice_svm, q_voice)
 
 
 def _scores(m: SystemModel, distance: float, votes) -> tuple:

@@ -16,6 +16,12 @@ import numpy as np
 
 from .ingest import AudioRecord, ImageRecord
 
+FACE_SIZE = 16  # side of the square faces, in pixels
+FACE_NOISE_SIGMA = 5.0  # per-pixel noise, in gray levels
+NUM_PEAKS = 3  # resonances per voice
+TILT_SIGMA = 0.6  # spread of an utterance's log spectral tilt
+RIPPLE_SIGMA = 0.35  # spread of each of its four ripple terms
+
 
 @dataclass(frozen=True)
 class VoiceProfile:
@@ -32,14 +38,14 @@ class VoiceProfile:
         return env
 
 
-def make_voice_profiles(num_clients: int, rng, num_peaks: int = 3) -> list:
+def make_voice_profiles(num_clients: int, rng) -> list:
     profiles = []
     for _ in range(num_clients):
         profiles.append(
             VoiceProfile(
-                peaks_hz=rng.uniform(300.0, 3200.0, size=num_peaks),
-                widths_hz=rng.uniform(100.0, 250.0, size=num_peaks),
-                gains=rng.uniform(3.0, 8.0, size=num_peaks),
+                peaks_hz=rng.uniform(300.0, 3200.0, size=NUM_PEAKS),
+                widths_hz=rng.uniform(100.0, 250.0, size=NUM_PEAKS),
+                gains=rng.uniform(3.0, 8.0, size=NUM_PEAKS),
             )
         )
     return profiles
@@ -50,8 +56,6 @@ def synth_utterance(
     rng,
     sample_rate: int = 8000,
     duration_s: float = 1.0,
-    tilt_sigma: float = 0.6,
-    ripple_sigma: float = 0.35,
     snr_db: float | None = None,
 ) -> AudioRecord:
     """One filtered-noise utterance with random tilt/ripple nuisance.
@@ -64,11 +68,11 @@ def synth_utterance(
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     env = profile.envelope(freqs)
 
-    tilt = ((freqs + 100.0) / 1000.0) ** rng.normal(0.0, tilt_sigma)
+    tilt = ((freqs + 100.0) / 1000.0) ** rng.normal(0.0, TILT_SIGMA)
     phases = np.linspace(0.0, np.pi, freqs.size)
     ripple = np.exp(
         sum(
-            rng.normal(0.0, ripple_sigma) * np.cos((j + 1) * phases)
+            rng.normal(0.0, RIPPLE_SIGMA) * np.cos((j + 1) * phases)
             for j in range(4)
         )
     )
@@ -82,16 +86,13 @@ def synth_utterance(
     return AudioRecord(sample_rate, x)
 
 
-def make_face_prototypes(
-    num_clients: int, rng, width: int = 16, height: int = 16
-) -> list:
-    """Smooth random patterns in [30, 225], one per client."""
-    yy, xx = np.meshgrid(
-        np.linspace(0.0, 1.0, height), np.linspace(0.0, 1.0, width), indexing="ij"
-    )
+def make_face_prototypes(num_clients: int, rng) -> list:
+    """Smooth random FACE_SIZE x FACE_SIZE patterns in [30, 225], one per client."""
+    axis = np.linspace(0.0, 1.0, FACE_SIZE)
+    yy, xx = np.meshgrid(axis, axis, indexing="ij")
     prototypes = []
     for _ in range(num_clients):
-        pattern = np.zeros((height, width))
+        pattern = np.zeros((FACE_SIZE, FACE_SIZE))
         for _ in range(6):
             fy, fx = rng.uniform(0.5, 3.0, size=2)
             phase_y, phase_x = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -104,9 +105,9 @@ def make_face_prototypes(
     return prototypes
 
 
-def render_face(prototype: np.ndarray, rng, noise_sigma: float = 5.0) -> ImageRecord:
+def render_face(prototype: np.ndarray, rng) -> ImageRecord:
     """Prototype plus pixel noise, quantized to 8 bits."""
-    noisy = prototype + rng.normal(0.0, noise_sigma, size=prototype.shape)
+    noisy = prototype + rng.normal(0.0, FACE_NOISE_SIGMA, size=prototype.shape)
     gray = np.clip(np.round(noisy), 0, 255).astype(np.uint8)
     height, width = prototype.shape
     return ImageRecord(width, height, gray.ravel())
@@ -117,21 +118,16 @@ def make_enrollment_data(
     faces_per_client: int = 4,
     utterances_per_client: int = 4,
     seed: int = 42,
-    image_size: int = 16,
-    noise_sigma: float = 5.0,
     sample_rate: int = 8000,
 ):
     """Full synthetic gallery: {client_id: (faces, utterances)} plus the
     generating prototypes/profiles so callers can mint extra probes."""
     rng = np.random.default_rng(seed)
-    prototypes = make_face_prototypes(num_clients, rng, image_size, image_size)
+    prototypes = make_face_prototypes(num_clients, rng)
     profiles = make_voice_profiles(num_clients, rng)
     gallery = {}
     for c in range(num_clients):
-        faces = [
-            render_face(prototypes[c], rng, noise_sigma)
-            for _ in range(faces_per_client)
-        ]
+        faces = [render_face(prototypes[c], rng) for _ in range(faces_per_client)]
         voices = [
             synth_utterance(profiles[c], rng, sample_rate)
             for _ in range(utterances_per_client)

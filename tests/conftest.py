@@ -5,7 +5,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from biomm import knn, lda, pipeline, svm
+from biomm import knn, lda, mfcc, pca, pipeline, svm
 from biomm.errors import ConvergenceError, DimensionError, DomainError
 
 
@@ -219,8 +219,8 @@ def reference_identify(m, face_image, voice_recording) -> pipeline.Decision:
     over the whole gallery, the voice by `svm.predict_multiclass`, and the
     score, fusion, candidate and rejection rules written out, with
     `reference_tau_fused`. The served decision must equal it."""
-    nearest = knn.classify(m.face_gallery, pipeline._face_probe(m, face_image))
-    q_voice = pipeline._voice_probe(m, voice_recording)
+    nearest = knn.classify(m.face_gallery, pca.project(m.face, face_image.gray))
+    q_voice = pca.project(m.voice_lda, mfcc.extract(voice_recording))
     voice_label, votes = svm.predict_multiclass(m.voice_svm, q_voice)
     w = m.w_face
     face_score = 1.0 / (1.0 + nearest.mean_distance)
@@ -252,10 +252,11 @@ def reference_verify(m, face_image, voice_recording, claimed_id) -> pipeline.Dec
     cid = m.class_names.index(claimed_id)
     points = m.face_gallery.points[m.face_gallery.labels == cid]
     client = knn.KnnModel(points, np.zeros(points.shape[0], dtype=np.int64))
-    dists = knn.distances(client.points, pipeline._face_probe(m, face_image))
+    dists = knn.distances(client.points, pca.project(m.face, face_image.gray))
     nearest = knn.vote(client.labels, dists, min(knn.K, points.shape[0]))
     face_score = 1.0 / (1.0 + nearest.mean_distance)
-    _, votes = svm.predict_multiclass(m.voice_svm, pipeline._voice_probe(m, voice_recording))
+    q_voice = pca.project(m.voice_lda, mfcc.extract(voice_recording))
+    _, votes = svm.predict_multiclass(m.voice_svm, q_voice)
     voice_score = int(votes[cid]) / (m.voice_svm.num_classes - 1)
     fused = m.w_face * face_score + (1.0 - m.w_face) * voice_score
     accepted = fused >= reference_tau_fused(m)

@@ -69,25 +69,24 @@ class TestPgm:
             ingest.load_pgm(p)
 
     def test_round_trip(self, tmp_path):
-        img = ImageRecord(3, 2, np.array([0, 10, 20, 30, 40, 255], dtype=np.uint8))
         p = tmp_path / "rt.pgm"
-        ingest.write_pgm(p, img)
+        p.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 10, 20, 30, 40, 255]))
         back = ingest.load_pgm(p)
         assert (back.width, back.height) == (3, 2)
-        np.testing.assert_array_equal(back.gray, img.gray)
+        np.testing.assert_array_equal(back.gray, [0, 10, 20, 30, 40, 255])
 
 
 class TestWav:
     def test_int16_scaling(self, tmp_path):
         p = tmp_path / "a.wav"
-        ingest.write_wav(p, np.array([0.0, 0.5, -1.0]), 8000)
+        self.write_mono(p, np.array([0, 16384, -32768], dtype="<i2").tobytes())
         rec = ingest.load_wav(p)
         assert rec.sample_rate == 8000
         np.testing.assert_allclose(rec.samples, [0.0, 0.5, -1.0], atol=1e-12)
 
     def test_silence_second(self, tmp_path):
         p = tmp_path / "s.wav"
-        ingest.write_wav(p, np.zeros(8000), 8000)
+        self.write_mono(p, np.zeros(8000, dtype="<i2").tobytes())
         rec = ingest.load_wav(p)
         assert rec.samples.size == 8000
         assert np.all(rec.samples == 0.0)
@@ -105,10 +104,13 @@ class TestWav:
             ingest.load_wav(p)
 
     @staticmethod
-    def write_mono(path, body, block_align=2, byte_rate=16000):
+    def write_mono(path, body, rate=8000, block_align=2, byte_rate=None):
+        """A 16-bit mono PCM file of the given data chunk; byte_rate is
+        2 * rate unless given."""
         import struct
 
-        fmt = struct.pack("<HHIIHH", 1, 1, 8000, byte_rate, block_align, 16)
+        byte_rate = 2 * rate if byte_rate is None else byte_rate
+        fmt = struct.pack("<HHIIHH", 1, 1, rate, byte_rate, block_align, 16)
         chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         chunks += b"data" + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
         path.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
@@ -146,22 +148,34 @@ class TestWav:
         rng = np.random.RandomState(0)
         # every 16-bit code too: each scaled code is exact in the record's float32
         ints = np.concatenate([rng.randint(-32768, 32768, size=500), np.arange(-32768, 32768)])
-        samples = ints / 32768.0
         p = tmp_path / "rt.wav"
-        ingest.write_wav(p, samples, 16000)
+        self.write_mono(p, ints.astype("<i2").tobytes(), rate=16000)
         back = ingest.load_wav(p)
-        assert back.samples.dtype == np.float32
-        np.testing.assert_array_equal(back.samples, samples)
+        assert back.sample_rate == 16000 and back.samples.dtype == np.float32
+        np.testing.assert_array_equal(back.samples, ints / 32768.0)
+
+    # a well-formed file whose samples make no valid AudioRecord is refused
+    # as the file it is, not with the record's own error
+    def test_unsupported_rate_is_a_format_error(self, tmp_path):
+        p = tmp_path / "11k.wav"
+        self.write_mono(p, np.zeros(4, dtype="<i2").tobytes(), rate=11025)
+        with pytest.raises(FormatError, match="11025") as raised:
+            ingest.load_wav(p)
+        assert type(raised.value) is FormatError
+
+    def test_empty_data_chunk_is_a_format_error(self, tmp_path):
+        p = tmp_path / "empty.wav"
+        self.write_mono(p, b"")
+        with pytest.raises(FormatError, match="non-empty") as raised:
+            ingest.load_wav(p)
+        assert type(raised.value) is FormatError
 
 
 class TestManifest:
-    def test_first_appearance_ids(self, tmp_path):
+    def test_rows_as_written(self, tmp_path):
         p = tmp_path / "m.tsv"
         p.write_text("a.pgm\talice\nb.pgm\tbob\n")
-        records = ingest.load_manifest(p)
-        labels, names = ingest.manifest_class_ids(records)
-        assert names == ("alice", "bob")
-        np.testing.assert_array_equal(labels, [0, 1])
+        assert ingest.load_manifest(p) == [("a.pgm", "alice"), ("b.pgm", "bob")]
 
     def test_comments_only_is_empty(self, tmp_path):
         p = tmp_path / "m.tsv"
@@ -182,32 +196,18 @@ class TestManifest:
             ingest.load_manifest(p)
 
     def test_five_clients_four_samples(self, tmp_path):
-        lines = [
-            f"c{c}_{i}.pgm\tclient{c}" for c in range(5) for i in range(4)
-        ]
+        rows = [(f"c{c}_{i}.pgm", f"client{c}") for c in range(5) for i in range(4)]
         p = tmp_path / "m.tsv"
-        p.write_text("\n".join(lines) + "\n")
-        records = ingest.load_manifest(p)
-        labels, names = ingest.manifest_class_ids(records)
-        assert len(records) == 20
-        assert len(names) == 5
-        assert np.bincount(labels).tolist() == [4] * 5
+        p.write_text("\n".join(f"{path}\t{name}" for path, name in rows) + "\n")
+        assert ingest.load_manifest(p) == rows
 
-
-    def test_ids_by_first_appearance_on_a_shuffled_manifest(self, tmp_path):
+    def test_rows_in_file_order_on_a_shuffled_manifest(self, tmp_path):
         rng = np.random.RandomState(4)
         rows = [(f"c{c}_{i}.pgm", f"client{c}") for c in range(300) for i in range(3)]
         rows = [rows[j] for j in rng.permutation(len(rows))]
         p = tmp_path / "m.tsv"
         p.write_text("".join(f"{path}\t{name}\n" for path, name in rows))
-        labels, names = ingest.manifest_class_ids(ingest.load_manifest(p))
-        reference = []  # each class name at its first appearance
-        for _, name in rows:
-            if name not in reference:
-                reference.append(name)
-        assert names == tuple(reference)
-        assert labels.dtype == np.int64
-        np.testing.assert_array_equal(labels, [reference.index(name) for _, name in rows])
+        assert ingest.load_manifest(p) == rows
 
 
 class TestRecordInvariants:

@@ -66,6 +66,27 @@ class TestFitPca:
             direct[:k][nonzero], gram[:k][nonzero], rtol=1e-8
         )
 
+    # fit_pca eigendecomposes the smaller of the Gram and covariance
+    # matrices; its basis must equal, column for column and sign for sign,
+    # the basis read from the other one
+    def test_gram_basis_equals_the_covariance_eigenvectors(self):
+        rng = np.random.RandomState(5)
+        ds = make_ds(rng.standard_normal((12, 6)))  # p < d: gram path
+        s = pca.fit_pca(ds)
+        x = ds.features - s.mean[:, None]
+        direct = linalg._fix_signs(np.linalg.eigh(x @ x.T)[1][:, ::-1][:, :s.retained])
+        np.testing.assert_allclose(s.basis, direct, rtol=0, atol=1e-12)
+
+    def test_covariance_basis_equals_the_lifted_gram_eigenvectors(self):
+        rng = np.random.RandomState(6)
+        ds = make_ds(rng.standard_normal((4, 9)))  # p >= d: covariance path
+        s = pca.fit_pca(ds)
+        assert s.retained == 4
+        x = ds.features - s.mean[:, None]
+        lifted = x @ np.linalg.eigh(x.T @ x)[1][:, ::-1][:, :s.retained]
+        gram = linalg._fix_signs(lifted / np.linalg.norm(lifted, axis=0))
+        np.testing.assert_allclose(s.basis, gram, rtol=0, atol=1e-12)
+
     def test_projection_reproduces_fit_coordinates(self):
         rng = np.random.RandomState(3)
         features = rng.standard_normal((20, 8))  # p < d: gram path

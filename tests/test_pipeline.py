@@ -1220,7 +1220,7 @@ class TestVerifyFromClientTables:
         model = with_client_rows(world.model, 0, change)
         gallery = model.face_gallery
         dists = knn.distances(gallery.points[gallery.labels == 0],
-                              pipeline._face_probe(model, world.genuine[0][1]))
+                              pca.project(model.face, world.genuine[0][1].gray))
         assert np.unique(dists).size < dists.size
         self.assert_as_reference(model, world)
 
@@ -1424,7 +1424,7 @@ class TestUnknownGate:
     def test_face_distance_alone_rejects(self, world20, probes, w_face):
         model = replace(world20[3], w_face=w_face)
         rejected = [not pipeline.identify(model, face, voice).accepted for face, voice in probes]
-        far = [knn.classify(model.face_gallery, pipeline._face_probe(model, face)).mean_distance
+        far = [knn.classify(model.face_gallery, pca.project(model.face, face.gray)).mean_distance
                > model.tau_dist for face, _ in probes]
         assert rejected == far
         assert far == [False] * (len(probes) // 2) + [True] * (len(probes) // 2)

@@ -1,4 +1,5 @@
-"""Every public function and class of biomm has a caller outside the tests.
+"""Every public function and class of biomm has a caller outside the tests,
+and so has every setting of a public function.
 
 A name counts as used when the package or the benchmark names it as
 module.name, anywhere other than its own definition: as an attribute of the
@@ -8,6 +9,10 @@ that defines it, or as a "module.function" string such as the benchmark's
 traced list. A method call of the same name (`line.split`) is not a use.
 Each name on the benchmark tracer's traced list must also exist, since the
 tracer looks every one of them up when a traced run starts.
+
+A setting, a defaulted parameter of a public module-level function, counts
+as used when a call in the package, the benchmark or the tools passes it,
+by position or by keyword.
 """
 
 import ast
@@ -18,25 +23,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "biomm"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
-# The file codecs a command-line front end reads its manifests and samples
+# The loaders a command-line front end reads its manifests and samples
 # with; they are kept for it although nothing in the package calls them yet.
 AWAITING_CALLER = {
     "ingest.load_manifest",
-    "ingest.manifest_class_ids",
     "ingest.load_pgm",
-    "ingest.write_pgm",
     "ingest.load_wav",
-    "ingest.write_wav",
+}
+
+# Settings that no caller passes yet, each with the reason it is kept
+# (the numbers are ROADMAP items).
+KEPT_SETTINGS = {
+    "synth.synth_utterance.duration_s": "the probe lengths of items 12 and 22",
+    "synth.synth_utterance.snr_db": "the noisy voice probes of items 12 and 15",
+    "synth.make_enrollment_data.sample_rate":
+        "every rate in VALID_SAMPLE_RATES is an input the system accepts",
+    "pipeline.enroll_and_fit.w_face": "the fusion weight items 4 and 18 set",
+    "svm.train_binary.tol": "item 3 deletes the SVM",
 }
 
 
-def _public_definitions():
+def _public_nodes():
+    """("module.name", node) of every public module-level function and class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                yield f"{path.stem}.{node.name}"
+                yield f"{path.stem}.{node.name}", node
+
+
+def _public_definitions():
+    return [qualified for qualified, _ in _public_nodes()]
 
 
 def _biomm_module(node: ast.ImportFrom) -> list:
@@ -48,19 +67,28 @@ def _biomm_module(node: ast.ImportFrom) -> list:
     return parts[1:] if parts[0] == "biomm" else None
 
 
+def _bindings(tree):
+    """(modules, imported): the local names the imports bind to biomm
+    modules, each to its module, and to names of a biomm module, each to
+    its "module.name"."""
+    modules, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (path := _biomm_module(node)) is not None:
+            for alias in node.names:
+                if path:
+                    imported[alias.asname or alias.name] = f"{path[0]}.{alias.name}"
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    return modules, imported
+
+
 def _named(sources):
     """Every "module.name" that the (module, source text) pairs name."""
     names = set()
     for module, text in sources:
         tree = ast.parse(text)
-        aliases = {}  # local name -> biomm module it is bound to
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (path := _biomm_module(node)) is not None:
-                for alias in node.names:
-                    if path:
-                        names.add(f"{path[0]}.{alias.name}")
-                    else:
-                        aliases[alias.asname or alias.name] = alias.name
+        aliases, imported = _bindings(tree)
+        names.update(imported.values())
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(f"{module}.{node.id}")
@@ -81,6 +109,68 @@ def test_every_public_name_has_a_caller():
         if qualified not in named and qualified not in AWAITING_CALLER
     ]
     assert unused == []
+
+
+def _settings():
+    """{"module.function.parameter": its position, or None if keyword-only}
+    for every defaulted parameter of a public module-level function."""
+    settings = {}
+    for function, node in _public_nodes():
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                settings[f"{function}.{arg.arg}"] = i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    settings[f"{function}.{arg.arg}"] = None
+    return settings
+
+
+def _passed(sources):
+    """{"module.function": (positions, keywords)} over the calls in the
+    (module, source text) pairs: the most arguments any call passes by
+    position before a starred one, and every keyword any call passes."""
+    passed = {}
+    for module, text in sources:
+        tree = ast.parse(text)
+        modules, imported = _bindings(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                callee = imported.get(func.id, f"{module}.{func.id}")
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+                callee = f"{modules[func.value.id]}.{func.attr}"
+            else:
+                continue
+            count = next((i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)),
+                         len(node.args))
+            positions, keywords = passed.get(callee, (0, set()))
+            passed[callee] = (max(positions, count),
+                              keywords | {kw.arg for kw in node.keywords if kw.arg})
+    return passed
+
+
+def test_every_setting_has_a_caller():
+    passed = _passed((path.stem, path.read_text()) for path in SOURCES + TOOLS)
+    unpassed = []
+    for qualified, position in _settings().items():
+        function, _, name = qualified.rpartition(".")
+        positions, keywords = passed.get(function, (0, set()))
+        if name not in keywords and (position is None or position >= positions):
+            unpassed.append(qualified)
+    assert sorted(unpassed) == sorted(KEPT_SETTINGS)
+
+
+def test_settings_pass_by_position_or_keyword():
+    passed = _passed([
+        ("synth", "def make(n, seed=1, rate=8000): ...\nmake(3, 4)"),
+        ("harness", "from biomm import synth as s\ns.make(1, rate=16000)\ns.make(*args)"),
+    ])
+    assert passed == {"synth.make": (2, {"rate"})}
 
 
 def test_codecs_awaiting_a_caller_exist():

@@ -104,9 +104,9 @@ class TestProbes:
     def test_generators_return_one_per_client(self):
         rng = np.random.default_rng(0)
         assert len(synth.make_face_prototypes(4, rng)) == 4
-        profiles = synth.make_voice_profiles(4, rng, num_peaks=2)
+        profiles = synth.make_voice_profiles(4, rng)
         assert len(profiles) == 4
-        assert all(p.peaks_hz.shape == (2,) for p in profiles)
+        assert all(p.peaks_hz.shape == (synth.NUM_PEAKS,) for p in profiles)
 
     def test_utterance_length_follows_rate_and_duration(self, data):
         profile = data[2][0]
