@@ -2,12 +2,16 @@
 
 `ImageRecord` and `AudioRecord` are the raw inputs that enrollment and
 probes take; `LabeledDataset` is the feature matrix the subspace fits read.
-Records are kept compact: pixels as uint8 and audio as float32, which holds
-every 16-bit PCM sample exactly.
+Records take values of a boolean, integer or floating-point dtype only and
+keep them compact: pixels as uint8 and audio as float32, which holds every
+16-bit PCM sample exactly.
 
 Supported carriers are deliberately minimal: binary PGM (P5, maxval <= 255)
 for images, 16-bit mono PCM WAV for audio, and TAB-separated UTF-8
-manifests mapping sample paths to class names. The loaders return single
+manifests, one LF-ended line per sample path and class name. A PGM header
+is "P5", then width, height and maxval in ASCII decimal, each after a run of
+whitespace and '#' comments (which may be empty after the magic), then one
+whitespace byte or comment before the raster. The loaders return single
 records and (path, class name) rows, not feature matrices: `Enrollment.add`
 takes raw records per client, checks their image size and sample rate and
 keeps only their features, so a command-line front end reads a manifest,
@@ -17,6 +21,7 @@ loads each client's samples and enrolls them.
 from __future__ import annotations
 
 import operator
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,11 +50,12 @@ def _integer(value, error, what: str) -> int:
 
 
 def _real(values, what: str) -> np.ndarray:
-    """values as an array of real numbers: a complex, text or object array
-    is refused before any cast, which would keep only its real part or parse
-    the text (an object array's cast calls float() on each element)."""
+    """values as an array of a boolean, integer or floating-point dtype; any
+    other dtype is refused before a cast, which would keep a complex array's
+    real part, parse text, call float() on objects, read a timedelta or
+    datetime as its count or a structured array as zeros."""
     array = np.asarray(values)
-    if array.dtype.kind in "cSUO":
+    if array.dtype.kind not in "biuf":
         raise DomainError(f"{what} must be real numbers, got dtype {array.dtype}")
     return array
 
@@ -61,8 +67,8 @@ class ImageRecord:
     uint8 pixels are stored as given. Pixels of another type are stored as
     uint8 only if every value is an integer in 0..255; any other value,
     NaN and infinities among them, is refused before the cast, which would
-    otherwise wrap, truncate or zero it, and so is a complex, text (str or
-    bytes) or object array, whatever its values.
+    otherwise wrap, truncate or zero it, and so is an array of any dtype
+    but boolean, integer or floating-point, whatever its values.
     """
 
     width: int
@@ -92,8 +98,8 @@ class ImageRecord:
 class AudioRecord:
     """Mono audio at one of VALID_SAMPLE_RATES; samples lie in [-1, 1].
 
-    The given samples, which may not be complex, text (str or bytes) or
-    objects, are checked as float64 values (finite, within [-1, 1]) and
+    The given samples, of a boolean, integer or floating-point dtype, are
+    checked as float64 values (finite, within [-1, 1]) and
     stored as a float32 copy, which halves the memory a record holds. A
     16-bit PCM value scaled by 1/32768, as `load_wav` gives, is
     exact in float32; other float64 audio is rounded once to the nearest
@@ -161,58 +167,40 @@ class LabeledDataset:
         return self.features.shape[0]
 
 
-def _comment_end(data: bytes, i: int) -> int:
-    """Index of the CR or LF that ends the comment starting at data[i], or
-    len(data) when none does."""
-    while i < len(data) and data[i] not in b"\r\n":
-        i += 1
-    return i
-
-
-def _pgm_tokens(data: bytes, count: int, start: int):
-    """Read `count` whitespace-separated header tokens, honoring '#' comments."""
-    tokens = []
-    i = start
-    while len(tokens) < count:
-        if i >= len(data):
-            raise FormatError("truncated PGM header")
-        b = data[i]
-        if b in b" \t\r\n":
-            i += 1
-        elif b == ord("#"):
-            i = _comment_end(data, i)
-        else:
-            j = i
-            while j < len(data) and data[j] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i
+# load_pgm's header grammar; each %s is one separator: a whitespace byte, or
+# a comment and the CR or LF that ends it
+_PGM_HEADER = re.compile(
+    rb"P5%s*(\d+)%s+(\d+)%s+(\d+)%s" % ((rb"(?:[ \t\r\n]|#[^\r\n]*[\r\n])",) * 4)
+)
 
 
 def load_pgm(path) -> ImageRecord:
     """Load a binary PGM ("P5") image with maxval <= 255 and no gray value above it.
+
+    The header is "P5", then width, height and maxval as ASCII decimal
+    numbers (digits only, no sign or underscore), each after a run of
+    whitespace (space, TAB, CR, LF; not VT or FF) or '#' comments that end
+    at the next CR or LF; the run after the magic may be empty. One
+    whitespace byte, or a comment and the CR or LF that ends it, precedes
+    the raster.
 
     Gray g becomes round(g * 255 / maxval), ties to even, so maxval 255 loads as is.
     """
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise FormatError(f"bad PGM magic {data[:2]!r} (only binary P5 is supported)")
-    tokens, pos = _pgm_tokens(data, 3, 2)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError("PGM header is not width, height and maxval in decimal")
     try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise FormatError(f"non-numeric PGM header fields {tokens}") from None
+        width, height, maxval = map(int, header.groups())
+    except ValueError:  # more digits than int() converts
+        raise FormatError("PGM header number has too many digits") from None
     if width < 1 or height < 1:
         raise FormatError(f"bad PGM dimensions {width}x{height}")
     if maxval > 255 or maxval < 1:
         raise FormatError(f"unsupported PGM maxval {maxval} (must be 1..255)")
-    # exactly one whitespace byte separates maxval from the payload; a comment
-    # between them runs through the next CR or LF, which is then that byte
-    if data[pos : pos + 1] == b"#":
-        pos = _comment_end(data, pos)
-    pos += 1
-    payload = data[pos : pos + width * height]
+    payload = data[header.end() : header.end() + width * height]
     if len(payload) < width * height:
         raise FormatError(
             f"truncated PGM payload: {len(payload)} of {width * height} bytes"
@@ -281,12 +269,13 @@ def load_manifest(path):
     """Parse "relative/path<TAB>class_name" lines; returns the list of
     (path, class name) pairs in file order.
 
-    Blank lines and '#' comments are skipped.
+    A line ends at LF, CR or CRLF only. Blank lines and '#' comments are
+    skipped.
     """
     text = Path(path).read_text(encoding="utf-8")
     records = []
     seen = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -26,11 +26,10 @@ DEFAULT_REG_SCALE = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class ScatterPair:
-    """Within/between class scatter with the per-class and total means."""
+    """Within/between class scatter with the total mean."""
 
     s_w: np.ndarray
     s_b: np.ndarray
-    class_means: np.ndarray  # one column per class
     total_mean: np.ndarray
 
 
@@ -50,7 +49,7 @@ def scatter(ds: LabeledDataset) -> ScatterPair:
 
     centered = columns - np.repeat(class_means, counts, axis=1)
     diff = class_means - total_mean[:, None]
-    return ScatterPair(centered @ centered.T, (diff * counts) @ diff.T, class_means, total_mean)
+    return ScatterPair(centered @ centered.T, (diff * counts) @ diff.T, total_mean)
 
 
 def fit_lda(ds: LabeledDataset) -> Subspace:

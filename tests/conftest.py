@@ -191,7 +191,7 @@ def reference_scatter(ds) -> lda.ScatterPair:
     total_mean = class_sums.sum(axis=1) / counts.sum()
     centered = columns - np.repeat(class_means, counts, axis=1)
     diff = class_means - total_mean[:, None]
-    return lda.ScatterPair(centered @ centered.T, (diff * counts) @ diff.T, class_means, total_mean)
+    return lda.ScatterPair(centered @ centered.T, (diff * counts) @ diff.T, total_mean)
 
 
 def reference_loo_distances(points, labels) -> np.ndarray:

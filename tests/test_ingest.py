@@ -1,4 +1,5 @@
 import warnings
+import wave
 
 import numpy as np
 import pytest
@@ -74,6 +75,76 @@ class TestPgm:
         back = ingest.load_pgm(p)
         assert (back.width, back.height) == (3, 2)
         np.testing.assert_array_equal(back.gray, [0, 10, 20, 30, 40, 255])
+
+    # headers as writers spell them load with the written size and raster
+    @pytest.mark.parametrize(
+        "header, size",
+        [
+            (b"P5\n92 112\n255\n", (92, 112)),
+            (b"P5\n# CREATOR: GIMP PNM Filter Version 1.1\n3 2\n255\n", (3, 2)),
+            (b"P5\r\n3\t2\r\n255\r", (3, 2)),
+            (b"P5\t3 \t 2\t255\t", (3, 2)),
+            (b"P5\n9#c\n2\n255\n", (9, 2)),
+        ],
+        ids=["netpbm-orl-size", "gimp-comment", "crlf", "tab", "comment-splits-a-number"],
+    )
+    def test_writers_headers(self, tmp_path, header, size):
+        raster = np.random.RandomState(size[0]).randint(0, 256, size=size[0] * size[1])
+        p = tmp_path / "a.pgm"
+        p.write_bytes(header + raster.astype(np.uint8).tobytes())
+        img = ingest.load_pgm(p)
+        assert (img.width, img.height) == size
+        np.testing.assert_array_equal(img.gray, raster)
+
+    def test_headers_drawn_from_the_grammar(self, tmp_path):
+        # runs of whitespace and comments of random bytes around random
+        # fields, with leading zeros, then one separator and the raster
+        rng = np.random.RandomState(35)
+
+        def separator():
+            if rng.rand() < 0.7:
+                return bytes([b" \t\r\n"[rng.randint(4)]])
+            text = bytes(b for b in rng.randint(0, 256, size=rng.randint(0, 6)) if b not in b"\r\n")
+            return b"#" + text + (b"\r" if rng.rand() < 0.5 else b"\n")
+
+        def run(least):
+            return b"".join(separator() for _ in range(rng.randint(least, 4)))
+
+        p = tmp_path / "a.pgm"
+        for _ in range(300):
+            fields = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 256)
+            spelled = [b"0" * rng.randint(3) + str(v).encode() for v in fields]
+            header = b"P5" + run(0) + spelled[0] + run(1) + spelled[1] + run(1) + spelled[2]
+            raster = rng.randint(0, fields[2] + 1, size=fields[0] * fields[1])
+            p.write_bytes(header + separator() + raster.astype(np.uint8).tobytes())
+            img = ingest.load_pgm(p)
+            assert (img.width, img.height) == fields[:2]
+            np.testing.assert_array_equal(img.gray, np.rint(raster * 255.0 / fields[2]))
+
+    # a number is ASCII digits only, and whitespace is space, TAB, CR and LF:
+    # int() also reads a sign, underscores and VT or FF around the digits
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n+2 2\n255\n", b"P5\n2 2_2\n255\n", b"P5\n2 2\n+255\n",
+         b"P5\n2\x0b 2\n255\n", b"P5\n2 \x0c2\n255\n", b"P5\n2 2\n255\x0c\n"],
+        ids=["plus", "underscore", "plus-maxval", "vt", "ff", "ff-after-maxval"],
+    )
+    def test_int_spellings_refused(self, tmp_path, header):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(header + bytes(range(4)) * 8)
+        with pytest.raises(FormatError, match="decimal"):
+            ingest.load_pgm(p)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00", b"P5\n2 # no end", b"P5\n1 1\n255# no end"],
+        ids=["5000-digits", "comment-to-eof", "comment-after-maxval-to-eof"],
+    )
+    def test_unreadable_headers_refused(self, tmp_path, data):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError):
+            ingest.load_pgm(p)
 
 
 class TestWav:
@@ -154,6 +225,19 @@ class TestWav:
         assert back.sample_rate == 16000 and back.samples.dtype == np.float32
         np.testing.assert_array_equal(back.samples, ints / 32768.0)
 
+    @pytest.mark.parametrize("rate", ingest.VALID_SAMPLE_RATES)
+    def test_standard_library_writer(self, tmp_path, rate):
+        ints = np.random.RandomState(rate).randint(-32768, 32768, size=rate // 10)
+        p = tmp_path / "std.wav"
+        with wave.open(str(p), "wb") as out:
+            out.setnchannels(1)
+            out.setsampwidth(2)
+            out.setframerate(rate)
+            out.writeframes(ints.astype("<i2").tobytes())
+        back = ingest.load_wav(p)
+        assert back.sample_rate == rate
+        np.testing.assert_array_equal(back.samples, ints / 32768.0)
+
     # a well-formed file whose samples make no valid AudioRecord is refused
     # as the file it is, not with the record's own error
     def test_unsupported_rate_is_a_format_error(self, tmp_path):
@@ -187,6 +271,19 @@ class TestManifest:
         p = tmp_path / "m.tsv"
         p.write_text("a.pgm\talice\nbroken line\n")
         with pytest.raises(FormatError, match="line 2"):
+            ingest.load_manifest(p)
+
+    # only LF (and CR or CRLF, which reading as text turns into LF) ends a
+    # line; str.splitlines() also breaks at FF, U+0085 and U+2028
+    def test_lines_end_at_lf(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("a\x85b.pgm\talice\n# a\x0ccomment\nc\u2028d.pgm\tbob\n", encoding="utf-8")
+        assert ingest.load_manifest(p) == [("a\x85b.pgm", "alice"), ("c\u2028d.pgm", "bob")]
+
+    def test_line_numbers_count_lf(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("a\u2028b.pgm\talice\n# a\x0ccomment\nbroken\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3 "):
             ingest.load_manifest(p)
 
     def test_duplicate_paths(self, tmp_path):
@@ -279,13 +376,18 @@ class TestRecordInvariants:
             AudioRecord(8000, samples)
 
     # a cast to float would keep only the real part, with no more than a
-    # ComplexWarning, or parse the text as numbers, also text held as Python
-    # objects: the type is refused before any cast
+    # ComplexWarning, parse the text as numbers, also text held as Python
+    # objects, read a timedelta or datetime as its count and a structured
+    # array as zeros: any dtype but boolean, integer or float is refused
+    # before any cast
     @pytest.mark.parametrize(
         "samples",
         [np.full(300, 0.1 + 0.9j), np.full(300, 0.1 + 0j), ["0.1"] * 300, [b"0.1"] * 300,
-         np.array(["0.1"] * 300, dtype=object), np.array([0.1] * 300, dtype=object)],
-        ids=["complex", "complex-real-valued", "str", "bytes", "object-text", "object-numbers"],
+         np.array(["0.1"] * 300, dtype=object), np.array([0.1] * 300, dtype=object),
+         np.zeros(300, dtype="m8[s]"), np.zeros(300, dtype="M8[s]"),
+         np.zeros(300, dtype=[("a", "u1")]), np.zeros(300, dtype="V2")],
+        ids=["complex", "complex-real-valued", "str", "bytes", "object-text", "object-numbers",
+             "timedelta", "datetime", "structured", "void"],
     )
     def test_audio_refuses_complex_and_text(self, samples):
         with warnings.catch_warnings():
@@ -297,8 +399,11 @@ class TestRecordInvariants:
         "gray",
         [[1 + 1j, 2, 3, 4], np.array([1, 2, 3, 4], dtype=complex), ["1", "2", "3", "4"],
          np.array([b"1", b"2", b"3", b"4"]), np.array(["1", "2", "3", "4"], dtype=object),
-         np.array([1, 2, 3, 4], dtype=object)],
-        ids=["complex", "complex-real-valued", "str", "bytes", "object-text", "object-numbers"],
+         np.array([1, 2, 3, 4], dtype=object), np.array([1, 2, 3, 4], dtype="m8[s]"),
+         np.array([1, 2, 3, 4], dtype="M8[s]"), np.ones(4, dtype=[("a", "u1")]),
+         np.zeros(4, dtype="V2")],
+        ids=["complex", "complex-real-valued", "str", "bytes", "object-text", "object-numbers",
+             "timedelta", "datetime", "structured", "void"],
     )
     def test_image_refuses_complex_and_text(self, gray):
         with warnings.catch_warnings():

@@ -36,20 +36,19 @@ def random_labeled(rng, dim, classes, per_class, spread=3.0):
 
 
 def loop_scatter(features, labels, classes):
-    """S_W, S_B and the class means the long way: a loop over the classes and
-    over each class's samples, summing one outer product at a time."""
+    """S_W and S_B the long way: a loop over the classes and over each
+    class's samples, summing one outer product at a time."""
     d = features.shape[0]
-    means = np.zeros((d, classes))
     s_w = np.zeros((d, d))
     s_b = np.zeros((d, d))
     total = features.mean(axis=1)
     for c in range(classes):
         block = features[:, labels == c]
-        means[:, c] = sum(block.T) / block.shape[1]
+        mean = sum(block.T) / block.shape[1]
         for x in block.T:
-            s_w += np.outer(x - means[:, c], x - means[:, c])
-        s_b += block.shape[1] * np.outer(means[:, c] - total, means[:, c] - total)
-    return s_w, s_b, means
+            s_w += np.outer(x - mean, x - mean)
+        s_b += block.shape[1] * np.outer(mean - total, mean - total)
+    return s_w, s_b
 
 
 def interleaved_with_duplicates(rng, dim, sizes):
@@ -95,7 +94,7 @@ class TestScatter:
         cases.extend(enrollment_datasets())
         for ds in cases:
             pair, want = lda.scatter(ds), reference_scatter(ds)
-            for name in ("s_w", "s_b", "class_means", "total_mean"):
+            for name in ("s_w", "s_b", "total_mean"):
                 assert_same_bits(getattr(pair, name), getattr(want, name))
 
     def test_interleaving_the_classes_keeps_the_bits(self):
@@ -112,7 +111,7 @@ class TestScatter:
                 columns[:, labels == c] = ds.features[:, ds.labels == c]
             pair = lda.scatter(ds)
             moved = lda.scatter(LabeledDataset(columns, labels, ds.class_names))
-            for name in ("s_w", "s_b", "class_means", "total_mean"):
+            for name in ("s_w", "s_b", "total_mean"):
                 assert_same_bits(getattr(moved, name), getattr(pair, name))
 
     def test_matches_a_per_class_loop(self):
@@ -124,7 +123,7 @@ class TestScatter:
             ds = interleaved_with_duplicates(rng, rng.randint(1, 9), sizes)
             pair = lda.scatter(ds)
             want = loop_scatter(ds.features, ds.labels, ds.num_classes)
-            for got, expected in zip((pair.s_w, pair.s_b, pair.class_means), want):
+            for got, expected in zip((pair.s_w, pair.s_b), want):
                 np.testing.assert_allclose(
                     got, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
                 )
@@ -148,8 +147,7 @@ class TestScatter:
         features = np.array([[0.0, 2.0, 5.0, 7.0], [0.0, 0.0, 1.0, 1.0]])
         ds = make_ds(features, [0, 0, 1, 1])
         pair = lda.scatter(ds)
-        np.testing.assert_allclose(pair.class_means[:, 0], [1.0, 0.0])
-        np.testing.assert_allclose(pair.class_means[:, 1], [6.0, 1.0])
+        np.testing.assert_allclose(pair.total_mean, [3.5, 0.5])
         np.testing.assert_allclose(pair.s_w, [[4.0, 0.0], [0.0, 0.0]], atol=1e-12)
         np.testing.assert_allclose(pair.s_b, [[25.0, 5.0], [5.0, 1.0]], atol=1e-12)
 
@@ -210,7 +208,8 @@ class TestFitLda:
             reg = ridge(pair.s_w)
             s = lda.fit_lda(ds)
             assert s.retained == 1
-            m_diff = pair.class_means[:, 0] - pair.class_means[:, 1]
+            means = [ds.features[:, ds.labels == c].mean(axis=1) for c in (0, 1)]
+            m_diff = means[0] - means[1]
             closed = np.linalg.solve(
                 pair.s_w + reg * np.eye(ds.dim), m_diff
             )
